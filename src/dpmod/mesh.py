@@ -120,8 +120,11 @@ class Mesh:
             D = np.zeros((n, n + 1))
             D[:, 0] = -1.0
             D[:, 1:] = np.eye(n)
-            self._grad_ops = np.einsum("cij,jk->cik", Einv, D)
-            assert self._grad_ops.shape == (C, n, n + 1)
+            ops = np.einsum("cij,jk->cik", Einv, D)
+            if ops.shape != (C, n, n + 1):
+                raise MeshError(f"gradient operators have shape {ops.shape}, "
+                                f"expected {(C, n, n + 1)}")
+            self._grad_ops = ops
         return self._grad_ops
 
     @property

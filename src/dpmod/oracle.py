@@ -5,6 +5,17 @@ oracle maximizes f(x) by dense search over the free node values, checking
 feasibility by direct evaluation of the p-energy and Holder seminorm, and
 the 1-D oracle is pure calculus.
 
+Separable grid search
+---------------------
+Each cell's energy term depends only on the values at that cell's 2-3 nodes,
+and each Holder test only on its pair's 2 values.  So every term is evaluated
+once on the small sub-grid of the axes it touches, and the product grid only
+broadcasts: it ANDs the pair masks and adds the cell terms.  The results are
+the same, bit for bit, as a search that evaluates every term at every grid
+point.  Each point still gets the same per-point formula for each term, the
+cell terms are still added in cell order starting from 0, and the grid is
+still walked in C order with the first maximum kept.
+
 1-D closed form (derivation)
 ----------------------------
 On a chain with per-cell length density a = sqrt(g) (so |grad f|_g = f'/a and
@@ -51,6 +62,10 @@ def brute_force_dp(x, y, g, g0, params):
     one grid step) pins each round's best point to the minimum-energy
     completion; without it the windows recenter on an arbitrary point of the
     argmax set and can drift away from the true optimizer.
+
+    Each round's search is separable (see the module docstring).  Pair masks
+    and cell terms are computed on their own sub-grids, and the product grid
+    is scanned in C-order blocks of at most ``_CHUNK`` points.
     """
     mesh = params.mesh
     N = mesh.num_nodes
@@ -77,38 +92,73 @@ def brute_force_dp(x, y, g, g0, params):
     inv_dt = params.d0[iu, iv] ** (-t)
     p = params.p
 
+    axis_of = {v: j for j, v in enumerate(free)}
+
     def evaluate(axes, tie):
         """Best feasible f(x) over the product grid; ``tie`` breaks the
         degenerate argmax toward low energy (must be << one grid step)."""
-        sizes = np.array([len(ax) for ax in axes], dtype=np.int64)
-        total = int(sizes.prod())
-        radix = np.ones_like(sizes)
-        for i in range(len(sizes) - 2, -1, -1):
-            radix[i] = radix[i + 1] * sizes[i + 1]
+        sizes = tuple(len(ax) for ax in axes)
+
+        def subgrid(nodes):
+            """Values of ``nodes`` (rows in C order) over the sub-grid of the
+            free axes they touch, and that sub-grid's broadcast shape."""
+            own = sorted({axis_of[v] for v in nodes if v != y})
+            grids = np.meshgrid(*(axes[j] for j in own), indexing="ij")
+            cols = np.zeros((grids[0].size, len(nodes)))
+            for i, v in enumerate(nodes):
+                if v != y:
+                    cols[:, i] = grids[own.index(axis_of[v])].ravel()
+            shape = tuple(sizes[j] if j in own else 1 for j in range(len(sizes)))
+            return cols, shape
+
+        # Holder masks per pair, energy terms per cell, each on its own sub-grid
+        masks = []
+        for k in range(iu.size):
+            F, shape = subgrid([iu[k], iv[k]])
+            masks.append((np.abs(F[:, 0] - F[:, 1]) * inv_dt[k] <= D).reshape(shape))
+        terms = []
+        for c in range(mesh.num_cells):
+            F, shape = subgrid(cn[c])
+            df = F @ Binv[c].T
+            q = np.einsum("ki,ij,kj->k", df, Ginv[c], df)
+            terms.append((w[c] * np.maximum(q, 0.0) ** (p / 2.0)).reshape(shape))
+        F, shape = subgrid([x])
+        fx = F[:, 0].reshape(shape)
+
+        # blocks of at most _CHUNK points in C order: single indices on the
+        # axes before ``s``, a run of ``rows`` indices on axis ``s``
+        s = 0
+        while math.prod(sizes[s + 1:]) > _CHUNK:
+            s += 1
+        rows = _CHUNK // math.prod(sizes[s + 1:])
+
+        def part(a, sel):
+            """Block ``sel`` of a broadcast-shaped array (its size-1 axes stay whole)."""
+            return a[tuple(sl if n > 1 else slice(None) for sl, n in zip(sel, a.shape))]
+
         best_score, best_val, best_point = -np.inf, -np.inf, None
-        for start in range(0, total, _CHUNK):
-            idx = np.arange(start, min(start + _CHUNK, total))
-            F = np.zeros((idx.size, N))
-            for j, v in enumerate(free):
-                F[:, v] = axes[j][(idx // radix[j]) % sizes[j]]
-            # Holder feasibility
-            ok = np.ones(idx.size, dtype=bool)
-            for k in range(iu.size):
-                ok &= np.abs(F[:, iu[k]] - F[:, iv[k]]) * inv_dt[k] <= D
-            # energy feasibility
-            E = np.zeros(idx.size)
-            for c in range(mesh.num_cells):
-                df = F[:, cn[c]] @ Binv[c].T
-                q = np.einsum("ki,ij,kj->k", df, Ginv[c], df)
-                E += w[c] * np.maximum(q, 0.0) ** (p / 2.0)
-            ok &= E <= 1.0
-            if ok.any():
-                score = np.where(ok, F[:, x] - tie * E, -np.inf)
-                k = int(np.argmax(score))
-                if score[k] > best_score:
-                    best_score = float(score[k])
-                    best_val = float(F[k, x])
-                    best_point = F[k].copy()
+        for lead in np.ndindex(*sizes[:s]):
+            for lo in range(0, sizes[s], rows):
+                sel = tuple(slice(i, i + 1) for i in lead) + (slice(lo, lo + rows),)
+                shape = (1,) * s + (min(rows, sizes[s] - lo),) + sizes[s + 1:]
+                ok = np.ones(shape, dtype=bool)
+                for m in masks:
+                    ok &= part(m, sel)
+                E = np.zeros(shape)
+                for term in terms:
+                    E += part(term, sel)
+                ok &= E <= 1.0
+                if ok.any():
+                    score = np.where(ok, part(fx, sel) - tie * E, -np.inf)
+                    k = int(np.argmax(score))
+                    if score.flat[k] > best_score:
+                        best_score = float(score.flat[k])
+                        at = np.unravel_index(k, shape)
+                        at = lead + (lo + at[s],) + at[s + 1:]
+                        best_point = np.zeros(N)
+                        for j, v in enumerate(free):
+                            best_point[v] = axes[j][at[j]]
+                        best_val = float(best_point[x])
         return best_val, best_point
 
     # initial pass: step B/50, halved resolution until within budget
@@ -119,7 +169,8 @@ def brute_force_dp(x, y, g, g0, params):
             break
         step *= 2.0
     best_val, best_point = evaluate(axes, 1e-3 * step)
-    assert best_point is not None, "f = 0 is always feasible"
+    if best_point is None:
+        raise OracleError("no feasible grid point, yet f = 0 is always feasible")
 
     # local refinement until the final step is <= B/50000
     while step > B / 50000.0:

@@ -371,7 +371,8 @@ def _solve_oriented(x, y, g, params, modified):
     f[y], f[x] = 0.0, 1.0
 
     s, _, _ = gauge.gauge(f)
-    assert np.isfinite(s) and s > 0.0, "normalized start has invalid gauge"
+    if not (np.isfinite(s) and s > 0.0):
+        raise SolverError(f"normalized start has invalid gauge {s!r}")
 
     beta = params.beta0
     L = 1.0

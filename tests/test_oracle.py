@@ -11,7 +11,7 @@ from dpmod.metric import MetricField
 from dpmod.oracle import MAX_ORACLE_NODES, analytic_1d_dp, brute_force_dp
 from dpmod.solver import GaugeParams
 
-from conftest import chain_mesh
+from conftest import chain_mesh, random_metric, strip_mesh
 
 
 def _chain_setup(densities, p, D):
@@ -131,3 +131,37 @@ def test_brute_validation():
     )
     with pytest.raises(OracleError):
         brute_force_dp(0, MAX_ORACLE_NODES + 1, big_g0, big_g0, big_params)
+
+
+def _random_instance(mesh, rng, p, D):
+    g = random_metric(rng, mesh, cond_max=20.0)
+    g0 = random_metric(rng, mesh, cond_max=4.0)
+    return g, g0, GaugeParams.build(mesh, all_pairs_distances(mesh, g0), p=p, D=D)
+
+
+def _strip6():
+    rng = np.random.default_rng(11)
+    mesh = strip_mesh(2, 1, jitter=0.2, rng=rng)
+    return (0, 5) + _random_instance(mesh, rng, p=5.0, D=0.8)
+
+
+def _chain6():
+    rng = np.random.default_rng(12)
+    mesh = chain_mesh(np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 1.2, size=5))]))
+    return (0, 5) + _random_instance(mesh, rng, p=4.0, D=1.5)
+
+
+def _interior_chain():
+    _, _, _, g, g0, params = _chain_setup([1.0, 1.0, 1.0, 1.0], p=2.0, D=9.0)
+    return 2, 0, g, g0, params
+
+
+@pytest.mark.parametrize("build, bits", [
+    (_strip6, "0x1.79c7b8d82e81ap+0"),
+    (_chain6, "0x1.b14b4950b77edp+1"),
+    (_interior_chain, "0x1.6a00ee08fef99p-1"),
+], ids=["strip6", "chain6", "interior_chain"])
+def test_brute_pinned_bits(build, bits):
+    # exact values of the dense per-point search this oracle replaced: the
+    # separable search keeps each point's arithmetic and the first-max order
+    assert brute_force_dp(*build()).hex() == bits

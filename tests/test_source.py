@@ -1,0 +1,17 @@
+"""Source-level checks on the package."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dpmod"
+
+
+def test_package_has_no_assert_statements():
+    # asserts vanish under ``python -O``; the package raises typed errors
+    found = []
+    assert (PACKAGE / "__init__.py").is_file()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements in the package: {found}"
