@@ -23,7 +23,24 @@ backtracking line search), with beta on a geometric continuation schedule
 (10, 40, 160, 640, ...) and warm starts.  Continuation stops when the
 reported value 1/Phi changes by less than ``stage_rtol`` relative between
 consecutive stages; exhausting the stage budget raises NonConverged with
-the partial result attached.
+the partial result attached.  A stage that ends because 60 backtracking
+steps in a row found no sufficient decrease is counted in
+``DistanceResult.backtrack_stalls``.
+
+Kernel: one energy kernel serves energy_p, the exact gauge and the
+smoothed objective.  Each cell's energy density is q_c = F_c^T M_c F_c,
+with F_c the cell's node values and M_c = B_c^T G_c^-1 B_c a node-space
+form built once per solve (B_c maps node values to the chart gradient).
+The value-only evaluations used by the line search skip the gradient, and
+the energy gradient M_c F_c is scattered with one bincount.  In the Holder
+term z_k = (f(u_k) - f(v_k)) / (s d_k^t); its gradient carries that 1/s
+(d phi / d f(u) picks up inv_dt / s per pair), and it is scattered by
+segmented sums (add.reduceat) over the pairs sorted by u and, through a
+fixed permutation, by v.  The softmax exponents are clamped at EXP_FLOOR
+= -600 before exp: numpy's exp is about 20x slower on lanes that
+underflow, and since the largest term is exactly 1 the clamp moves the
+sum T by less than one ulp.  Each solve owns its work buffers, so an
+evaluation allocates nothing of pair-count size.
 
 Preconditioning: each solve internally rescales the instance by
 sigma = d_{g0}(x,y) (distances by 1/sigma, metrics by 1/sigma^2) and maps
@@ -131,6 +148,62 @@ class DistanceResult:
     stages: int = 0
     beta_final: float = 0.0
     pair_radius: float | None = None
+    backtrack_stalls: int = 0  # stages ended by 60 failed backtracking steps
+
+
+# Exponent floor for the Holder softmax.  numpy's exp takes a slow path
+# (about 20x) on every lane whose result underflows; clamping the arguments
+# at -600 keeps every lane on the fast path and every later product normal.
+# The largest term is exactly exp(0) = 1, so the sum of the terms moves by
+# at most P e^-600, far below one ulp, and a clamped term enters the
+# gradient with weight e^-600 in place of a smaller one.
+EXP_FLOOR = -600.0
+
+
+def _cell_forms(mesh, tensors):
+    """Per-cell node-space forms M_c = B_c^T G_c^-1 B_c and sqrt(det G_c).
+
+    G_c = L_c L_c^T is factored by a Cholesky loop vectorized over cells,
+    so M_c = Y_c^T Y_c with Y_c = L_c^-1 B_c and sqrt(det G_c) is the
+    product of L_c's diagonal.  Forms are stored cell-last, (n+1, n+1, C),
+    so the kernel's contractions run along contiguous cell axes.
+    """
+    n = mesh.dim
+    G = np.ascontiguousarray(tensors.transpose(1, 2, 0))      # (n, n, C)
+    Y = mesh.gradient_operator().transpose(1, 2, 0).copy()    # (n, n+1, C)
+    L = np.zeros_like(G)
+    for j in range(n):
+        L[j, j] = np.sqrt(G[j, j] - (L[j, :j] ** 2).sum(axis=0))
+        for i in range(j + 1, n):
+            L[i, j] = (G[i, j] - (L[i, :j] * L[j, :j]).sum(axis=0)) / L[j, j]
+        Y[j] = (Y[j] - (L[j, :j, None] * Y[:j]).sum(axis=0)) / L[j, j]
+    forms = np.einsum("kic,kjc->ijc", Y, Y)
+    return forms, L[range(n), range(n)].prod(axis=0)
+
+
+def _energy_norm(f, nodes, forms, w, p, need_grad=False):
+    """A(f) = E_p(f)^{1/p} as a stable weighted p-norm; gradient on request.
+
+    q_c = F_c^T M_c F_c with F = f[nodes]; ``nodes`` (n+1, C) and ``forms``
+    (n+1, n+1, C) are cell-last.  The gradient
+    dA/df = A^{1-p} sum_c w_c q_c^{(p-2)/2} M_c F_c is scattered onto the
+    nodes with one bincount.
+    """
+    F = f[nodes]
+    MF = np.einsum("ijc,jc->ic", forms, F)
+    q = np.einsum("ic,ic->c", F, MF)
+    u = np.sqrt(np.maximum(q, 0.0))
+    m = u.max()
+    if m == 0.0:
+        return (0.0, np.zeros_like(f)) if need_grad else 0.0
+    ratio = u / m
+    S = float((w * ratio ** p).sum())
+    A = m * S ** (1.0 / p)
+    if not need_grad:
+        return A
+    coef = w * ratio ** (p - 2.0) * (S ** ((1.0 - p) / p) / m)
+    MF *= coef
+    return A, np.bincount(nodes.ravel(), weights=MF.ravel(), minlength=f.size)
 
 
 def energy_p(f, g, p):
@@ -139,11 +212,9 @@ def energy_p(f, g, p):
         raise SolverError(f"need p > 1, got {p}")
     mesh = g.mesh
     f = ensure_function(mesh, f)
-    B = mesh.gradient_operator()
-    df = np.einsum("cij,cj->ci", B, f[mesh.cells_nodes])
-    q = np.einsum("ci,cij,cj->c", df, g.inverses(), df)
-    w = g.sqrt_dets() * mesh.volumes
-    return float((np.maximum(q, 0.0) ** (p / 2.0) * w).sum())
+    forms, sqrt_dets = _cell_forms(mesh, g.tensors)
+    nodes = np.ascontiguousarray(mesh.cells_nodes.T)
+    return _energy_norm(f, nodes, forms, sqrt_dets * mesh.volumes, p) ** p
 
 
 def holder_seminorm(f, params):
@@ -155,76 +226,71 @@ def holder_seminorm(f, params):
     return float((np.abs(f[params.iu] - f[params.iv]) / dt).max())
 
 
-def default_cap(g, g0):
-    """Default D: Diam(M,g) / Diam(M,g0)^t is applied at solve time; this
-    returns the two graph diameters (diam_g, diam_g0) so callers can form
-    the cap for their p."""
-    return geodesic.diameter(g.mesh, g), geodesic.diameter(g0.mesh, g0)
-
-
 class _Gauge:
-    """Precomputed, sigma-normalized instance data + smoothed objective."""
+    """Precomputed, sigma-normalized instance data + smoothed objective.
+
+    Each instance owns two work buffers of length P (the pair count), so
+    a call allocates nothing P-sized; one instance serves one solve on one
+    thread.
+    """
 
     def __init__(self, g, params, x, y):
         mesh = params.mesh
         sigma = float(params.d0[x, y])
         self.sigma = sigma
-        self.x, self.y = x, y
         self.p = params.p
         self.D = params.D
-        N = mesh.num_nodes
+        self.fixed = np.array([x, y])
 
         # energy data, rescaled by sigma: G_hat = G / sigma^2
-        Ghat = g.tensors / sigma ** 2
-        self.Ginv = np.linalg.inv(Ghat)
-        self.w = np.sqrt(np.linalg.det(Ghat)) * mesh.volumes
-        self.B = mesh.gradient_operator()
-        self.cells_nodes = mesh.cells_nodes
+        self.forms, sqrt_dets = _cell_forms(mesh, g.tensors / sigma ** 2)
+        self.w = sqrt_dets * mesh.volumes
+        self.nodes = np.ascontiguousarray(mesh.cells_nodes.T)
 
-        # Holder data: normalized distances, pair (x,y) always present
+        # Holder data: normalized distances, pair (x,y) always present,
+        # pairs sorted by iu (the default triu order already is: no copy)
         iu, iv = params.iu, params.iv
         have_xy = np.any((iu == min(x, y)) & (iv == max(x, y)))
         if not have_xy:
             iu = np.append(iu, min(x, y))
             iv = np.append(iv, max(x, y))
+        if np.any(iu[1:] < iu[:-1]):
+            order = np.argsort(iu, kind="stable")
+            iu, iv = iu[order], iv[order]
         self.iu, self.iv = iu, iv
         self.inv_dt = (params.d0[iu, iv] / sigma) ** (-params.t)
 
-        self.free = np.ones(N, dtype=bool)
-        self.free[x] = self.free[y] = False
+        # segmented sums replace the two scatters: pairs grouped by iu as
+        # stored, and by iv through a stable permutation
+        self.u_nodes, self.u_starts = np.unique(iu, return_index=True)
+        self.v_perm = np.argsort(iv, kind="stable")
+        self.v_nodes, self.v_starts = np.unique(iv[self.v_perm], return_index=True)
+        self._z, self._ep = np.empty((2, iu.size))
 
     # -- exact pieces ----------------------------------------------------
 
-    def energy_norm(self, f):
-        """A(f) = E_p(f)^{1/p} as a stable weighted p-norm; with gradient."""
-        df = np.einsum("cij,cj->ci", self.B, f[self.cells_nodes])
-        Gdf = np.einsum("cij,cj->ci", self.Ginv, df)
-        q = np.einsum("ci,ci->c", df, Gdf)
-        u = np.sqrt(np.maximum(q, 0.0))
-        m = u.max()
-        if m == 0.0:
-            return 0.0, np.zeros_like(f)
-        ratio = u / m
-        S = float((self.w * ratio ** self.p).sum())
-        A = m * S ** (1.0 / self.p)
-        # dA/df = A^{1-p} sum_c w_c u_c^{p-2} B_c^T Ginv_c df_c, stably:
-        coef = self.w * ratio ** (self.p - 2.0) * (S ** ((1.0 - self.p) / self.p) / m)
-        contrib = np.einsum("c,cij,ci->cj", coef, self.B, Gdf)
-        grad = np.zeros_like(f)
-        np.add.at(grad, self.cells_nodes, contrib)
-        return A, grad
+    def energy(self, f, need_grad=False):
+        """A(f) = E_p(f)^{1/p} of the normalized instance (and gradient)."""
+        return _energy_norm(f, self.nodes, self.forms, self.w, self.p, need_grad)
+
+    def _ratios(self, f):
+        """(f_u - f_v) * inv_dt over the pairs, in the z work buffer."""
+        z = self._z
+        # indices are in range by construction; "clip" skips the bounds check
+        np.take(f, self.iu, out=z, mode="clip")
+        np.take(f, self.iv, out=self._ep, mode="clip")
+        np.subtract(z, self._ep, out=z)
+        np.multiply(z, self.inv_dt, out=z)
+        return z
 
     def holder(self, f):
         """Exact seminorm of the normalized instance."""
-        return float(np.abs((f[self.iu] - f[self.iv]) * self.inv_dt).max())
+        z = self._ratios(f)
+        return float(max(z.max(), -z.min()))
 
     def gauge(self, f):
         """Exact Phi(f) = max(A, H/D) and the two terms."""
-        df = np.einsum("cij,cj->ci", self.B, f[self.cells_nodes])
-        q = np.einsum("ci,cij,cj->c", df, self.Ginv, df)
-        u = np.sqrt(np.maximum(q, 0.0))
-        m = u.max()
-        A = 0.0 if m == 0.0 else m * float((self.w * (u / m) ** self.p).sum()) ** (1.0 / self.p)
+        A = self.energy(f)
         H = self.holder(f)
         cap_term = 0.0 if math.isinf(self.D) else H / self.D
         return max(A, cap_term), A, H
@@ -233,19 +299,29 @@ class _Gauge:
 
     def smoothed(self, f, beta, s, need_grad=True):
         """phi_beta(f)/s with nested log-sum-exp smoothing, and gradient."""
-        A, gA = self.energy_norm(f)
+        out = self.energy(f, need_grad)
+        A, gA = out if need_grad else (out, None)
         a1 = A / s
         if math.isinf(self.D):
             if not need_grad:
                 return a1
             gA /= s
-            gA[~self.free] = 0.0
+            gA[self.fixed] = 0.0
             return a1, gA
 
-        z = (f[self.iu] - f[self.iv]) * self.inv_dt / s
-        Mz = np.abs(z).max()
-        ep = np.exp(beta * (z - Mz))
-        en = np.exp(beta * (-z - Mz))
+        z = self._ratios(f)
+        np.divide(z, s, out=z)
+        Mz = max(z.max(), -z.min())
+        ep, en = self._ep, z                   # en overwrites z once ep is formed
+        np.subtract(z, Mz, out=ep)             # beta (z - Mz)
+        np.multiply(ep, beta, out=ep)
+        np.add(z, Mz, out=en)                  # beta (-z - Mz), negation exact
+        np.multiply(en, -beta, out=en)
+        if beta * Mz > -0.5 * EXP_FLOOR:       # else all exponents >= -2 beta Mz >= floor
+            np.maximum(ep, EXP_FLOOR, out=ep)
+            np.maximum(en, EXP_FLOOR, out=en)
+        np.exp(ep, out=ep)
+        np.exp(en, out=en)
         T = ep.sum() + en.sum()
         h = Mz + math.log(T) / beta          # smoothed H/s
         a2 = h / self.D
@@ -260,10 +336,14 @@ class _Gauge:
         th1 = e1 / (e1 + e2)
         th2 = 1.0 - th1
         grad = th1 * (gA / s)
-        coef = (th2 / self.D) * (ep - en) / T * self.inv_dt
-        grad += np.bincount(self.iu, weights=coef, minlength=f.size)
-        grad -= np.bincount(self.iv, weights=coef, minlength=f.size)
-        grad[~self.free] = 0.0
+        # d(h)/d z_k = (ep_k - en_k) / T and d z_k / d f_u = inv_dt_k / s
+        coef = np.subtract(ep, en, out=ep)
+        np.multiply(coef, self.inv_dt, out=coef)
+        np.multiply(coef, th2 / (self.D * T * s), out=coef)
+        grad[self.u_nodes] += np.add.reduceat(coef, self.u_starts)
+        np.take(coef, self.v_perm, out=en, mode="clip")
+        grad[self.v_nodes] -= np.add.reduceat(en, self.v_starts)
+        grad[self.fixed] = 0.0
         return phi, grad
 
 
@@ -289,13 +369,18 @@ def _probe_L(gauge, f, beta, s, L):
 
 
 def _fista_stage(gauge, f, beta, s, L, max_iters, inner_rtol):
-    """Minimize the beta-smoothed gauge from warm start f; returns (f, L, iters)."""
+    """Minimize the beta-smoothed gauge from warm start f.
+
+    Returns (f, L, iters, stalled); ``stalled`` is True when the stage ended
+    because 60 backtracking steps in a row failed to find sufficient decrease.
+    """
     x_prev = f.copy()                 # last accepted iterate
     phi_x = gauge.smoothed(x_prev, beta, s, need_grad=False)
     fv = x_prev.copy()                # momentum point
     tk = 1.0
     flat = 0
     iters = 0
+    stalled = False
     for _ in range(max_iters):
         iters += 1
         phi_v, grad_v = gauge.smoothed(fv, beta, s)
@@ -311,6 +396,7 @@ def _fista_stage(gauge, f, beta, s, L, max_iters, inner_rtol):
                 break
             L *= 2.0
         if not accepted:
+            stalled = True
             break
         if phi_n > phi_x:
             # momentum overshot: restart from the last accepted iterate
@@ -330,7 +416,7 @@ def _fista_stage(gauge, f, beta, s, L, max_iters, inner_rtol):
                 break
         else:
             flat = 0
-    return x_prev, L, iters
+    return x_prev, L, iters, stalled
 
 
 def _swap_orientation(result, x, y):
@@ -380,13 +466,15 @@ def _solve_oriented(x, y, g, params, modified):
     prev_value = None
     converged = False
     stages = 0
+    stalls = 0
     for stage in range(params.max_stages):
         stages = stage + 1
         L = _probe_L(gauge, f, beta, s, L)
-        f, L, used = _fista_stage(
+        f, L, used, stalled = _fista_stage(
             gauge, f, beta, s, L, params.max_iters_per_stage, params.inner_rtol
         )
         total_iters += used
+        stalls += stalled
         phi, _, _ = gauge.gauge(f)
         value_hat = 1.0 / phi
         if prev_value is not None and abs(value_hat - prev_value) <= params.stage_rtol * abs(value_hat):
@@ -422,7 +510,7 @@ def _solve_oriented(x, y, g, params, modified):
         iterations=total_iters, gauge_value=1.0 / value,
         energy_residual=e_res, holder_residual=h_res,
         converged=converged, stages=stages, beta_final=beta,
-        pair_radius=params.pair_radius,
+        pair_radius=params.pair_radius, backtrack_stalls=stalls,
     )
     if not converged:
         raise NonConvergedError(

@@ -11,6 +11,7 @@ from dpmod.errors import (
     NotSPDError,
     ParseError,
 )
+from dpmod import geodesic
 from dpmod.families import make_flat
 from dpmod.metric import (
     ClassParams,
@@ -212,6 +213,18 @@ def test_hypothesis_functionals_validation():
     rep = hypothesis_functionals(g0, g0, 3.0)
     assert min(rep.I_g, rep.I_eta) >= 0.0
     assert rep.diam_g > 0.0
+
+
+def test_hypothesis_diameter_is_lazy(monkeypatch):
+    # the sequence study reads only the integrals: no all-pairs Dijkstra
+    mesh, g0 = make_flat(2, 2, torus=True)
+    calls = []
+    real = geodesic.diameter
+    monkeypatch.setattr(geodesic, "diameter", lambda *a: calls.append(a) or real(*a))
+    rep = hypothesis_functionals(g0, g0, 3.0)
+    assert calls == []
+    assert rep.diam_g == rep.diam_g > 0.0
+    assert len(calls) == 1
 
 
 # -- class membership ---------------------------------------------------------

@@ -12,12 +12,12 @@ from dpmod.errors import (
     SolverError,
     ZeroDistancePairError,
 )
-from dpmod.families import make_conformal_constant, make_flat
+from dpmod import solver
+from dpmod.families import make_conformal_constant, make_flat, make_spike_sequence
 from dpmod.geodesic import all_pairs_distances
 from dpmod.metric import MetricField, scale_metric
 from dpmod.solver import (
     GaugeParams,
-    default_cap,
     distance_matrix,
     energy_p,
     holder_seminorm,
@@ -210,11 +210,82 @@ def test_2d_unmodified_vs_large_cap():
     assert dm0[x, y] < v_inf < dm0[x, y] ** params_inf.t
 
 
-def test_default_cap_helper():
-    mesh, g0 = make_flat(2, 4, torus=True)
-    g = scale_metric(g0, 2.0)
-    diam_g, diam0 = default_cap(g, g0)
-    assert diam_g == pytest.approx(2.0 * diam0, rel=1e-14)
+# -- smoothed objective -------------------------------------------------------
+
+def _reference_phi(mesh, g, dm0, x, y, p, D, f, beta, s):
+    """phi_beta(f)/s written out plainly: per-cell df^T G^-1 df on the
+    sigma-normalized instance, then the two nested log-sum-exps."""
+    sigma = dm0[x, y]
+    Ghat = g.tensors / sigma ** 2
+    df = np.einsum("cij,cj->ci", mesh.gradient_operator(), f[mesh.cells_nodes])
+    q = np.einsum("ci,cij,cj->c", df, np.linalg.inv(Ghat), df)
+    w = np.sqrt(np.linalg.det(Ghat)) * mesh.volumes
+    a1 = (w * q ** (p / 2.0)).sum() ** (1.0 / p) / s
+    if math.isinf(D):
+        return a1
+    iu, iv = np.triu_indices(mesh.num_nodes, k=1)
+    z = (f[iu] - f[iv]) / (dm0[iu, iv] / sigma) ** ((p - mesh.dim) / p) / s
+    both = np.concatenate([z, -z])
+    h = both.max() + np.log(np.exp(beta * (both - both.max())).sum()) / beta
+    a = np.array([a1, h / D])
+    return a.max() + np.log(np.exp(beta * (a - a.max())).sum()) / beta
+
+
+@pytest.fixture(scope="module", params=[2, 3], ids=["torus2d", "torus3d"])
+def spike_instance(request):
+    n = request.param
+    base = make_flat(n, 6 if n == 2 else 3, torus=True)
+    mesh, g0 = base
+    g = make_spike_sequence(base, 1)
+    return mesh, g, g0, all_pairs_distances(mesh, g0)
+
+
+@pytest.mark.parametrize("cap", ["tied", "inf"])
+@pytest.mark.parametrize("beta", [10.0, 640.0])
+@pytest.mark.parametrize("s", [0.37, 1.0, 2.5])
+def test_smoothed_gradient_matches_central_differences(spike_instance, cap, beta, s):
+    # "tied" picks D = H(f)/A(f), so both gauge terms carry weight at every beta
+    mesh, g, g0, dm0 = spike_instance
+    p, x, y = 7.0, 0, mesh.num_nodes // 2
+    f = np.random.default_rng(7).uniform(0.0, 1.0, mesh.num_nodes)
+    f[x], f[y] = 1.0, 0.0
+    D = math.inf
+    if cap == "tied":
+        _, A, H = solver._Gauge(g, GaugeParams.build(mesh, dm0, p=p, D=1.0), x, y).gauge(f)
+        D = H / A
+    params = GaugeParams.build(mesh, dm0, p=p, D=D)
+    gauge = solver._Gauge(g, params, x, y)
+    phi, grad = gauge.smoothed(f, beta, s)
+    assert gauge.smoothed(f, beta, s, need_grad=False) == phi
+    want = _reference_phi(mesh, g, dm0.dist, x, y, p, D, f, beta, s)
+    assert phi == pytest.approx(want, rel=1e-14)
+    h = 1e-6
+    fd = np.zeros_like(f)
+    for k in range(mesh.num_nodes):
+        if k in (x, y):
+            continue
+        e = np.zeros_like(f)
+        e[k] = h
+        fd[k] = (gauge.smoothed(f + e, beta, s, need_grad=False)
+                 - gauge.smoothed(f - e, beta, s, need_grad=False)) / (2.0 * h)
+    assert grad[x] == grad[y] == 0.0
+    assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+def test_backtrack_stalls_are_counted(monkeypatch, chain16):
+    mesh, g0, dm0 = chain16
+    params = GaugeParams.build(mesh, dm0, p=2.0, D=1.0)
+    assert solve_dp(0, 16, g0, g0, params).backtrack_stalls == 0
+    smoothed = solver._Gauge.smoothed
+
+    def no_decrease(self, f, beta, s, need_grad=True):
+        # the value path never shows sufficient decrease: every stage stalls
+        return smoothed(self, f, beta, s) if need_grad else math.inf
+
+    monkeypatch.setattr(solver._Gauge, "smoothed", no_decrease)
+    res = solve_dp(0, 16, g0, g0, params)
+    assert res.stages >= 1
+    assert res.backtrack_stalls == res.stages
 
 
 # -- batch driver -------------------------------------------------------------
