@@ -30,16 +30,13 @@ from .families import (
     make_conformal_constant,
     make_flat,
     make_oscillation_sequence,
-    make_scaled_pair,
     make_spike_sequence,
     spike_schedule,
 )
-from .geodesic import DistanceMatrix, all_pairs_distances, diameter, edge_length, edge_lengths
+from .geodesic import DistanceMatrix, all_pairs_distances, diameter, edge_lengths
 from .mesh import (
     Mesh,
     build_mesh,
-    cell_euclidean_volume,
-    cell_gradient,
     find_node,
     read_mesh,
     uniform_subdivide,
@@ -60,7 +57,6 @@ from .metric import (
     lq_norm,
     norm_g_wrt_g0,
     norm_ginv_wrt_g0,
-    pointwise_gradient_norm,
     read_metric,
     scale_metric,
     tensor_norm_wrt,

@@ -4,9 +4,9 @@ Each runner takes a parsed :class:`~dpmod.config.ExperimentConfig`, writes its
 CSV/SVG/text outputs into the configured directory, and returns a
 :class:`RunResult` with the exit code.  Everything is deterministic for a
 fixed config + seed: floats are serialized with ``repr`` (shortest
-round-trip), rows keep the configured order, writes happen in the main
-thread after the (order-preserving) parallel solves, and no output embeds a
-timestamp.  Every CSV row echoes the config hash.
+round-trip), rows keep the configured order, files are written after all
+solves of a run, and no output embeds a timestamp.  Every CSV row echoes the
+config hash.
 
 Exit codes: 0 success, 1 input error (raised as exceptions; the CLI maps
 them), 2 solver non-convergence or a failed scaling check.
@@ -45,7 +45,6 @@ from .metric import (
 )
 from .plot import plot_from_csv
 from .solver import GaugeParams, distance_matrix
-from .util import parallel_map
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -362,12 +361,11 @@ def run_p_sweep(cfg):
     diam_g = dm_g.diameter()
     h = cfg.hash()
 
-    def solve_one(p):
+    outcomes = []
+    for p in p_list:
         D = _resolve_D(cfg, p, mesh, g, dm0, diam_g=diam_g)
-        params = _params(cfg, mesh, dm0, p, D)
-        return distance_matrix([(x, y)], g, g0, params)[0]
-
-    results, code = _collect(parallel_map(solve_one, p_list))
+        outcomes += distance_matrix([(x, y)], g, g0, _params(cfg, mesh, dm0, p, D))
+    results, code = _collect(outcomes)
     rows = [
         (r.p, r.value, d_graph, abs(r.value - d_graph), h)
         for r in results
@@ -411,25 +409,18 @@ def run_sequence_study(cfg):
         cfg._fail("pairs", "sequence studies need a non-empty pair set")
     D = _resolve_D(cfg, p, mesh, g0, dm0, sequence=True)
     params = _params(cfg, mesh, dm0, p, D)
-    fields = {j: _family_field(cfg, base, j) for j in j_list}
 
-    tasks = [(None, pair) for pair in pairs]
-    tasks += [(j, pair) for j in j_list for pair in pairs]
-
-    def solve_one(task):
-        j, (a, b) = task
-        gj = g0 if j is None else fields[j]
-        return distance_matrix([(a, b)], gj, g0, params)[0]
-
-    results, code = _collect(parallel_map(solve_one, tasks))
-    base_vals = np.array([r.value for r in results[:len(pairs)]])
+    base_results, code = _collect(distance_matrix(pairs, g0, g0, params))
+    base_vals = np.array([r.value for r in base_results])
     h = cfg.hash()
     rows = []
-    for k, j in enumerate(j_list):
-        lo = len(pairs) * (k + 1)
-        vals = np.array([r.value for r in results[lo:lo + len(pairs)]])
+    for j in j_list:
+        g_j = _family_field(cfg, base, j)
+        results, worst = _collect(distance_matrix(pairs, g_j, g0, params))
+        code = max(code, worst)
+        vals = np.array([r.value for r in results])
         disc = float(np.max(np.abs(vals - base_vals) / base_vals))
-        rep = hypothesis_functionals(fields[j], g0, p)
+        rep = hypothesis_functionals(g_j, g0, p)
         rows.append((j, rep.I_g, rep.I_inv, rep.I_eta, rep.I_33, disc, h))
     path = _out_path(cfg, "sequence.csv")
     _write_csv(path, SEQUENCE_HEADER, rows)
@@ -459,15 +450,12 @@ def run_scaling_check(cfg):
     base_results, code = _collect(distance_matrix([(x, y)], g, g0, params))
     rhs = base_results[0].value
 
-    def solve_scaled(lam):
+    outcomes = []
+    for lam in lambdas:
         g_l, g0_l = scale_metric(g, lam), scale_metric(g0, lam)
         dm_l = all_pairs_distances(mesh, g0_l)
-        params_l = GaugeParams.build(mesh, dm_l, p=p, D=D,
-                                     pair_radius=cfg.get_float("pair_radius"),
-                                     **_solver_knobs(cfg))
-        return distance_matrix([(x, y)], g_l, g0_l, params_l)[0]
-
-    results, worst = _collect(parallel_map(solve_scaled, lambdas))
+        outcomes += distance_matrix([(x, y)], g_l, g0_l, _params(cfg, mesh, dm_l, p, D))
+    results, worst = _collect(outcomes)
     code = max(code, worst)
     h = cfg.hash()
     rows, failed = [], []

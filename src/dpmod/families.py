@@ -224,13 +224,6 @@ def make_conformal_constant(base, c):
     return scale_metric(g0, c)
 
 
-def make_scaled_pair(base, lam, g=None):
-    """(lambda^2 g, lambda^2 g0); g defaults to the base metric itself."""
-    _, g0 = base
-    g = g0 if g is None else g
-    return scale_metric(g, lam), scale_metric(g0, lam)
-
-
 def make_oscillation_sequence(base, j, resolution):
     """Checkerboard of 1/4 I and 4 I squares at frequency j (n = 2).
 

@@ -33,15 +33,6 @@ class DistanceMatrix:
     def diameter(self):
         return float(self.dist.max())
 
-    def write_csv(self, path):
-        """Dump rows ``u,v,dist`` for u < v."""
-        N = self.dist.shape[0]
-        with open(path, "w") as fh:
-            fh.write("u,v,dist\n")
-            for u in range(N):
-                for v in range(u + 1, N):
-                    fh.write(f"{u},{v},{float(self.dist[u, v])!r}\n")
-
 
 def _check_metric(mesh, metric):
     if metric.mesh is not mesh and metric.tensors.shape[0] != mesh.num_cells:
@@ -61,11 +52,6 @@ def edge_lengths(mesh, metric):
         e = edge_vecs[k]
         out[k] = np.sqrt(e @ Gbar @ e)
     return out
-
-
-def edge_length(mesh, metric, edge_index):
-    """Length of one edge (see :func:`edge_lengths`)."""
-    return float(edge_lengths(mesh, metric)[edge_index])
 
 
 def _adjacency(mesh, lengths):

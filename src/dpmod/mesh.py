@@ -142,13 +142,6 @@ class Mesh:
             self._edges = _collect_edges(self)
         return self._edges
 
-    def node_position(self, node):
-        """Chart coordinates of the smallest-index vertex in a node class."""
-        hits = np.nonzero(self.node_of == node)[0]
-        if hits.size == 0:
-            raise MeshError(f"node {node} out of range")
-        return self.verts[hits[0]]
-
 
 def _collect_edges(mesh):
     n = mesh.dim
@@ -290,28 +283,6 @@ def _connected(num_nodes, edge_nodes):
                 seen[w] = True
                 stack.append(w)
     return bool(seen.all())
-
-
-def cell_euclidean_volume(mesh, cell_id):
-    """Euclidean volume of one cell (chart coordinates)."""
-    return float(mesh.volumes[cell_id])
-
-
-def cell_gradient(mesh, cell_id, f):
-    """Chart gradient (constant covector) of the interpolant of f on a cell.
-
-    f is indexed by node; exact for functions linear in the chart.
-    """
-    f = ensure_function(mesh, f)
-    B = mesh.gradient_operator()[cell_id]
-    return B @ f[mesh.cells_nodes[cell_id]]
-
-
-def all_cell_gradients(mesh, f):
-    """(C, n) chart gradients of f on every cell."""
-    f = ensure_function(mesh, f)
-    B = mesh.gradient_operator()
-    return np.einsum("cij,cj->ci", B, f[mesh.cells_nodes])
 
 
 def ensure_function(mesh, f):

@@ -241,13 +241,6 @@ def hypothesis_functionals(g_j, g0, p):
     return HypothesisReport(I_g, I_inv, I_eta, I_33, g_j)
 
 
-def pointwise_gradient_norm(g, df, cell_id):
-    """|grad f|_g = sqrt(df^T G^-1 df) for a chart covector df on one cell."""
-    df = np.asarray(df, dtype=float)
-    G = g.tensors[cell_id]
-    return float(np.sqrt(df @ np.linalg.solve(G, df)))
-
-
 def scale_metric(g, lam):
     """The metric lam^2 g (every cell matrix multiplied by lam^2)."""
     if not lam > 0:

@@ -1,4 +1,4 @@
-"""Small shared helpers: bounded thread pools and config hashing."""
+"""Small shared helpers: the solve thread pool and config hashing."""
 
 from __future__ import annotations
 
@@ -8,21 +8,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 
 def worker_count():
-    """Worker cap for batch solves: DPMOD_THREADS env var, default min(4, cpus)."""
-    env = os.environ.get("DPMOD_THREADS", "").strip()
-    if env:
-        try:
-            k = int(env)
-        except ValueError:
-            raise ValueError(f"DPMOD_THREADS must be an integer, got {env!r}") from None
-        if k < 1:
-            raise ValueError("DPMOD_THREADS must be >= 1")
-        return k
+    """Threads of the solve pool: min(4, cpus)."""
     return min(4, os.cpu_count() or 1)
 
 
 def parallel_map(fn, items):
-    """Map preserving input order; bounded threads (tasks must be pure)."""
+    """Map preserving input order on at most worker_count() threads (tasks must be pure)."""
     items = list(items)
     workers = worker_count()
     if workers == 1 or len(items) <= 1:

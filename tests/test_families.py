@@ -15,7 +15,6 @@ from dpmod.families import (
     make_conformal_constant,
     make_flat,
     make_oscillation_sequence,
-    make_scaled_pair,
     make_spike_sequence,
     spike_schedule,
 )
@@ -187,20 +186,10 @@ def test_oscillation_validation():
         make_oscillation_sequence(make_flat(2, 8, torus=True), 0, 8)
 
 
-# -- conformal and scaled -----------------------------------------------------
+# -- conformal ----------------------------------------------------------------
 
 def test_conformal_constant_scales_tensors():
     base = make_flat(2, 4, torus=False)
     g = make_conformal_constant(base, 3.0)
     assert np.allclose(g.tensors, 9.0 * base[1].tensors)
 
-
-def test_scaled_pair():
-    base = make_flat(2, 4, torus=False)
-    g_l, g0_l = make_scaled_pair(base, 2.0)
-    assert np.array_equal(g_l.tensors, 4.0 * base[1].tensors)
-    assert np.array_equal(g0_l.tensors, 4.0 * base[1].tensors)
-    custom = make_conformal_constant(base, 3.0)
-    g_l, g0_l = make_scaled_pair(base, 2.0, g=custom)
-    assert np.allclose(g_l.tensors, 36.0 * base[1].tensors)
-    assert np.array_equal(g0_l.tensors, 4.0 * base[1].tensors)

@@ -8,7 +8,6 @@ from dpmod.families import make_flat
 from dpmod.geodesic import (
     all_pairs_distances,
     diameter,
-    edge_length,
     edge_lengths,
 )
 from dpmod.metric import MetricField, scale_metric
@@ -55,7 +54,6 @@ def test_edge_lengths_flat():
     lengths = edge_lengths(mesh, g0)
     expected = {0.25, 0.25 * np.sqrt(2.0)}
     assert {round(float(v), 12) for v in lengths} == {round(v, 12) for v in expected}
-    assert edge_length(mesh, g0, 0) == pytest.approx(float(lengths[0]))
 
 
 def test_matches_floyd_warshall(rng):
@@ -96,17 +94,6 @@ def test_subdivision_never_increases(rng):
     dm_fine = all_pairs_distances(fine, g_fine).dist
     N = mesh.num_nodes  # original nodes keep their ids
     assert (dm_fine[:N, :N] - dm).max() <= 1e-12
-
-
-def test_write_csv(tmp_path):
-    mesh = chain_mesh([0.0, 1.0, 3.0])
-    dm = all_pairs_distances(mesh, MetricField.identity(mesh))
-    path = tmp_path / "d.csv"
-    dm.write_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "u,v,dist"
-    assert lines[1] == "0,1,1.0"
-    assert len(lines) == 4
 
 
 def test_mesh_mismatch():

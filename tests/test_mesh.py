@@ -11,10 +11,7 @@ from dpmod.errors import (
 )
 from dpmod.families import make_flat
 from dpmod.mesh import (
-    all_cell_gradients,
     build_mesh,
-    cell_euclidean_volume,
-    cell_gradient,
     ensure_function,
     find_node,
     read_mesh,
@@ -80,10 +77,8 @@ def test_gradients_exact_for_affine(n, resolution, rng):
     coeff = rng.normal(size=n)
     # boxes have no identifications: node order equals vertex order
     f = mesh.verts @ coeff + 0.37
-    grads = all_cell_gradients(mesh, f)
+    grads = np.einsum("cij,cj->ci", mesh.gradient_operator(), f[mesh.cells_nodes])
     assert np.abs(grads - coeff).max() < 1e-12
-    one = cell_gradient(mesh, 0, f)
-    assert np.allclose(one, coeff, atol=1e-12)
 
 
 @pytest.mark.parametrize("n,resolution", [(1, 5), (2, 4), (3, 2)])
@@ -92,7 +87,6 @@ def test_unit_box_volumes(n, resolution, torus):
     mesh, _ = make_flat(n, resolution, torus=torus)
     assert abs(mesh.volumes.sum() - 1.0) < 1e-12
     assert mesh.volumes.min() > 0.0
-    assert cell_euclidean_volume(mesh, 0) == pytest.approx(mesh.volumes[0])
 
 
 def test_edge_table_counts_and_dedup():
@@ -109,7 +103,8 @@ def test_edge_table_counts_and_dedup():
 def test_gradient_constant_function_on_torus():
     mesh, _ = make_flat(2, 4, torus=True)
     f = np.full(mesh.num_nodes, 3.25)
-    assert np.abs(all_cell_gradients(mesh, f)).max() == 0.0
+    grads = np.einsum("cij,cj->ci", mesh.gradient_operator(), f[mesh.cells_nodes])
+    assert np.abs(grads).max() == 0.0
 
 
 # -- file format -------------------------------------------------------------

@@ -12,7 +12,7 @@ from dpmod.errors import (
     SolverError,
     ZeroDistancePairError,
 )
-from dpmod import solver
+from dpmod import solver, util
 from dpmod.families import make_conformal_constant, make_flat, make_spike_sequence
 from dpmod.geodesic import all_pairs_distances
 from dpmod.metric import MetricField, scale_metric
@@ -295,8 +295,41 @@ def test_distance_matrix_records_failures(chain16):
     params = GaugeParams.build(mesh, dm0, p=2.0, D=1.0)
     outcomes = distance_matrix([(0, 8), (3, 3), (0, 16)], g0, g0, params)
     assert [oc.error for oc in outcomes] == [None, "SameVertex", None]
-    assert outcomes[0].result.converged
+    res = outcomes[0].result
+    assert res.converged
+    assert res.beta_final == params.beta0 * params.beta_growth ** (res.stages - 1)
     assert outcomes[1].result is None
+
+
+def test_distance_matrix_pool_matches_serial(chain16, monkeypatch):
+    mesh, g0, dm0 = chain16
+    g = make_conformal_constant((mesh, g0), 1.5)
+    params = GaugeParams.build(mesh, dm0, p=3.0, D=1.0)
+    pairs = [(0, 8), (3, 3), (16, 0), (5, 11), (2, 14)]
+    pooled_calls = []
+
+    def spy(fn, items):
+        pooled_calls.append(len(items))
+        return util.parallel_map(fn, items)
+
+    monkeypatch.setattr(util, "worker_count", lambda: 2)
+    monkeypatch.setattr(solver, "parallel_map", spy)
+    runs = {}
+    for gate in (0, 10 ** 9):
+        monkeypatch.setattr(solver, "_POOL_MIN_PAIRS", gate)
+        runs[gate] = distance_matrix(pairs, g, g0, params)
+    assert pooled_calls == [len(pairs)]     # only the gate-0 run used the pool
+    pooled, serial = runs[0], runs[10 ** 9]
+    assert [(oc.x, oc.y) for oc in pooled] == pairs
+    assert [(oc.x, oc.y) for oc in serial] == pairs
+    for a, b in zip(pooled, serial):
+        assert a.error == b.error
+        if b.result is None:
+            assert a.result is None
+            continue
+        assert a.result.value == b.result.value
+        np.testing.assert_array_equal(a.result.extremal, b.result.extremal)
+    assert serial[1].error == "SameVertex"
 
 
 def test_nonconverged_carries_partial_result(chain16):
@@ -307,6 +340,7 @@ def test_nonconverged_carries_partial_result(chain16):
     partial = err.value.result
     assert partial is not None and not partial.converged
     assert partial.stages == 1
+    assert partial.beta_final == params.beta0   # the beta the only stage ran at
     # the batch driver downgrades it to a recorded outcome
     oc = distance_matrix([(0, 16)], g0, g0, params)[0]
     assert oc.error == "NonConverged" and oc.result is not None

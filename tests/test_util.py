@@ -1,27 +1,17 @@
-"""Thread-count plumbing and config hashing."""
+"""Solve pool helpers and config hashing."""
 
-import pytest
-
+from dpmod import util
 from dpmod.util import config_hash, parallel_map, worker_count
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("DPMOD_THREADS", "2")
-    assert worker_count() == 2
-    monkeypatch.setenv("DPMOD_THREADS", "0")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.setenv("DPMOD_THREADS", "many")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.delenv("DPMOD_THREADS")
+def test_worker_count_env():
     assert worker_count() >= 1
 
 
 def test_parallel_map_preserves_order(monkeypatch):
     items = list(range(13))
     assert parallel_map(lambda v: v * v, items) == [v * v for v in items]
-    monkeypatch.setenv("DPMOD_THREADS", "1")   # serial path
+    monkeypatch.setattr(util, "worker_count", lambda: 1)   # serial path
     assert parallel_map(lambda v: -v, items) == [-v for v in items]
 
 
