@@ -28,8 +28,6 @@ with one vertex/cell/ident per line; ``#`` starts a comment.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import (
@@ -145,40 +143,39 @@ class Mesh:
 
 def _collect_edges(mesh):
     n = mesh.dim
-    local_pairs = [(a, b) for a in range(n + 1) for b in range(a + 1, n + 1)]
-    seen = {}
-    edge_nodes = []
-    edge_vecs = []
-    edge_cells = []
-    node = mesh.node_of
-    for cid, cell in enumerate(mesh.cells):
-        for a, b in local_pairs:
-            va, vb = cell[a], cell[b]
-            na, nb = node[va], node[vb]
-            if na == nb:
-                raise DegenerateCellError(
-                    f"cell {cid} joins identified vertices {va} and {vb}"
-                )
-            if na < nb:
-                vec = mesh.verts[vb] - mesh.verts[va]
-                key_nodes = (int(na), int(nb))
-            else:
-                vec = mesh.verts[va] - mesh.verts[vb]
-                key_nodes = (int(nb), int(na))
-            key = key_nodes + tuple(np.round(vec, 12))
-            idx = seen.get(key)
-            if idx is None:
-                seen[key] = len(edge_nodes)
-                edge_nodes.append(key_nodes)
-                edge_vecs.append(vec)
-                edge_cells.append([cid])
-            else:
-                if edge_cells[idx][-1] != cid:
-                    edge_cells[idx].append(cid)
+    a, b = np.triu_indices(n + 1, k=1)          # local 1-faces, cell-major order
+    va, vb = mesh.cells[:, a].ravel(), mesh.cells[:, b].ravel()
+    na, nb = mesh.node_of[va], mesh.node_of[vb]
+    glued = np.flatnonzero(na == nb)
+    if glued.size:
+        f = glued[0]
+        raise DegenerateCellError(
+            f"cell {f // a.size} joins identified vertices {va[f]} and {vb[f]}"
+        )
+    # orient every face from its lower node's copy to its higher node's
+    swap = na > nb
+    lo, hi = np.where(swap, nb, na), np.where(swap, na, nb)
+    vec = mesh.verts[np.where(swap, va, vb)] - mesh.verts[np.where(swap, vb, va)]
+    key = np.round(vec, 12)
+    # group equal (lo, hi, key) faces; the stable sort keeps faces of a group
+    # in face order, and == (unlike a byte view) counts -0.0 equal to 0.0
+    order = np.lexsort(tuple(key.T[::-1]) + (hi, lo))
+    ks, ls, hs = key[order], lo[order], hi[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (ls[1:] != ls[:-1]) | (hs[1:] != hs[:-1]) | np.any(ks[1:] != ks[:-1], axis=1)
+    # number the edges by first occurrence, as a scan over the faces would
+    heads = order[new]                          # first face of each group
+    first = np.sort(heads)
+    edge = np.searchsorted(first, heads)[np.cumsum(new) - 1]
+    cid = order // a.size
+    keep = new.copy()
+    keep[1:] |= cid[1:] != cid[:-1]             # a cell counts once per edge
+    edge, cid = edge[keep], cid[keep]
+    counts = np.bincount(edge, minlength=first.size)
     return (
-        np.array(edge_nodes, dtype=np.int64),
-        np.array(edge_vecs, dtype=float),
-        [np.array(c, dtype=np.int64) for c in edge_cells],
+        np.column_stack([lo[first], hi[first]]),
+        vec[first],
+        np.split(cid[np.argsort(edge, kind="stable")], np.cumsum(counts)[:-1]),
     )
 
 
@@ -244,16 +241,17 @@ def build_mesh(verts, cells, ident=None):
 
     # canonical ordering: sort, then restore positive orientation
     cells = np.sort(cells, axis=1)
-    for cid in range(cells.shape[0]):
-        cell = cells[cid]
-        if len(set(int(i) for i in cell)) != n + 1:
-            raise DegenerateCellError(f"cell {cid} repeats a vertex: {cell.tolist()}")
-        E = verts[cell[1:]] - verts[cell[0]]
-        det = float(np.linalg.det(E))
-        if det == 0.0 or abs(det) < 1e-300:
-            raise DegenerateCellError(f"cell {cid} has zero volume")
-        if det < 0:
-            cells[cid, -2], cells[cid, -1] = cell[-1], cell[-2]
+    repeats = np.any(cells[:, 1:] == cells[:, :-1], axis=1)
+    det = np.linalg.det(verts[cells[:, 1:]] - verts[cells[:, :1]])
+    flat = np.abs(det) < 1e-300
+    bad = np.flatnonzero(repeats | flat)
+    if bad.size:
+        cid = bad[0]
+        if repeats[cid]:
+            raise DegenerateCellError(f"cell {cid} repeats a vertex: {cells[cid].tolist()}")
+        raise DegenerateCellError(f"cell {cid} has zero volume")
+    neg = det < 0
+    cells[neg, -2:] = cells[neg, -2:][:, ::-1]
 
     mesh = Mesh(n, verts, cells, ident_arr, node_of, num_nodes)
 

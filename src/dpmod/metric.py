@@ -132,7 +132,7 @@ class HypothesisReport:
     I_eta   : integral of |g_j^-1|_{g0}^{n·eta/(p-eta)}, eta = 5n/12
     I_33    : (integral of |g_j^-1 - g0^-1|_{g0}^{p/(2(p-1))})^{(p-1)/p}
     diam_g  : graph diameter under g_j, computed on first access (it costs
-              an all-pairs Dijkstra)
+              an all-pairs shortest-path solve)
     """
 
     I_g: float

@@ -1,10 +1,12 @@
 """Graph distances: cross-checks, exact scaling, metric axioms, refinement."""
 
+import heapq
+
 import numpy as np
 import pytest
 
 from dpmod.errors import MeshMismatchError
-from dpmod.families import make_flat
+from dpmod.families import make_flat, make_spike_sequence
 from dpmod.geodesic import (
     all_pairs_distances,
     diameter,
@@ -13,7 +15,54 @@ from dpmod.geodesic import (
 from dpmod.metric import MetricField, scale_metric
 from dpmod.mesh import uniform_subdivide
 
-from conftest import chain_mesh, random_metric
+from conftest import chain_mesh, random_metric, strip_mesh
+
+
+def reference_edge_lengths(mesh, metric):
+    """Edge lengths one edge at a time."""
+    edge_nodes, edge_vecs, edge_cells = mesh.edges
+    vols = mesh.volumes
+    G = metric.tensors
+    out = np.empty(len(edge_nodes))
+    for k, cells in enumerate(edge_cells):
+        w = vols[cells]
+        Gbar = np.tensordot(w, G[cells], axes=(0, 0)) / w.sum()
+        e = edge_vecs[k]
+        out[k] = np.sqrt(e @ Gbar @ e)
+    return out
+
+
+def _dijkstra(adj, source):
+    dist = np.full(len(adj), np.inf)
+    dist[source] = 0.0
+    done = np.zeros(len(adj), dtype=bool)
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for v, w in adj[u]:
+            nd = d + w
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
+
+
+def reference_distances(mesh, metric):
+    """Binary-heap Dijkstra from every node, then min(dist, dist.T)."""
+    lengths = reference_edge_lengths(mesh, metric)
+    adj = [[] for _ in range(mesh.num_nodes)]
+    for (u, v), w in zip(mesh.edges[0], lengths):
+        adj[u].append((v, float(w)))
+        adj[v].append((u, float(w)))
+    for lst in adj:
+        lst.sort()
+    dist = np.array([_dijkstra(adj, s) for s in range(mesh.num_nodes)])
+    dist = np.minimum(dist, dist.T)
+    np.fill_diagonal(dist, 0.0)
+    return dist
 
 
 def floyd_warshall(mesh, metric):
@@ -102,3 +151,35 @@ def test_mesh_mismatch():
     g_other = MetricField.identity(other)
     with pytest.raises(MeshMismatchError):
         edge_lengths(mesh, g_other)
+
+
+def _bitwise_cases():
+    rng = np.random.default_rng(7)
+    meshes = [
+        chain_mesh(np.cumsum(rng.uniform(0.1, 1.0, 9))),
+        strip_mesh(5, 2, jitter=0.2, rng=rng),
+        make_flat(2, 6, torus=True)[0],
+        make_flat(2, 5, torus=False)[0],
+        make_flat(3, 4, torus=True)[0],
+        make_flat(3, 3, torus=False)[0],
+        uniform_subdivide(make_flat(2, 3, torus=False)[0]),
+        uniform_subdivide(make_flat(3, 2, torus=False)[0]),
+    ]
+    for mesh in meshes:
+        g0 = MetricField.identity(mesh)
+        yield mesh, g0
+        yield mesh, random_metric(rng, mesh, cond_max=30.0)
+        yield mesh, make_spike_sequence((mesh, g0), 2, center=mesh.verts.mean(axis=0))
+
+
+def test_edge_lengths_bitwise_match_loop():
+    for mesh, g in _bitwise_cases():
+        assert edge_lengths(mesh, g).tobytes() == reference_edge_lengths(mesh, g).tobytes()
+
+
+def test_apsp_bitwise_matches_heap_dijkstra():
+    # float addition is monotone and fl(a + w) >= a, so every label-correcting
+    # method reaches the same minimum over paths of left-to-right sums
+    for mesh, g in _bitwise_cases():
+        dist = all_pairs_distances(mesh, g).dist
+        assert dist.tobytes() == reference_distances(mesh, g).tobytes()

@@ -19,7 +19,40 @@ from dpmod.mesh import (
     write_mesh,
 )
 
-from conftest import chain_mesh
+from conftest import chain_mesh, strip_mesh
+
+
+def reference_edges(mesh):
+    """Edge table by a scan over the cell 1-faces with a dict of keys."""
+    n = mesh.dim
+    local_pairs = [(a, b) for a in range(n + 1) for b in range(a + 1, n + 1)]
+    seen = {}
+    edge_nodes, edge_vecs, edge_cells = [], [], []
+    node = mesh.node_of
+    for cid, cell in enumerate(mesh.cells):
+        for a, b in local_pairs:
+            va, vb = cell[a], cell[b]
+            na, nb = node[va], node[vb]
+            if na < nb:
+                vec = mesh.verts[vb] - mesh.verts[va]
+                key_nodes = (int(na), int(nb))
+            else:
+                vec = mesh.verts[va] - mesh.verts[vb]
+                key_nodes = (int(nb), int(na))
+            key = key_nodes + tuple(np.round(vec, 12))
+            idx = seen.get(key)
+            if idx is None:
+                seen[key] = len(edge_nodes)
+                edge_nodes.append(key_nodes)
+                edge_vecs.append(vec)
+                edge_cells.append([cid])
+            elif edge_cells[idx][-1] != cid:
+                edge_cells[idx].append(cid)
+    return (
+        np.array(edge_nodes, dtype=np.int64),
+        np.array(edge_vecs, dtype=float),
+        [np.array(c, dtype=np.int64) for c in edge_cells],
+    )
 
 
 # -- construction and validation -------------------------------------------
@@ -30,6 +63,20 @@ def test_build_rejects_degenerate_cell():
         build_mesh(verts, np.array([[0, 1, 2]]))  # collinear
     with pytest.raises(DegenerateCellError):
         build_mesh(verts, np.array([[0, 1, 1]]))  # repeated vertex
+
+
+def test_build_names_first_bad_cell():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    good, flat, repeat = [0, 1, 3], [0, 1, 2], [3, 4, 4]
+    with pytest.raises(DegenerateCellError, match=r"^cell 1 has zero volume$"):
+        build_mesh(verts, np.array([good, flat, repeat]))
+    with pytest.raises(DegenerateCellError,
+                       match=r"^cell 1 repeats a vertex: \[3, 4, 4\]$"):
+        build_mesh(verts, np.array([good, repeat, flat]))
+    with pytest.raises(DegenerateCellError,
+                       match=r"^cell 1 joins identified vertices 1 and 2$"):
+        build_mesh(np.array([[0.0], [1.0], [2.0], [3.0]]),
+                   np.array([[0, 1], [1, 2], [2, 3]]), [[1, 2], [2, 3]])
 
 
 def test_build_rejects_disconnected():
@@ -98,6 +145,33 @@ def test_edge_table_counts_and_dedup():
     # interior manifold: every edge of a torus bounds exactly two cells
     assert all(len(c) == 2 for c in edge_cells)
     assert np.all(edge_nodes[:, 0] < edge_nodes[:, 1])
+
+
+def _seam_mesh():
+    # 3x3 torus whose seam copy of (1, 1/3) sits 1e-13 left: the seam edge's
+    # x-component rounds to -0.0 through that copy and to 0.0 through (0, 1/3)
+    mesh, _ = make_flat(2, 3, torus=True)
+    verts = mesh.verts.copy()
+    seam = int(np.flatnonzero((verts[:, 0] == 1.0) & (np.abs(verts[:, 1] - 1 / 3) < 1e-9))[0])
+    verts[seam, 0] -= 1e-13
+    return build_mesh(verts, mesh.cells, mesh.ident)
+
+
+def test_edge_table_matches_reference_loop():
+    rng = np.random.default_rng(3)
+    meshes = [chain_mesh([0.0, 0.3, 1.0, 1.1]), strip_mesh(4, 2, jitter=0.2, rng=rng),
+              uniform_subdivide(make_flat(2, 3)[0]), uniform_subdivide(make_flat(3, 2)[0]),
+              _seam_mesh()]
+    meshes += [make_flat(n, r, torus=t)[0]
+               for n, r in [(1, 5), (2, 4), (3, 3)] for t in (False, True)]
+    for mesh in meshes:
+        nodes, vecs, cells = mesh.edges
+        ref_nodes, ref_vecs, ref_cells = reference_edges(mesh)
+        assert nodes.dtype == ref_nodes.dtype and np.array_equal(nodes, ref_nodes)
+        assert vecs.shape == ref_vecs.shape and vecs.tobytes() == ref_vecs.tobytes()
+        assert [c.tolist() for c in cells] == [c.tolist() for c in ref_cells]
+    # the -0.0 and 0.0 seam faces are one edge, as on the unperturbed torus
+    assert len(_seam_mesh().edges[0]) == 3 * 9
 
 
 def test_gradient_constant_function_on_torus():

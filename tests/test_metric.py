@@ -215,7 +215,7 @@ def test_hypothesis_functionals_validation():
 
 
 def test_hypothesis_diameter_is_lazy(monkeypatch):
-    # the sequence study reads only the integrals: no all-pairs Dijkstra
+    # the sequence study reads only the integrals: no all-pairs shortest paths
     mesh, g0 = make_flat(2, 2, torus=True)
     calls = []
     real = geodesic.diameter

@@ -1,6 +1,7 @@
 """Source-level checks on the package."""
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dpmod"
@@ -35,3 +36,25 @@ def test_package_reads_no_environment():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if _reads_environment(node)]
     assert not found, f"environment reads in the package: {found}"
+
+
+def test_package_imports_only_numpy_and_stdlib():
+    # scipy was ruled out for the all-pairs distances: its csgraph.dijkstra
+    # gives bitwise-equal distances in about the time of the numpy
+    # Bellman-Ford (0.24 s vs 0.25 s at N = 1000 on a 2-CPU Xeon), but
+    # importing it costs 0.31-0.39 s and about 33 MB of peak RSS, which every
+    # study that computes distances would pay
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".", 1)[0] not in allowed]
+    assert not found, f"imports outside numpy and the standard library: {found}"
