@@ -250,16 +250,12 @@ def scale_metric(g, lam):
 
 # -- file format ----------------------------------------------------------
 
-def _triu_indices(n):
-    return [(i, j) for i in range(n) for j in range(i, n)]
-
-
 def write_metric(field, path):
+    """One line per cell: the upper triangle, row-major, each entry as repr."""
     n = field.mesh.dim
-    idx = _triu_indices(n)
+    iu, ju = np.triu_indices(n)
     lines = [f"dpmetric v1 {n} {field.mesh.num_cells}"]
-    for G in field.tensors:
-        lines.append(" ".join(repr(float(G[i, j])) for i, j in idx))
+    lines += [" ".join(map(repr, row)) for row in field.tensors[:, iu, ju].tolist()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -306,11 +302,11 @@ def read_metric(path, mesh):
     if len(rows) != mesh.num_cells:
         raise ParseError(f"expected {mesh.num_cells} cell rows, got {len(rows)}", path)
     n = mesh.dim
+    iu, ju = np.triu_indices(n)
+    vals = np.array(rows, dtype=float).reshape(len(rows), iu.size)
     tensors = np.empty((len(rows), n, n))
-    for c, row in enumerate(rows):
-        for (i, j), val in zip(_triu_indices(n), row):
-            tensors[c, i, j] = val
-            tensors[c, j, i] = val
+    tensors[:, iu, ju] = vals
+    tensors[:, ju, iu] = vals
     try:
         return MetricField(mesh, tensors)
     except MetricError as exc:

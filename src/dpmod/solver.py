@@ -16,24 +16,46 @@ Phi(f) = max(E_p(f)^{1/p}, H(f)/D) the distance equals
 is the extremal function.  Translation invariance lets us pin f(y) = 0,
 f(x) = 1 and minimize over the remaining node values.
 
-Algorithm: both maxima are smoothed by log-sum-exp of sharpness beta
-(nested: pair ratios inside H, then the two gauge terms), minimized by an
-accelerated first-order method (Nesterov momentum, adaptive restart,
-backtracking line search), with beta on a geometric continuation schedule
-(10, 40, 160, 640, ...) and warm starts.  Continuation stops when the
-reported value 1/Phi changes by less than ``stage_rtol`` relative between
-consecutive stages; exhausting the stage budget raises NonConverged with
-the partial result attached.  A stage that ends because 60 backtracking
-steps in a row found no sufficient decrease is counted in
-``DistanceResult.backtrack_stalls``.
+Algorithm, in two parts.
 
-Kernel: one energy kernel serves energy_p, the exact gauge and the
-smoothed objective.  Each cell's energy density is q_c = F_c^T M_c F_c,
-with F_c the cell's node values and M_c = B_c^T G_c^-1 B_c a node-space
-form built once per solve (B_c maps node values to the chart gradient).
-The value-only evaluations used by the line search skip the gradient, and
-the energy gradient M_c F_c is scattered with one bincount.  In the Holder
-term z_k = (f(u_k) - f(v_k)) / (s d_k^t); its gradient carries that 1/s
+Newton energy solve: every solve first minimizes the uncapped energy
+E^(f) = sum_c w_c q_c^{p/2} over the free nodes by a damped Newton method
+(_newton_energy).  The Hessian p sum_c w_c [q^{p/2-1} M_c + (p-2)
+q^{p/2-2} (M_c F_c)(M_c F_c)^T] is scattered by one bincount into the free
+block, with the pinned nodes sent to a dump row and column; a ridge of
+1e-12 tr/N_free is added, the step comes from np.linalg.solve, an Armijo
+backtracking search damps it, and the method stops when the Newton
+decrement lambda^2 falls to 1e-14 E^.  Cells with q_c = 0 get zero
+coefficients (the energy is flat there for p > 2 and not twice
+differentiable for p < 2).  solve_dp_unmodified returns this minimizer.
+
+Energy-bound screen: the capped feasible set is a subset of the uncapped
+one, so if the uncapped minimizer f* already satisfies the cap with room,
+H(f*)/D <= A(f*) (1 - 1e-3) with A = E_p^{1/p}, it solves the capped
+problem and is returned as an energy-bound result with stages = 0 and
+beta_final = 0.
+
+FISTA fallback: otherwise f* is discarded and both maxima of the gauge are
+smoothed by log-sum-exp of sharpness beta (nested: pair ratios inside H,
+then the two gauge terms), minimized by an accelerated first-order method
+(Nesterov momentum, adaptive restart, backtracking line search) from the
+same start as the Newton solve, with beta on a geometric continuation
+schedule (10, 40, 160, 640, ...) and warm starts.  Continuation stops when
+the reported value 1/Phi changes by less than ``stage_rtol`` relative
+between consecutive stages; exhausting the stage budget raises
+NonConverged with the partial result attached.  A stage that ends because
+60 backtracking steps in a row found no sufficient decrease is counted in
+``DistanceResult.backtrack_stalls``.  ``iterations`` counts the Newton
+steps plus the FISTA iterations.
+
+Kernel: one energy kernel (_cell_energy) serves energy_p, the exact gauge,
+the smoothed objective and the Newton solve.  Each cell's energy density
+is q_c = F_c^T M_c F_c, with F_c the cell's node values and
+M_c = B_c^T G_c^-1 B_c a node-space form built once per solve (B_c maps
+node values to the chart gradient).  The value-only evaluations used by
+the line search skip the gradient, and the energy gradient M_c F_c is
+scattered with one bincount.  In the Holder term
+z_k = (f(u_k) - f(v_k)) / (s d_k^t); its gradient carries that 1/s
 (d phi / d f(u) picks up inv_dt / s per pair), and it is scattered by
 segmented sums (add.reduceat) over the pairs sorted by u and, through a
 fixed permutation, by v.  The softmax exponents are clamped at EXP_FLOOR
@@ -53,14 +75,15 @@ orientation's feasible set onto the other's), so every solve runs the
 canonical orientation (min(x, y), max(x, y)) and flips the extremal's sign
 for swapped queries.  d(x, y) and d(y, x) are therefore bitwise equal.
 
-Accuracy note: when the two gauge terms tie at the optimum (the cap is
-exactly active), the smoothed objective develops a nearly flat valley along
-their common level set whose transverse curvature grows with beta.  The
-continuation can then stall a few parts in 1e3 short of the optimum: the
-reported value is still attained by a feasible candidate (the extremal is
-rescaled to unit exact gauge), i.e. it remains a valid lower bound, but in
-this regime its last digits understate the supremum.  Away from the tie
-(either constraint strictly active) the solver reaches stage_rtol accuracy.
+Accuracy note: energy-bound pairs are solved to Newton-decrement accuracy.
+When the two gauge terms tie at the optimum (the cap is exactly active),
+the smoothed objective develops a nearly flat valley along their common
+level set whose transverse curvature grows with beta.  The continuation
+can then stall a few parts in 1e3 short of the optimum: the reported value
+is still attained by a feasible candidate (the extremal is rescaled to unit
+exact gauge), i.e. it remains a valid lower bound, but in this regime its
+last digits understate the supremum.  Away from the tie (either constraint
+strictly active) the solver reaches stage_rtol accuracy.
 """
 
 from __future__ import annotations
@@ -79,7 +102,6 @@ from .errors import (
     ZeroDistancePairError,
 )
 from .mesh import ensure_function
-from .util import parallel_map
 
 P_CAP = 128.0
 
@@ -140,7 +162,7 @@ class DistanceResult:
     value: float
     extremal: np.ndarray
     active_constraint: str   # energy-bound | holder-bound | both
-    iterations: int
+    iterations: int          # Newton steps plus FISTA iterations
     gauge_value: float       # Phi of the unit-normalized minimizer = 1/value
     energy_residual: float   # max(0, E_p(extremal) - 1)
     holder_residual: float   # max(0, H(extremal)/D - 1)
@@ -181,17 +203,23 @@ def _cell_forms(mesh, tensors):
     return forms, L[range(n), range(n)].prod(axis=0)
 
 
-def _energy_norm(f, nodes, forms, w, p, need_grad=False):
-    """A(f) = E_p(f)^{1/p} as a stable weighted p-norm; gradient on request.
+def _cell_energy(f, nodes, forms):
+    """Per-cell M_c F_c and q_c = F_c^T M_c F_c, with F = f[nodes].
 
-    q_c = F_c^T M_c F_c with F = f[nodes]; ``nodes`` (n+1, C) and ``forms``
-    (n+1, n+1, C) are cell-last.  The gradient
-    dA/df = A^{1-p} sum_c w_c q_c^{(p-2)/2} M_c F_c is scattered onto the
-    nodes with one bincount.
+    ``nodes`` (n+1, C) and ``forms`` (n+1, n+1, C) are cell-last.
     """
     F = f[nodes]
     MF = np.einsum("ijc,jc->ic", forms, F)
-    q = np.einsum("ic,ic->c", F, MF)
+    return MF, np.einsum("ic,ic->c", F, MF)
+
+
+def _energy_norm(f, nodes, forms, w, p, need_grad=False):
+    """A(f) = E_p(f)^{1/p} as a stable weighted p-norm; gradient on request.
+
+    The gradient dA/df = A^{1-p} sum_c w_c q_c^{(p-2)/2} M_c F_c is
+    scattered onto the nodes with one bincount.
+    """
+    MF, q = _cell_energy(f, nodes, forms)
     u = np.sqrt(np.maximum(q, 0.0))
     m = u.max()
     if m == 0.0:
@@ -419,6 +447,84 @@ def _fista_stage(gauge, f, beta, s, L, max_iters, inner_rtol):
     return x_prev, L, iters, stalled
 
 
+# Newton energy solve: step cap, ridge (relative to the mean Hessian
+# diagonal), stop rule lambda^2 <= _NEWTON_RTOL E^, and Armijo constants.
+_NEWTON_MAX_STEPS = 200
+_NEWTON_RIDGE = 1e-12
+_NEWTON_RTOL = 1e-14
+_ARMIJO_SLOPE = 0.25
+_ARMIJO_HALVINGS = 60
+
+
+def _energy_hat(f, nodes, forms, w, p, slot=None):
+    """E^(f) = sum_c w_c q_c^{p/2}; with ``slot``, also its free gradient and Hessian.
+
+    ``slot`` maps each node to its free index and the pinned nodes to the
+    dump index k - 1 = slot.max(); the gradient and the Hessian are
+    scattered by bincount into length k and k*k, and the dump entries are
+    cut off, so no N x N temporary exists.  With v_c = M_c F_c / sqrt(q_c)
+    the cell Hessian is p w_c q_c^{p/2-1} (M_c + (p-2) v_c v_c^T), which
+    stays finite where q_c is tiny; cells with q_c = 0 get zero
+    coefficients.
+    """
+    MF, q = _cell_energy(f, nodes, forms)
+    E = float((w * np.maximum(q, 0.0) ** (0.5 * p)).sum())
+    if slot is None:
+        return E
+    live = q > 0.0
+    q = np.where(live, q, 1.0)
+    a = np.where(live, p * w * q ** (0.5 * p - 1.0), 0.0)
+    pos = slot[nodes]
+    k = int(slot.max()) + 1
+    grad = np.bincount(pos.ravel(), weights=(a * MF).ravel(), minlength=k)[:-1]
+    v = MF / np.sqrt(q)
+    cell_h = a * (forms + (p - 2.0) * v[:, None] * v[None, :])
+    flat = pos[:, None] * k + pos[None, :]
+    hess = np.bincount(flat.ravel(), weights=cell_h.ravel(), minlength=k * k)
+    return E, grad, hess.reshape(k, k)[:-1, :-1]
+
+
+def _newton_energy(gauge, f):
+    """Damped Newton minimization of E^ with the pinned values of f kept.
+
+    Works on the sigma-normalized forms of ``gauge``, scaled by one constant
+    so that the largest q_c at the start is 1 (q^{p/2} stays in range up to
+    p = 128; the minimizer does not move).  Each step solves the ridged
+    Newton system, stops once the decrement lambda^2 = -grad . step is at
+    most _NEWTON_RTOL E^, and otherwise backtracks by halving until the
+    Armijo test E^(f + t d) <= E^(f) - _ARMIJO_SLOPE t lambda^2 holds.
+    Returns (f*, steps, converged); converged is False when the step cap
+    or the line search ran out first.
+    """
+    free = np.ones(f.size, dtype=bool)
+    free[gauge.fixed] = False
+    slot = np.full(f.size, f.size - 2)
+    slot[free] = np.arange(f.size - 2)
+    _, q = _cell_energy(f, gauge.nodes, gauge.forms)
+    forms = gauge.forms / q.max()
+    args = (gauge.nodes, forms, gauge.w, gauge.p)
+    diag = np.diag_indices(f.size - 2)
+    f = f.copy()
+    for step in range(_NEWTON_MAX_STEPS):
+        E, grad, hess = _energy_hat(f, *args, slot)
+        hess[diag] += _NEWTON_RIDGE * np.trace(hess) / max(grad.size, 1)
+        d = np.linalg.solve(hess, -grad)
+        lam2 = -float(grad @ d)
+        if lam2 <= _NEWTON_RTOL * E:
+            return f, step, True
+        t = 1.0
+        for _ in range(_ARMIJO_HALVINGS):
+            trial = f.copy()
+            trial[free] += t * d
+            if _energy_hat(trial, *args) <= E - _ARMIJO_SLOPE * t * lam2:
+                break
+            t *= 0.5
+        else:
+            return f, step, False
+        f = trial
+    return f, _NEWTON_MAX_STEPS, False
+
+
 def _swap_orientation(result, x, y):
     return replace(result, x=x, y=y, extremal=-result.extremal)
 
@@ -453,16 +559,28 @@ def _solve_oriented(x, y, g, params, modified):
 
     # init: background-distance profile, Holder-feasible by the snowflake bound
     prof = (gauge.sigma ** -1 * params.d0[y, :]) ** params.t
-    f = np.clip(prof, 0.0, 1.0)
-    f[y], f[x] = 0.0, 1.0
+    f0 = np.clip(prof, 0.0, 1.0)
+    f0[y], f0[x] = 0.0, 1.0
 
-    s, _, _ = gauge.gauge(f)
+    s, _, _ = gauge.gauge(f0)
     if not (np.isfinite(s) and s > 0.0):
         raise SolverError(f"normalized start has invalid gauge {s!r}")
 
+    f, steps, newton_ok = _newton_energy(gauge, f0)
+    if not modified or (newton_ok and _active(*gauge.gauge(f)[1:], D) == "energy-bound"):
+        result = _result(gauge, g, work, x, y, f, steps, newton_ok, 0, 0.0, 0)
+        if not newton_ok:
+            raise NonConvergedError(
+                f"Newton energy solve stopped after {steps} steps without "
+                f"meeting its decrement test: last value {result.value:.6g}",
+                result=result,
+            )
+        return result
+
+    f = f0
     beta = params.beta0
     L = 1.0
-    total_iters = 0
+    total_iters = steps
     prev_value = None
     converged = False
     stages = 0
@@ -484,42 +602,43 @@ def _solve_oriented(x, y, g, params, modified):
             break
         prev_value = value_hat
 
-    phi, A, H = gauge.gauge(f)
-    value_hat = 1.0 / phi
-    sig_t = gauge.sigma ** params.t
-    value = sig_t * value_hat
-    extremal = (sig_t / phi) * f
-
-    cap_term = 0.0 if math.isinf(D) else H / D
-    margin = 1e-3 * max(A, cap_term)
-    if abs(A - cap_term) <= margin:
-        active = "both"
-    elif A > cap_term:
-        active = "energy-bound"
-    else:
-        active = "holder-bound"
-
-    e_res = max(0.0, energy_p(extremal, g, params.p) ** (1.0 / params.p) - 1.0)
-    if math.isinf(D):
-        h_res = 0.0
-    else:
-        h_res = max(0.0, holder_seminorm(extremal, work) / D - 1.0)
-
-    result = DistanceResult(
-        x=x, y=y, p=params.p, D=D,
-        value=value, extremal=extremal, active_constraint=active,
-        iterations=total_iters, gauge_value=1.0 / value,
-        energy_residual=e_res, holder_residual=h_res,
-        converged=converged, stages=stages, beta_final=beta,
-        pair_radius=params.pair_radius, backtrack_stalls=stalls,
-    )
+    result = _result(gauge, g, work, x, y, f, total_iters, converged, stages, beta, stalls)
     if not converged:
         raise NonConvergedError(
             f"continuation exhausted {stages} stages (beta {beta:g}) without "
-            f"stabilizing: last value {value:.6g}",
+            f"stabilizing: last value {result.value:.6g}",
             result=result,
         )
     return result
+
+
+def _active(A, H, D):
+    """Which gauge term binds: the two tie within 1e-3 relative as "both"."""
+    cap_term = 0.0 if math.isinf(D) else H / D
+    if abs(A - cap_term) <= 1e-3 * max(A, cap_term):
+        return "both"
+    return "energy-bound" if A > cap_term else "holder-bound"
+
+
+def _result(gauge, g, work, x, y, f, iterations, converged, stages, beta, stalls):
+    """The solve's answer from minimizer f, rescaled to unit exact gauge."""
+    phi, A, H = gauge.gauge(f)
+    sig_t = gauge.sigma ** work.t
+    value = sig_t * (1.0 / phi)
+    extremal = (sig_t / phi) * f
+    e_res = max(0.0, energy_p(extremal, g, work.p) ** (1.0 / work.p) - 1.0)
+    if math.isinf(work.D):
+        h_res = 0.0
+    else:
+        h_res = max(0.0, holder_seminorm(extremal, work) / work.D - 1.0)
+    return DistanceResult(
+        x=x, y=y, p=work.p, D=work.D,
+        value=value, extremal=extremal, active_constraint=_active(A, H, work.D),
+        iterations=iterations, gauge_value=1.0 / value,
+        energy_residual=e_res, holder_residual=h_res,
+        converged=converged, stages=stages, beta_final=beta,
+        pair_radius=work.pair_radius, backtrack_stalls=stalls,
+    )
 
 
 def solve_dp(x, y, g, g0, params):
@@ -548,35 +667,20 @@ class PairOutcome:
     error: str | None = None
 
 
-# Holder pair count from which distance_matrix solves pairs on a thread pool.
-# The FISTA loop holds the GIL between numpy calls, so threads pay only when
-# each call is long enough for numpy's GIL-free work to overlap.  Measured on
-# a 2-CPU Xeon, 4 corner pairs of a torus spike (p = 7, D = 2), serial -> 2
-# threads: 12x12 (10 296 pairs) 1.1-1.3 s -> 1.7-1.8 s; 14x14 (19 110 pairs)
-# 2.9-3.2 s -> 2.9-3.1 s; 16x16 (32 640 pairs) 5.5-5.9 s -> 4.8-5.1 s.
-_POOL_MIN_PAIRS = 16384
-
-
 def distance_matrix(pairs, g, g0, params):
-    """One solve per pair; per-pair failures recorded, never aborting the batch.
-
-    Instances with at least _POOL_MIN_PAIRS Holder pairs are solved on a
-    thread pool, smaller ones serially; the outcomes are the same either way.
-    """
-
-    def run(pair):
-        x, y = pair
+    """One solve per pair, in order; per-pair failures recorded, never aborting the batch."""
+    outcomes = []
+    for x, y in pairs:
         try:
             if math.isinf(params.D):
-                return PairOutcome(x, y, result=solve_dp_unmodified(x, y, g, params))
-            return PairOutcome(x, y, result=solve_dp(x, y, g, g0, params))
+                result = solve_dp_unmodified(x, y, g, params)
+            else:
+                result = solve_dp(x, y, g, g0, params)
+            outcomes.append(PairOutcome(x, y, result=result))
         except SameVertexError:
-            return PairOutcome(x, y, error="SameVertex")
+            outcomes.append(PairOutcome(x, y, error="SameVertex"))
         except NonConvergedError as exc:
-            return PairOutcome(x, y, result=exc.result, error="NonConverged")
+            outcomes.append(PairOutcome(x, y, result=exc.result, error="NonConverged"))
         except (SolverError, MeshMismatchError) as exc:
-            return PairOutcome(x, y, error=f"{type(exc).__name__}: {exc}")
-
-    if params.iu.size >= _POOL_MIN_PAIRS:
-        return parallel_map(run, pairs)
-    return [run(pair) for pair in pairs]
+            outcomes.append(PairOutcome(x, y, error=f"{type(exc).__name__}: {exc}"))
+    return outcomes

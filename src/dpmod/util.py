@@ -1,25 +1,14 @@
-"""Small shared helpers: the solve thread pool and config hashing."""
+"""Small shared helpers: the CPU count and config hashing."""
 
 from __future__ import annotations
 
 import hashlib
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 
 def worker_count():
-    """Threads of the solve pool: min(4, cpus)."""
+    """min(4, cpus); perfbench records it in its environment line."""
     return min(4, os.cpu_count() or 1)
-
-
-def parallel_map(fn, items):
-    """Map preserving input order on at most worker_count() threads (tasks must be pure)."""
-    items = list(items)
-    workers = worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def config_hash(text):

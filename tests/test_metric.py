@@ -266,6 +266,28 @@ def test_metric_roundtrip_3d(tmp_path, rng):
     assert np.array_equal(read_metric(path, mesh).tensors, g.tensors)
 
 
+def _write_metric_per_entry(field, path):
+    """Reference writer: one repr(float(...)) call per tensor entry."""
+    n = field.mesh.dim
+    idx = [(i, j) for i in range(n) for j in range(i, n)]
+    lines = [f"dpmetric v1 {n} {field.mesh.num_cells}"]
+    for G in field.tensors:
+        lines.append(" ".join(repr(float(G[i, j])) for i, j in idx))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_write_metric_bytes_match_per_entry_loop(tmp_path, rng, n):
+    mesh, _ = make_flat(n, 3, torus=True)
+    g = random_metric(rng, mesh, cond_max=50.0)
+    fast, slow = tmp_path / "fast.txt", tmp_path / "slow.txt"
+    write_metric(g, fast)
+    _write_metric_per_entry(g, slow)
+    assert fast.read_bytes() == slow.read_bytes()
+    assert np.array_equal(read_metric(fast, mesh).tensors, g.tensors)
+
+
 def _metric_parse_error(tmp_path, mesh, text):
     path = tmp_path / "bad.txt"
     path.write_text(text)

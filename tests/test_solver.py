@@ -1,6 +1,10 @@
-"""Continuation solver: closed-form matches, cap behavior, feasibility, errors."""
+"""Newton and continuation solver: closed forms, cap behavior, feasibility, errors."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from dpmod.errors import (
     SolverError,
     ZeroDistancePairError,
 )
-from dpmod import solver, util
+from dpmod import solver
 from dpmod.families import make_conformal_constant, make_flat, make_spike_sequence
 from dpmod.geodesic import all_pairs_distances
 from dpmod.metric import MetricField, scale_metric
@@ -272,6 +276,192 @@ def test_smoothed_gradient_matches_central_differences(spike_instance, cap, beta
     assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
+# -- Newton energy solve --------------------------------------------------------
+
+def _free_slots(num_nodes, fixed):
+    """Free index per node, with the pinned nodes sent to the dump index."""
+    slot = np.full(num_nodes, num_nodes - 2)
+    free = np.setdiff1d(np.arange(num_nodes), fixed)
+    slot[free] = np.arange(free.size)
+    return slot, free
+
+
+def _check_energy_derivs(gauge, p, f):
+    slot, free = _free_slots(f.size, gauge.fixed)
+    args = (gauge.nodes, gauge.forms, gauge.w, p, slot)
+    E, grad, hess = solver._energy_hat(f, *args)
+    assert E == solver._energy_hat(f, *args[:-1])
+    assert E == pytest.approx(solver._energy_norm(f, *args[:-1]) ** p, rel=1e-12)
+    h = 1e-6
+    fd_grad = np.empty(free.size)
+    fd_hess = np.empty((free.size, free.size))
+    for k, node in enumerate(free):
+        e = np.zeros_like(f)
+        e[node] = h
+        Ep, gp, _ = solver._energy_hat(f + e, *args)
+        Em, gm, _ = solver._energy_hat(f - e, *args)
+        fd_grad[k] = (Ep - Em) / (2.0 * h)
+        fd_hess[:, k] = (gp - gm) / (2.0 * h)
+    assert np.linalg.norm(grad - fd_grad) <= 1e-6 * np.linalg.norm(fd_grad)
+    assert np.linalg.norm(hess - fd_hess) <= 1e-6 * np.linalg.norm(fd_hess)
+    np.testing.assert_allclose(hess, hess.T, rtol=1e-12, atol=1e-12 * np.abs(hess).max())
+
+
+@pytest.mark.parametrize("p", [2.5, 7.0, 128.0])
+def test_newton_derivatives_match_central_differences(spike_instance, p):
+    # the forms do not depend on p, so the gauge is built at a p valid in 3-D
+    mesh, g, g0, dm0 = spike_instance
+    x, y = 0, mesh.num_nodes // 2
+    gauge = solver._Gauge(g, GaugeParams.build(mesh, dm0, p=7.0, D=math.inf), x, y)
+    f = np.random.default_rng(11).uniform(0.0, 1.0, mesh.num_nodes)
+    f[x], f[y] = 1.0, 0.0
+    _check_energy_derivs(gauge, p, f)
+
+
+def test_newton_derivatives_below_p2_on_chain(chain16):
+    mesh, g0, dm0 = chain16
+    g = random_metric(np.random.default_rng(5), mesh, cond_max=10.0)
+    gauge = solver._Gauge(g, GaugeParams.build(mesh, dm0, p=1.5, D=math.inf), 2, 13)
+    f = np.random.default_rng(12).uniform(0.0, 1.0, mesh.num_nodes)
+    f[2], f[13] = 1.0, 0.0
+    _check_energy_derivs(gauge, 1.5, f)
+
+
+@pytest.fixture(scope="module")
+def spike8():
+    base = make_flat(2, 8, torus=True)
+    mesh, g0 = base
+    return mesh, make_spike_sequence(base, 1), g0, all_pairs_distances(mesh, g0)
+
+
+# solve_dp_unmodified values of the smoothed FISTA path that preceded the
+# Newton solve (float.hex): the conformal chain (c = 2) pair 0-16 and the
+# 8x8 spike (j = 1) pair 0-36; both are lower bounds, so higher is better
+FISTA_UNMODIFIED = {
+    ("chain", 1.5): "0x1.428a2f98d61dep+0",
+    ("chain", 2.0): "0x1.6a09e667f26e7p+0",
+    ("chain", 7.0): "0x1.cfbb031a74167p+0",
+    ("chain", 128.0): "0x1.fd3c22b8f7102p+0",
+    ("spike8", 2.5): "0x1.e37d54567198dp-1",
+    ("spike8", 7.0): "0x1.09fd7860e78a0p+0",
+    ("spike8", 16.0): "0x1.1346e0ace5597p+0",
+    ("spike8", 32.0): "0x1.15ff84ade6fe8p+0",
+    ("spike8", 64.0): "0x1.166f2b2822ee0p+0",
+    ("spike8", 128.0): "0x1.160cc7dd3d003p+0",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FISTA_UNMODIFIED), ids=lambda c: f"{c[0]}-p{c[1]:g}")
+def test_newton_unmodified_not_below_fista(case, chain16, spike8):
+    name, p = case
+    if name == "chain":
+        mesh, g0, dm0 = chain16
+        g, x, y = make_conformal_constant((mesh, g0), 2.0), 0, 16
+    else:
+        mesh, g, g0, dm0 = spike8
+        x, y = 0, 36
+    res = solve_dp_unmodified(x, y, g, GaugeParams.build(mesh, dm0, p=p, D=math.inf))
+    assert res.converged and res.stages == 0 and res.beta_final == 0.0
+    assert res.active_constraint == "energy-bound"
+    assert 1 <= res.iterations <= 100
+    assert res.value >= float.fromhex(FISTA_UNMODIFIED[case]) * (1.0 - 1e-12)
+    if name == "chain":   # closed form c^{(p-1)/p} for the unit chain
+        assert res.value == pytest.approx(2.0 ** ((p - 1.0) / p), rel=1e-12)
+
+
+def test_two_node_chain_has_no_free_nodes(recwarn):
+    mesh = chain_mesh([0.0, 1.0])
+    g = MetricField.constant(mesh, np.array([[4.0]]))      # conformal c = 2
+    dm0 = all_pairs_distances(mesh, MetricField.identity(mesh))
+    res = solve_dp_unmodified(1, 0, g, GaugeParams.build(mesh, dm0, p=3.0, D=math.inf))
+    assert res.converged and res.iterations == 0
+    assert res.value == pytest.approx(2.0 ** (2.0 / 3.0), rel=1e-15)
+    assert not recwarn.list
+
+
+def test_screened_solve_ignores_stage_budget(chain16):
+    mesh, g0, dm0 = chain16
+    g = make_conformal_constant((mesh, g0), 2.0)
+    params = GaugeParams.build(mesh, dm0, p=2.0, D=10.0, max_stages=1)
+    res = solve_dp(0, 16, g, g0, params)
+    assert res.active_constraint == "energy-bound"
+    assert res.converged and res.stages == 0 and res.beta_final == 0.0
+    assert res.value == pytest.approx(2.0 ** 0.5, rel=1e-12)
+
+
+def test_newton_step_cap(monkeypatch, chain16):
+    # out of Newton steps: the uncapped solve raises with its partial
+    # result, and the capped solve falls back to the continuation
+    mesh, g0, dm0 = chain16
+    g = make_conformal_constant((mesh, g0), 2.0)
+    monkeypatch.setattr(solver, "_NEWTON_MAX_STEPS", 1)
+    with pytest.raises(NonConvergedError) as err:
+        solve_dp_unmodified(0, 16, g, GaugeParams.build(mesh, dm0, p=7.0, D=math.inf))
+    partial = err.value.result
+    assert not partial.converged and partial.stages == 0 and partial.iterations == 1
+    assert partial.value <= 2.0 ** (6.0 / 7.0)
+    res = solve_dp(0, 16, g, g0, GaugeParams.build(mesh, dm0, p=7.0, D=10.0))
+    assert res.converged and res.stages >= 2 and res.iterations > 1
+    assert res.value == pytest.approx(2.0 ** (6.0 / 7.0), rel=1e-5)
+
+
+@pytest.fixture(scope="module")
+def spike_t3():
+    """6^3 torus spike (j = 2) at p = 10 with the default cap D = auto."""
+    base = make_flat(3, 6, torus=True)
+    mesh, g0 = base
+    g = make_spike_sequence(base, 2)
+    dm0 = all_pairs_distances(mesh, g0)
+    D = all_pairs_distances(mesh, g).diameter() / dm0.diameter() ** 0.7
+    return mesh, g, g0, GaugeParams.build(mesh, dm0, p=10.0, D=D)
+
+
+def test_fallback_pair_is_bitwise_unchanged(spike_t3):
+    # pair 0-129 fails the energy-bound screen (H/D ~ 1.19 A), so it runs
+    # the beta continuation from the profile start: same bits as before
+    # the Newton solve existed
+    mesh, g, g0, params = spike_t3
+    res = solve_dp(0, 129, g, g0, params)
+    assert res.value.hex() == "0x1.a7e5f74988392p+0"   # 1.6558527521631032
+    assert res.active_constraint == "both"
+    assert res.stages == 9 and res.beta_final == 655360.0
+    assert res.converged
+
+
+_BLAS_SCRIPT = """
+from dpmod.families import make_flat, make_spike_sequence
+from dpmod.geodesic import all_pairs_distances
+from dpmod.solver import GaugeParams, solve_dp
+base = make_flat(3, 6, torus=True)
+mesh, g0 = base
+g = make_spike_sequence(base, 2)
+dm0 = all_pairs_distances(mesh, g0)
+D = all_pairs_distances(mesh, g).diameter() / dm0.diameter() ** 0.7
+params = GaugeParams.build(mesh, dm0, p=10.0, D=D)
+for y in (108, 126, 3):
+    res = solve_dp(0, y, g, g0, params)
+    assert res.stages == 0, y
+    print(res.value.hex(), res.extremal.tobytes().hex())
+"""
+
+
+def _screened_run(threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _BLAS_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    return [line.split() for line in out.stdout.splitlines()]
+
+
+def test_screened_values_stable_across_blas_threads():
+    one, two, two_again = _screened_run(1), _screened_run(2), _screened_run(2)
+    assert len(one) == 3
+    assert two == two_again                  # reruns are bitwise equal
+    for (v1, _), (v2, _) in zip(one, two):
+        assert float.fromhex(v2) == pytest.approx(float.fromhex(v1), rel=1e-12)
+
+
 def test_backtrack_stalls_are_counted(monkeypatch, chain16):
     mesh, g0, dm0 = chain16
     params = GaugeParams.build(mesh, dm0, p=2.0, D=1.0)
@@ -299,37 +489,6 @@ def test_distance_matrix_records_failures(chain16):
     assert res.converged
     assert res.beta_final == params.beta0 * params.beta_growth ** (res.stages - 1)
     assert outcomes[1].result is None
-
-
-def test_distance_matrix_pool_matches_serial(chain16, monkeypatch):
-    mesh, g0, dm0 = chain16
-    g = make_conformal_constant((mesh, g0), 1.5)
-    params = GaugeParams.build(mesh, dm0, p=3.0, D=1.0)
-    pairs = [(0, 8), (3, 3), (16, 0), (5, 11), (2, 14)]
-    pooled_calls = []
-
-    def spy(fn, items):
-        pooled_calls.append(len(items))
-        return util.parallel_map(fn, items)
-
-    monkeypatch.setattr(util, "worker_count", lambda: 2)
-    monkeypatch.setattr(solver, "parallel_map", spy)
-    runs = {}
-    for gate in (0, 10 ** 9):
-        monkeypatch.setattr(solver, "_POOL_MIN_PAIRS", gate)
-        runs[gate] = distance_matrix(pairs, g, g0, params)
-    assert pooled_calls == [len(pairs)]     # only the gate-0 run used the pool
-    pooled, serial = runs[0], runs[10 ** 9]
-    assert [(oc.x, oc.y) for oc in pooled] == pairs
-    assert [(oc.x, oc.y) for oc in serial] == pairs
-    for a, b in zip(pooled, serial):
-        assert a.error == b.error
-        if b.result is None:
-            assert a.result is None
-            continue
-        assert a.result.value == b.result.value
-        np.testing.assert_array_equal(a.result.extremal, b.result.extremal)
-    assert serial[1].error == "SameVertex"
 
 
 def test_nonconverged_carries_partial_result(chain16):

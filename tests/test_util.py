@@ -1,18 +1,10 @@
-"""Solve pool helpers and config hashing."""
+"""CPU count and config hashing."""
 
-from dpmod import util
-from dpmod.util import config_hash, parallel_map, worker_count
+from dpmod.util import config_hash, worker_count
 
 
 def test_worker_count_env():
     assert worker_count() >= 1
-
-
-def test_parallel_map_preserves_order(monkeypatch):
-    items = list(range(13))
-    assert parallel_map(lambda v: v * v, items) == [v * v for v in items]
-    monkeypatch.setattr(util, "worker_count", lambda: 1)   # serial path
-    assert parallel_map(lambda v: -v, items) == [-v for v in items]
 
 
 def test_config_hash_canonicalization():
