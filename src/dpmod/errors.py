@@ -60,7 +60,7 @@ class ZeroDistancePairError(SolverError):
 
 
 class NonConvergedError(DpmodError):
-    """The continuation solver exhausted its budget before the stop rule fired.
+    """A solve exhausted its step or centering budget before its stop rule fired.
 
     ``result`` holds the best-so-far ``DistanceResult`` (``converged=False``)
     so callers can still inspect or record the partial answer.

@@ -286,8 +286,6 @@ def _solver_knobs(cfg):
         ("max_iters_per_stage", cfg.get_int),
         ("max_stages", cfg.get_int),
         ("stage_rtol", cfg.get_float),
-        ("beta0", cfg.get_float),
-        ("beta_growth", cfg.get_float),
     ):
         value = getter(key)
         if value is not None:

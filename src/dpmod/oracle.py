@@ -1,6 +1,6 @@
 """Brute-force and closed-form oracles for tiny instances.
 
-These share no algorithmic machinery with the continuation solver: the grid
+These share no algorithmic machinery with the Newton solver: the grid
 oracle maximizes f(x) by dense search over the free node values, checking
 feasibility by direct evaluation of the p-energy and Holder seminorm, and
 the 1-D oracle is pure calculus.

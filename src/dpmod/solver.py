@@ -16,7 +16,7 @@ Phi(f) = max(E_p(f)^{1/p}, H(f)/D) the distance equals
 is the extremal function.  Translation invariance lets us pin f(y) = 0,
 f(x) = 1 and minimize over the remaining node values.
 
-Algorithm, in two parts.
+Algorithm: one Newton screen, then barrier rounds where the cap binds.
 
 Newton energy solve: every solve first minimizes the uncapped energy
 E^(f) = sum_c w_c q_c^{p/2} over the free nodes by a damped Newton method
@@ -25,44 +25,46 @@ q^{p/2-2} (M_c F_c)(M_c F_c)^T] is scattered by one bincount into the free
 block, with the pinned nodes sent to a dump row and column; a ridge of
 1e-12 tr/N_free is added, the step comes from np.linalg.solve, an Armijo
 backtracking search damps it, and the method stops when the Newton
-decrement lambda^2 falls to 1e-14 E^.  Cells with q_c = 0 get zero
-coefficients (the energy is flat there for p > 2 and not twice
-differentiable for p < 2).  solve_dp_unmodified returns this minimizer.
+decrement lambda^2 falls to 1e-14 E^, or to 1e-10 E^ on a step that
+needed a halving (there the line search is resolving round-off).  Cells
+with q_c = 0 get zero coefficients (the energy is flat there for p > 2
+and not twice differentiable for p < 2).  solve_dp_unmodified returns this
+minimizer.
 
 Energy-bound screen: the capped feasible set is a subset of the uncapped
 one, so if the uncapped minimizer f* already satisfies the cap with room,
 H(f*)/D <= A(f*) (1 - 1e-3) with A = E_p^{1/p}, it solves the capped
-problem and is returned as an energy-bound result with stages = 0 and
-beta_final = 0.
+problem and is returned as an energy-bound result with stages = 0.
 
-FISTA fallback: otherwise f* is discarded and both maxima of the gauge are
-smoothed by log-sum-exp of sharpness beta (nested: pair ratios inside H,
-then the two gauge terms), minimized by an accelerated first-order method
-(Nesterov momentum, adaptive restart, backtracking line search) from the
-same start as the Newton solve, with beta on a geometric continuation
-schedule (10, 40, 160, 640, ...) and warm starts.  Continuation stops when
-the reported value 1/Phi changes by less than ``stage_rtol`` relative
-between consecutive stages; exhausting the stage budget raises
-NonConverged with the partial result attached.  A stage that ends because
-60 backtracking steps in a row found no sufficient decrease is counted in
-``DistanceResult.backtrack_stalls``.  ``iterations`` counts the Newton
-steps plus the FISTA iterations.
+Barrier rounds: every other capped pair is solved as
 
-Kernel: one energy kernel (_cell_energy) serves energy_p, the exact gauge,
-the smoothed objective and the Newton solve.  Each cell's energy density
-is q_c = F_c^T M_c F_c, with F_c the cell's node values and
-M_c = B_c^T G_c^-1 B_c a node-space form built once per solve (B_c maps
-node values to the chart gradient).  The value-only evaluations used by
-the line search skip the gradient, and the energy gradient M_c F_c is
-scattered with one bincount.  In the Holder term
-z_k = (f(u_k) - f(v_k)) / (s d_k^t); its gradient carries that 1/s
-(d phi / d f(u) picks up inv_dt / s per pair), and it is scattered by
-segmented sums (add.reduceat) over the pairs sorted by u and, through a
-fixed permutation, by v.  The softmax exponents are clamped at EXP_FLOOR
-= -600 before exp: numpy's exp is about 20x slower on lanes that
-underflow, and since the largest term is exactly 1 the clamp moves the
-sum T by less than one ulp.  Each solve owns its work buffers, so an
-evaluation allocates nothing of pair-count size.
+    max f(x)  s.t.  f(y) = 0,  A(f) <= 1,  |f_u - f_v| inv_dt <= D on W,
+
+by a log-barrier method (Boyd & Vandenberghe, Convex Optimization, ch. 11)
+over a working set W of Holder pairs.  The start is f* scaled to
+0.99 / Phi(f*), strictly feasible for every pair, and W is seeded with the
+8 largest cap ratios under f* plus (x, y).  Each centering minimizes
+F_t(f) = -t f(x) - log(1 - A) - sum_W log((D - z_k)(D + z_k)) by damped
+Newton with an Armijo search that keeps the point strictly feasible; the
+barrier sits on A = E^{1/p}, not on E, which keeps it well conditioned up
+to p = 128.  A round starts at t = m / (1e-3 f(x)), m = 1 + 2|W|, and t
+grows 20x per centering until the gap m/t is at most ``stage_rtol`` f(x).
+After every centering one pass over all pairs looks for violated pairs;
+if there are any, they join W and the next round starts from f scaled
+back to 0.99 of the feasible boundary.  A centering at the gap target with
+no violated pair ends the solve.  ``max_stages`` caps the centerings and
+``max_iters_per_stage`` the Newton steps of one centering; running out of
+either raises NonConverged with the partial result attached.
+``iterations`` counts the screen's Newton steps plus the barrier's.
+
+Kernel: one energy kernel (_cell_energy) serves energy_p, the exact gauge
+and both Newton methods.  Each cell's energy density is q_c = F_c^T M_c F_c,
+with F_c the cell's node values and M_c = B_c^T G_c^-1 B_c a node-space
+form built once per solve (B_c maps node values to the chart gradient).
+The barrier Hessian is the energy Hessian scaled by one constant, plus the
+rank-one part c gE gE^T of the A-barrier, plus the pair terms added in
+place; the rank-one part is never formed but applied by Sherman-Morrison
+on a two-column solve.
 
 Preconditioning: each solve internally rescales the instance by
 sigma = d_{g0}(x,y) (distances by 1/sigma, metrics by 1/sigma^2) and maps
@@ -75,15 +77,12 @@ orientation's feasible set onto the other's), so every solve runs the
 canonical orientation (min(x, y), max(x, y)) and flips the extremal's sign
 for swapped queries.  d(x, y) and d(y, x) are therefore bitwise equal.
 
-Accuracy note: energy-bound pairs are solved to Newton-decrement accuracy.
-When the two gauge terms tie at the optimum (the cap is exactly active),
-the smoothed objective develops a nearly flat valley along their common
-level set whose transverse curvature grows with beta.  The continuation
-can then stall a few parts in 1e3 short of the optimum: the reported value
-is still attained by a feasible candidate (the extremal is rescaled to unit
-exact gauge), i.e. it remains a valid lower bound, but in this regime its
-last digits understate the supremum.  Away from the tie (either constraint
-strictly active) the solver reaches stage_rtol accuracy.
+Accuracy note: every value is attained by its extremal, rescaled to unit
+exact gauge over all pairs, so it is a valid lower bound.  Energy-bound
+pairs are solved to Newton-decrement accuracy; every other pair stops at
+the barrier gap m/t <= stage_rtol f(x) on a working set that no pair
+violates, so it lies within about stage_rtol (relative) of the supremum,
+whichever constraint binds.
 """
 
 from __future__ import annotations
@@ -123,12 +122,9 @@ class GaugeParams:
     iu: np.ndarray
     iv: np.ndarray
     pair_radius: float | None = None
-    beta0: float = 10.0
-    beta_growth: float = 4.0
-    stage_rtol: float = 1e-5
-    max_stages: int = 26
-    max_iters_per_stage: int = 4000
-    inner_rtol: float = 1e-11
+    stage_rtol: float = 1e-10        # barrier gap target, relative to the value
+    max_stages: int = 26             # barrier centerings per solve
+    max_iters_per_stage: int = 4000  # Newton steps per centering
 
     @classmethod
     def build(cls, mesh, dm0, p, D, pair_radius=None, **knobs):
@@ -162,24 +158,13 @@ class DistanceResult:
     value: float
     extremal: np.ndarray
     active_constraint: str   # energy-bound | holder-bound | both
-    iterations: int          # Newton steps plus FISTA iterations
+    iterations: int          # Newton steps of the screen and the barrier
     gauge_value: float       # Phi of the unit-normalized minimizer = 1/value
     energy_residual: float   # max(0, E_p(extremal) - 1)
     holder_residual: float   # max(0, H(extremal)/D - 1)
     converged: bool
-    stages: int = 0
-    beta_final: float = 0.0
+    stages: int = 0          # barrier centerings (0 for a screened pair)
     pair_radius: float | None = None
-    backtrack_stalls: int = 0  # stages ended by 60 failed backtracking steps
-
-
-# Exponent floor for the Holder softmax.  numpy's exp takes a slow path
-# (about 20x) on every lane whose result underflows; clamping the arguments
-# at -600 keeps every lane on the fast path and every later product normal.
-# The largest term is exactly exp(0) = 1, so the sum of the terms moves by
-# at most P e^-600, far below one ulp, and a clamped term enters the
-# gradient with weight e^-600 in place of a smaller one.
-EXP_FLOOR = -600.0
 
 
 def _cell_forms(mesh, tensors):
@@ -213,25 +198,14 @@ def _cell_energy(f, nodes, forms):
     return MF, np.einsum("ic,ic->c", F, MF)
 
 
-def _energy_norm(f, nodes, forms, w, p, need_grad=False):
-    """A(f) = E_p(f)^{1/p} as a stable weighted p-norm; gradient on request.
-
-    The gradient dA/df = A^{1-p} sum_c w_c q_c^{(p-2)/2} M_c F_c is
-    scattered onto the nodes with one bincount.
-    """
-    MF, q = _cell_energy(f, nodes, forms)
+def _energy_norm(f, nodes, forms, w, p):
+    """A(f) = E_p(f)^{1/p} as a stable weighted p-norm (no overflow at p = 128)."""
+    _, q = _cell_energy(f, nodes, forms)
     u = np.sqrt(np.maximum(q, 0.0))
     m = u.max()
     if m == 0.0:
-        return (0.0, np.zeros_like(f)) if need_grad else 0.0
-    ratio = u / m
-    S = float((w * ratio ** p).sum())
-    A = m * S ** (1.0 / p)
-    if not need_grad:
-        return A
-    coef = w * ratio ** (p - 2.0) * (S ** ((1.0 - p) / p) / m)
-    MF *= coef
-    return A, np.bincount(nodes.ravel(), weights=MF.ravel(), minlength=f.size)
+        return 0.0
+    return m * float((w * (u / m) ** p).sum()) ** (1.0 / p)
 
 
 def energy_p(f, g, p):
@@ -255,12 +229,7 @@ def holder_seminorm(f, params):
 
 
 class _Gauge:
-    """Precomputed, sigma-normalized instance data + smoothed objective.
-
-    Each instance owns two work buffers of length P (the pair count), so
-    a call allocates nothing P-sized; an instance therefore serves exactly
-    one solve and is never shared between solves.
-    """
+    """Precomputed, sigma-normalized instance data of one solve."""
 
     def __init__(self, g, params, x, y):
         mesh = params.mesh
@@ -275,183 +244,41 @@ class _Gauge:
         self.w = sqrt_dets * mesh.volumes
         self.nodes = np.ascontiguousarray(mesh.cells_nodes.T)
 
-        # Holder data: normalized distances, pair (x,y) always present,
-        # pairs sorted by iu (the default triu order already is: no copy)
+        # Holder data: normalized distances, pair (x, y) always present
         iu, iv = params.iu, params.iv
-        have_xy = np.any((iu == min(x, y)) & (iv == max(x, y)))
-        if not have_xy:
+        is_xy = (iu == min(x, y)) & (iv == max(x, y))
+        if not is_xy.any():
             iu = np.append(iu, min(x, y))
             iv = np.append(iv, max(x, y))
-        if np.any(iu[1:] < iu[:-1]):
-            order = np.argsort(iu, kind="stable")
-            iu, iv = iu[order], iv[order]
+            self.xy = iu.size - 1
+        else:
+            self.xy = int(np.flatnonzero(is_xy)[0])
         self.iu, self.iv = iu, iv
         self.inv_dt = (params.d0[iu, iv] / sigma) ** (-params.t)
 
-        # segmented sums replace the two scatters: pairs grouped by iu as
-        # stored, and by iv through a stable permutation
-        self.u_nodes, self.u_starts = np.unique(iu, return_index=True)
-        self.v_perm = np.argsort(iv, kind="stable")
-        self.v_nodes, self.v_starts = np.unique(iv[self.v_perm], return_index=True)
-        self._z, self._ep = np.empty((2, iu.size))
+    def energy(self, f):
+        """A(f) = E_p(f)^{1/p} of the normalized instance."""
+        return _energy_norm(f, self.nodes, self.forms, self.w, self.p)
 
-    # -- exact pieces ----------------------------------------------------
-
-    def energy(self, f, need_grad=False):
-        """A(f) = E_p(f)^{1/p} of the normalized instance (and gradient)."""
-        return _energy_norm(f, self.nodes, self.forms, self.w, self.p, need_grad)
-
-    def _ratios(self, f):
-        """(f_u - f_v) * inv_dt over the pairs, in the z work buffer."""
-        z = self._z
-        # indices are in range by construction; "clip" skips the bounds check
-        np.take(f, self.iu, out=z, mode="clip")
-        np.take(f, self.iv, out=self._ep, mode="clip")
-        np.subtract(z, self._ep, out=z)
-        np.multiply(z, self.inv_dt, out=z)
-        return z
-
-    def holder(self, f):
-        """Exact seminorm of the normalized instance."""
-        z = self._ratios(f)
-        return float(max(z.max(), -z.min()))
+    def ratios(self, f):
+        """(f_u - f_v) * inv_dt over all pairs."""
+        return (f[self.iu] - f[self.iv]) * self.inv_dt
 
     def gauge(self, f):
         """Exact Phi(f) = max(A, H/D) and the two terms."""
         A = self.energy(f)
-        H = self.holder(f)
+        H = float(np.abs(self.ratios(f)).max())
         cap_term = 0.0 if math.isinf(self.D) else H / self.D
         return max(A, cap_term), A, H
 
-    # -- smoothed objective ----------------------------------------------
-
-    def smoothed(self, f, beta, s, need_grad=True):
-        """phi_beta(f)/s with nested log-sum-exp smoothing, and gradient."""
-        out = self.energy(f, need_grad)
-        A, gA = out if need_grad else (out, None)
-        a1 = A / s
-        if math.isinf(self.D):
-            if not need_grad:
-                return a1
-            gA /= s
-            gA[self.fixed] = 0.0
-            return a1, gA
-
-        z = self._ratios(f)
-        np.divide(z, s, out=z)
-        Mz = max(z.max(), -z.min())
-        ep, en = self._ep, z                   # en overwrites z once ep is formed
-        np.subtract(z, Mz, out=ep)             # beta (z - Mz)
-        np.multiply(ep, beta, out=ep)
-        np.add(z, Mz, out=en)                  # beta (-z - Mz), negation exact
-        np.multiply(en, -beta, out=en)
-        if beta * Mz > -0.5 * EXP_FLOOR:       # else all exponents >= -2 beta Mz >= floor
-            np.maximum(ep, EXP_FLOOR, out=ep)
-            np.maximum(en, EXP_FLOOR, out=en)
-        np.exp(ep, out=ep)
-        np.exp(en, out=en)
-        T = ep.sum() + en.sum()
-        h = Mz + math.log(T) / beta          # smoothed H/s
-        a2 = h / self.D
-
-        Mo = max(a1, a2)
-        e1 = math.exp(beta * (a1 - Mo))
-        e2 = math.exp(beta * (a2 - Mo))
-        phi = Mo + math.log(e1 + e2) / beta
-        if not need_grad:
-            return phi
-
-        th1 = e1 / (e1 + e2)
-        th2 = 1.0 - th1
-        grad = th1 * (gA / s)
-        # d(h)/d z_k = (ep_k - en_k) / T and d z_k / d f_u = inv_dt_k / s
-        coef = np.subtract(ep, en, out=ep)
-        np.multiply(coef, self.inv_dt, out=coef)
-        np.multiply(coef, th2 / (self.D * T * s), out=coef)
-        grad[self.u_nodes] += np.add.reduceat(coef, self.u_starts)
-        np.take(coef, self.v_perm, out=en, mode="clip")
-        grad[self.v_nodes] -= np.add.reduceat(en, self.v_starts)
-        grad[self.fixed] = 0.0
-        return phi, grad
-
-
-def _probe_L(gauge, f, beta, s, L):
-    """Secant estimate of local curvature, re-anchoring L at stage entry.
-
-    While polishing at machine precision near a stage minimizer, the
-    sufficient-decrease test fails on rounding noise and backtracking
-    ratchets L far above the true Lipschitz constant.  Carrying that into
-    the next stage (whose objective has changed) would freeze the iterate;
-    one extra gradient evaluation per stage buys a sane restart.
-    """
-    _, g0 = gauge.smoothed(f, beta, s)
-    gn = float(np.linalg.norm(g0))
-    if gn == 0.0 or not np.isfinite(gn):
-        return L
-    eps = 1e-6 * (1.0 + float(np.abs(f).max()))
-    _, g1 = gauge.smoothed(f - (eps / gn) * g0, beta, s)
-    est = float(np.linalg.norm(g1 - g0)) / eps
-    if not np.isfinite(est) or est <= 0.0:
-        return L
-    return max(2.0 * est, 1e-6)
-
-
-def _fista_stage(gauge, f, beta, s, L, max_iters, inner_rtol):
-    """Minimize the beta-smoothed gauge from warm start f.
-
-    Returns (f, L, iters, stalled); ``stalled`` is True when the stage ended
-    because 60 backtracking steps in a row failed to find sufficient decrease.
-    """
-    x_prev = f.copy()                 # last accepted iterate
-    phi_x = gauge.smoothed(x_prev, beta, s, need_grad=False)
-    fv = x_prev.copy()                # momentum point
-    tk = 1.0
-    flat = 0
-    iters = 0
-    stalled = False
-    for _ in range(max_iters):
-        iters += 1
-        phi_v, grad_v = gauge.smoothed(fv, beta, s)
-        g2 = float(grad_v @ grad_v)
-        if g2 == 0.0:
-            break
-        accepted = False
-        for _bt in range(60):
-            fn = fv - grad_v / L
-            phi_n = gauge.smoothed(fn, beta, s, need_grad=False)
-            if phi_n <= phi_v - 0.5 * g2 / L + 1e-18:
-                accepted = True
-                break
-            L *= 2.0
-        if not accepted:
-            stalled = True
-            break
-        if phi_n > phi_x:
-            # momentum overshot: restart from the last accepted iterate
-            fv = x_prev.copy()
-            tk = 1.0
-            continue
-        small = abs(phi_x - phi_n) <= inner_rtol * max(1.0, abs(phi_n))
-        tk1 = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
-        fv = fn + ((tk - 1.0) / tk1) * (fn - x_prev)
-        x_prev = fn
-        phi_x = phi_n
-        tk = tk1
-        L *= 0.97  # gentle step growth; backtracking re-tightens as needed
-        if small:
-            flat += 1
-            if flat >= 4:
-                break
-        else:
-            flat = 0
-    return x_prev, L, iters, stalled
-
 
 # Newton energy solve: step cap, ridge (relative to the mean Hessian
-# diagonal), stop rule lambda^2 <= _NEWTON_RTOL E^, and Armijo constants.
+# diagonal), stop rule lambda^2 <= _NEWTON_RTOL E^ (or _NEWTON_FLOOR E^ on
+# a step that needed a halving), and Armijo constants.
 _NEWTON_MAX_STEPS = 200
 _NEWTON_RIDGE = 1e-12
 _NEWTON_RTOL = 1e-14
+_NEWTON_FLOOR = 1e-10
 _ARMIJO_SLOPE = 0.25
 _ARMIJO_HALVINGS = 60
 
@@ -492,9 +319,11 @@ def _newton_energy(gauge, f):
     p = 128; the minimizer does not move).  Each step solves the ridged
     Newton system, stops once the decrement lambda^2 = -grad . step is at
     most _NEWTON_RTOL E^, and otherwise backtracks by halving until the
-    Armijo test E^(f + t d) <= E^(f) - _ARMIJO_SLOPE t lambda^2 holds.
-    Returns (f*, steps, converged); converged is False when the step cap
-    or the line search ran out first.
+    Armijo test E^(f + t d) <= E^(f) - _ARMIJO_SLOPE t lambda^2 holds.  A
+    step that needed a halving at lambda^2 <= _NEWTON_FLOOR E^ is the last:
+    there E^ moves by round-off only and the decrement stalls just above
+    _NEWTON_RTOL.  Returns (f*, steps, converged); converged is False when
+    the step cap or the line search ran out first.
     """
     free = np.ones(f.size, dtype=bool)
     free[gauge.fixed] = False
@@ -522,7 +351,156 @@ def _newton_energy(gauge, f):
         else:
             return f, step, False
         f = trial
+        if t < 1.0 and lam2 <= _NEWTON_FLOOR * E:
+            return f, step + 1, True
     return f, _NEWTON_MAX_STEPS, False
+
+
+# Barrier rounds: t grows _BARRIER_GROWTH-fold per centering and restarts
+# at the relative gap _BARRIER_GAP0 each round, W is seeded with the
+# _SEED_PAIRS largest cap ratios, and a round starts at _INTERIOR times the
+# feasible boundary.  A centering ends once lambda^2 <= _CENTER_TOL, or
+# once lambda^2 <= _CENTER_FLOOR stops falling (less than halved by a step)
+# or needs a halving: slacks near 1e-12 are resolved to a few digits only,
+# which puts a round-off floor under lambda^2 and under the Armijo test.
+_BARRIER_GROWTH = 20.0
+_BARRIER_GAP0 = 1e-3
+_SEED_PAIRS = 8
+_INTERIOR = 0.99
+_CENTER_TOL = 1e-6
+_CENTER_FLOOR = 1e-4
+
+
+class _WorkingSet:
+    """The Holder pairs W of one barrier round and their free slots."""
+
+    def __init__(self, gauge, idx, slot):
+        self.m = 1 + 2 * idx.size             # barrier terms: A and two per pair
+        self.u, self.v = gauge.iu[idx], gauge.iv[idx]
+        self.c = gauge.inv_dt[idx]
+        su, sv = slot[self.u], slot[self.v]
+        self.ends = np.concatenate([su, sv])
+        # scatter pattern of the pair Hessian, dump row and column dropped
+        rows = np.concatenate([su, sv, su, sv])
+        cols = np.concatenate([su, sv, sv, su])
+        keep = np.maximum(rows, cols) < slot.max()
+        self.rows, self.cols = rows[keep], cols[keep]
+        self.src = np.tile(np.arange(idx.size), 4)[keep]
+        self.sign = np.repeat([1.0, 1.0, -1.0, -1.0], idx.size)[keep]
+
+    def ratios(self, f):
+        return (f[self.u] - f[self.v]) * self.c
+
+
+def _barrier(gauge, f, t, W, slot):
+    """F_t(f), its free gradient, and its free Hessian as (H0, c2, gE).
+
+    F_t(f) = -t f(x) - log(1 - A) - sum_W log((D - z_k)(D + z_k)), and the
+    Hessian is H0 + c2 gE gE^T.  A and E^ are evaluated at f / rho with
+    rho^2 = max_c q_c, where E^ is of order one: A is 1-homogeneous, so
+    dA/df = (E^{1/p-1}/p) gE there and d^2A/df^2 picks up 1/rho.  H0 gets
+    the energy solve's ridge, 1e-12 times the mean diagonal of its energy
+    part (the pair terms, up to 1/slack^2, would swamp the energy
+    curvature), and then the pair terms, both in place.
+    """
+    D, p = gauge.D, gauge.p
+    _, q = _cell_energy(f, gauge.nodes, gauge.forms)
+    rho = math.sqrt(q.max())
+    E, gE, H0 = _energy_hat(f / rho, gauge.nodes, gauge.forms, gauge.w, p, slot)
+    s = 1.0 - rho * E ** (1.0 / p)
+    dA = E ** (1.0 / p - 1.0) / p
+    H0 *= dA / (rho * s)
+    H0[np.diag_indices(gE.size)] += _NEWTON_RIDGE * np.trace(H0) / gE.size
+    c2 = dA * ((1.0 / p - 1.0) / (E * rho * s) + dA / s ** 2)
+    z = W.ratios(f)
+    lo, hi = D - z, D + z
+    gz = (1.0 / lo - 1.0 / hi) * W.c
+    hz = (1.0 / lo ** 2 + 1.0 / hi ** 2) * W.c ** 2
+    k = gE.size + 1
+    grad = (dA / s) * gE
+    grad += np.bincount(W.ends, weights=np.concatenate([gz, -gz]), minlength=k)[:-1]
+    x = gauge.fixed[0]
+    grad[slot[x]] -= t
+    np.add.at(H0, (W.rows, W.cols), W.sign * hz[W.src])
+    F = -t * f[x] - math.log(s) - float(np.log(lo * hi).sum())
+    return F, grad, H0, c2, gE
+
+
+def _center(gauge, f, t, W, slot, max_steps):
+    """Damped Newton minimization of F_t from a strictly feasible f.
+
+    The step solves (H0 + c2 gE gE^T) d = -grad by Sherman-Morrison on one
+    two-column solve of H0.  The Armijo test is written as the
+    difference F_t(f + s d) - F_t(f), term by term, and a trial must stay
+    strictly feasible on W.  Returns (f, steps, centered).
+    """
+    D = gauge.D
+    x = gauge.fixed[0]
+    A, z = gauge.energy(f), W.ratios(f)
+    lam2_prev = math.inf
+    for step in range(max_steps):
+        _, grad, H0, c2, gE = _barrier(gauge, f, t, W, slot)
+        a, b = np.linalg.solve(H0, np.column_stack((-grad, gE))).T
+        d = a - (c2 * (gE @ a) / (1.0 + c2 * (gE @ b))) * b
+        lam2 = -float(grad @ d)
+        if lam2 <= _CENTER_TOL or _CENTER_FLOOR >= lam2 > 0.5 * lam2_prev:
+            return f, step, True
+        lam2_prev = lam2
+        d = np.append(d, 0.0)[slot]           # node order; y, in the dump slot, stays 0
+        dz = W.ratios(d)
+        s = 1.0
+        for _ in range(_ARMIJO_HALVINGS):
+            trial = f + s * d
+            z1 = W.ratios(trial)
+            A1 = gauge.energy(trial) if np.abs(z1).max() < D else math.inf
+            if A1 < 1.0:
+                dF = (-t * s * d[x] - math.log1p((A - A1) / (1.0 - A))
+                      - float(np.log1p(-s * dz / (D - z)).sum())
+                      - float(np.log1p(s * dz / (D + z)).sum()))
+                if dF <= -_ARMIJO_SLOPE * s * lam2:
+                    break
+            s *= 0.5
+        else:
+            return f, step, lam2 <= _CENTER_FLOOR
+        f, A, z = trial, A1, z1
+        if s < 1.0 and lam2 <= _CENTER_FLOOR:
+            return f, step + 1, True
+    return f, max_steps, False
+
+
+def _barrier_rounds(gauge, f, params):
+    """Barrier rounds from the screen's extremal f (f(x) = 1, f(y) = 0).
+
+    Returns (f, Newton steps, centerings, converged); f is strictly
+    feasible on the last working set.
+    """
+    x, y = gauge.fixed
+    slot = np.arange(f.size)
+    slot[y:] -= 1
+    slot[y] = f.size - 1                      # y is the dump slot
+    seed = np.argsort(-np.abs(gauge.ratios(f)), kind="stable")[:_SEED_PAIRS]
+    idx = np.union1d(seed, [gauge.xy])
+    f = (_INTERIOR / gauge.gauge(f)[0]) * f
+    steps = centerings = 0
+    while True:
+        W = _WorkingSet(gauge, idx, slot)
+        t = W.m / (_BARRIER_GAP0 * f[x])
+        while True:
+            if centerings == params.max_stages:
+                return f, steps, centerings, False
+            centerings += 1
+            f, used, centered = _center(gauge, f, t, W, slot, params.max_iters_per_stage)
+            steps += used
+            if not centered:
+                return f, steps, centerings, False
+            violated = np.flatnonzero(np.abs(gauge.ratios(f)) > gauge.D)
+            if violated.size:
+                break
+            if W.m / t <= params.stage_rtol * f[x]:
+                return f, steps, centerings, True
+            t = min(_BARRIER_GROWTH * t, W.m / (params.stage_rtol * f[x]))
+        idx = np.union1d(idx, violated)
+        f = (_INTERIOR / gauge.gauge(f)[0]) * f
 
 
 def _swap_orientation(result, x, y):
@@ -568,7 +546,7 @@ def _solve_oriented(x, y, g, params, modified):
 
     f, steps, newton_ok = _newton_energy(gauge, f0)
     if not modified or (newton_ok and _active(*gauge.gauge(f)[1:], D) == "energy-bound"):
-        result = _result(gauge, g, work, x, y, f, steps, newton_ok, 0, 0.0, 0)
+        result = _result(gauge, g, work, x, y, f, steps, newton_ok, 0)
         if not newton_ok:
             raise NonConvergedError(
                 f"Newton energy solve stopped after {steps} steps without "
@@ -577,36 +555,12 @@ def _solve_oriented(x, y, g, params, modified):
             )
         return result
 
-    f = f0
-    beta = params.beta0
-    L = 1.0
-    total_iters = steps
-    prev_value = None
-    converged = False
-    stages = 0
-    stalls = 0
-    for stage in range(params.max_stages):
-        if stage:
-            beta *= params.beta_growth
-        stages = stage + 1
-        L = _probe_L(gauge, f, beta, s, L)
-        f, L, used, stalled = _fista_stage(
-            gauge, f, beta, s, L, params.max_iters_per_stage, params.inner_rtol
-        )
-        total_iters += used
-        stalls += stalled
-        phi, _, _ = gauge.gauge(f)
-        value_hat = 1.0 / phi
-        if prev_value is not None and abs(value_hat - prev_value) <= params.stage_rtol * abs(value_hat):
-            converged = True
-            break
-        prev_value = value_hat
-
-    result = _result(gauge, g, work, x, y, f, total_iters, converged, stages, beta, stalls)
+    f, used, stages, converged = _barrier_rounds(gauge, f, params)
+    result = _result(gauge, g, work, x, y, f, steps + used, converged, stages)
     if not converged:
         raise NonConvergedError(
-            f"continuation exhausted {stages} stages (beta {beta:g}) without "
-            f"stabilizing: last value {result.value:.6g}",
+            f"barrier stopped after {stages} centerings without reaching its "
+            f"gap target: last value {result.value:.6g}",
             result=result,
         )
     return result
@@ -620,11 +574,11 @@ def _active(A, H, D):
     return "energy-bound" if A > cap_term else "holder-bound"
 
 
-def _result(gauge, g, work, x, y, f, iterations, converged, stages, beta, stalls):
-    """The solve's answer from minimizer f, rescaled to unit exact gauge."""
+def _result(gauge, g, work, x, y, f, iterations, converged, stages):
+    """The solve's answer from candidate f, rescaled to unit exact gauge."""
     phi, A, H = gauge.gauge(f)
     sig_t = gauge.sigma ** work.t
-    value = sig_t * (1.0 / phi)
+    value = sig_t * ((f[x] - f[y]) / phi)
     extremal = (sig_t / phi) * f
     e_res = max(0.0, energy_p(extremal, g, work.p) ** (1.0 / work.p) - 1.0)
     if math.isinf(work.D):
@@ -636,8 +590,7 @@ def _result(gauge, g, work, x, y, f, iterations, converged, stages, beta, stalls
         value=value, extremal=extremal, active_constraint=_active(A, H, work.D),
         iterations=iterations, gauge_value=1.0 / value,
         energy_residual=e_res, holder_residual=h_res,
-        converged=converged, stages=stages, beta_final=beta,
-        pair_radius=work.pair_radius, backtrack_stalls=stalls,
+        converged=converged, stages=stages, pair_radius=work.pair_radius,
     )
 
 

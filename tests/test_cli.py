@@ -122,8 +122,8 @@ def test_compute_empty_pairs_header_only(tmp_path, capsys):
 
 
 def test_compute_nonconverged_exits_2(tmp_path, capsys):
-    # D = 0.5 makes the pair holder-bound, so it runs the stage-budgeted
-    # continuation (an energy-bound pair is settled by the Newton solve)
+    # D = 0.5 makes the pair holder-bound, so it runs the barrier with its
+    # centering budget (an energy-bound pair is settled by the Newton screen)
     config = cfg_file(tmp_path, CONFORMAL_1D + "D = 0.5\nmax_stages = 1\n")
     out = tmp_path / "run"
     assert cli.main(["compute", "--config", config, "--out", str(out)]) == 2

@@ -118,3 +118,11 @@ def test_hash_semantics(tmp_path):
     e = parse_config(write(tmp_path, "kind = compute\np = 3\n", "e.cfg"))
     assert e.hash() != a.hash()
     assert len(a.hash()) == 12
+
+
+@pytest.mark.parametrize("key", ["beta0", "beta_growth"])
+def test_retired_continuation_keys_rejected(tmp_path, key):
+    # the smoothed continuation and its two knobs are gone
+    with pytest.raises(ParseError) as err:
+        parse_config(write(tmp_path, f"kind = compute\n{key} = 4\n"))
+    assert err.value.line == 2 and key in str(err.value)

@@ -1,4 +1,4 @@
-"""Newton and continuation solver: closed forms, cap behavior, feasibility, errors."""
+"""Newton screen and barrier solver: closed forms, cap behavior, feasibility, errors."""
 
 import math
 import os
@@ -214,25 +214,19 @@ def test_2d_unmodified_vs_large_cap():
     assert dm0[x, y] < v_inf < dm0[x, y] ** params_inf.t
 
 
-# -- smoothed objective -------------------------------------------------------
+# -- barrier objective -------------------------------------------------------
 
-def _reference_phi(mesh, g, dm0, x, y, p, D, f, beta, s):
-    """phi_beta(f)/s written out plainly: per-cell df^T G^-1 df on the
-    sigma-normalized instance, then the two nested log-sum-exps."""
+def _reference_barrier(mesh, g, dm0, x, y, p, D, t, u, v, f):
+    """F_t(f) written out plainly: per-cell df^T G^-1 df on the
+    sigma-normalized instance, A = E_p^{1/p}, and the pair logs over (u, v)."""
     sigma = dm0[x, y]
     Ghat = g.tensors / sigma ** 2
     df = np.einsum("cij,cj->ci", mesh.gradient_operator(), f[mesh.cells_nodes])
     q = np.einsum("ci,cij,cj->c", df, np.linalg.inv(Ghat), df)
     w = np.sqrt(np.linalg.det(Ghat)) * mesh.volumes
-    a1 = (w * q ** (p / 2.0)).sum() ** (1.0 / p) / s
-    if math.isinf(D):
-        return a1
-    iu, iv = np.triu_indices(mesh.num_nodes, k=1)
-    z = (f[iu] - f[iv]) / (dm0[iu, iv] / sigma) ** ((p - mesh.dim) / p) / s
-    both = np.concatenate([z, -z])
-    h = both.max() + np.log(np.exp(beta * (both - both.max())).sum()) / beta
-    a = np.array([a1, h / D])
-    return a.max() + np.log(np.exp(beta * (a - a.max())).sum()) / beta
+    A = (w * q ** (p / 2.0)).sum() ** (1.0 / p)
+    z = (f[u] - f[v]) / (dm0[u, v] / sigma) ** ((p - mesh.dim) / p)
+    return -t * f[x] - np.log(1.0 - A) - np.log(D - z).sum() - np.log(D + z).sum()
 
 
 @pytest.fixture(scope="module", params=[2, 3], ids=["torus2d", "torus3d"])
@@ -244,36 +238,48 @@ def spike_instance(request):
     return mesh, g, g0, all_pairs_distances(mesh, g0)
 
 
-@pytest.mark.parametrize("cap", ["tied", "inf"])
-@pytest.mark.parametrize("beta", [10.0, 640.0])
-@pytest.mark.parametrize("s", [0.37, 1.0, 2.5])
-def test_smoothed_gradient_matches_central_differences(spike_instance, cap, beta, s):
-    # "tied" picks D = H(f)/A(f), so both gauge terms carry weight at every beta
-    mesh, g, g0, dm0 = spike_instance
-    p, x, y = 7.0, 0, mesh.num_nodes // 2
+@pytest.mark.parametrize("case", [(2, 2.5), (2, 7.0), (2, 128.0), (3, 4.0), (3, 10.0), (3, 128.0)],
+                         ids=lambda c: f"torus{c[0]}d-p{c[1]:g}")
+def test_barrier_derivatives_match_central_differences(case):
+    n, p = case
+    base = make_flat(n, 6 if n == 2 else 3, torus=True)
+    mesh, g0 = base
+    g = make_spike_sequence(base, 1)
+    dm0 = all_pairs_distances(mesh, g0)
+    x, y, t = 0, mesh.num_nodes // 2, 10.0
     f = np.random.default_rng(7).uniform(0.0, 1.0, mesh.num_nodes)
-    f[x], f[y] = 1.0, 0.0
-    D = math.inf
-    if cap == "tied":
-        _, A, H = solver._Gauge(g, GaugeParams.build(mesh, dm0, p=p, D=1.0), x, y).gauge(f)
-        D = H / A
-    params = GaugeParams.build(mesh, dm0, p=p, D=D)
-    gauge = solver._Gauge(g, params, x, y)
-    phi, grad = gauge.smoothed(f, beta, s)
-    assert gauge.smoothed(f, beta, s, need_grad=False) == phi
-    want = _reference_phi(mesh, g, dm0.dist, x, y, p, D, f, beta, s)
-    assert phi == pytest.approx(want, rel=1e-14)
+    f[y] = 0.0
+    gauge = solver._Gauge(g, GaugeParams.build(mesh, dm0, p=p, D=1.0), x, y)
+    f *= 0.5 / gauge.energy(f)                      # A = 1/2: strictly inside
+    z = gauge.ratios(f)
+    gauge.D = 1.25 * np.abs(z).max()                # every pair at most 0.8 D
+    # W: the 8 largest ratios, (x, y), and every pair through y (dump slot)
+    through_y = np.flatnonzero((gauge.iu == y) | (gauge.iv == y))[:5]
+    idx = np.union1d(np.argsort(-np.abs(z))[:8], np.append(through_y, gauge.xy))
+    free = np.flatnonzero(np.arange(f.size) != y)
+    slot = np.full(f.size, f.size - 1)
+    slot[free] = np.arange(free.size)
+    W = solver._WorkingSet(gauge, idx, slot)
+
+    def F(h):
+        return solver._barrier(gauge, h, t, W, slot)[0]
+
+    val, grad, H0, c2, gE = solver._barrier(gauge, f, t, W, slot)
+    want = _reference_barrier(mesh, g, dm0.dist, x, y, p, gauge.D, t, W.u, W.v, f)
+    assert val == pytest.approx(want, rel=1e-12)
+    hess = H0 + c2 * np.outer(gE, gE)
     h = 1e-6
-    fd = np.zeros_like(f)
-    for k in range(mesh.num_nodes):
-        if k in (x, y):
-            continue
+    fd_grad = np.empty(free.size)
+    fd_hess = np.empty((free.size, free.size))
+    for k, node in enumerate(free):
         e = np.zeros_like(f)
-        e[k] = h
-        fd[k] = (gauge.smoothed(f + e, beta, s, need_grad=False)
-                 - gauge.smoothed(f - e, beta, s, need_grad=False)) / (2.0 * h)
-    assert grad[x] == grad[y] == 0.0
-    assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
+        e[node] = h
+        fd_grad[k] = (F(f + e) - F(f - e)) / (2.0 * h)
+        fd_hess[:, k] = (solver._barrier(gauge, f + e, t, W, slot)[1]
+                         - solver._barrier(gauge, f - e, t, W, slot)[1]) / (2.0 * h)
+    assert np.linalg.norm(grad - fd_grad) <= 1e-6 * np.linalg.norm(fd_grad)
+    assert np.linalg.norm(hess - fd_hess) <= 1e-6 * np.linalg.norm(fd_hess)
+    np.testing.assert_allclose(hess, hess.T, rtol=1e-12, atol=1e-12 * np.abs(hess).max())
 
 
 # -- Newton energy solve --------------------------------------------------------
@@ -361,7 +367,7 @@ def test_newton_unmodified_not_below_fista(case, chain16, spike8):
         mesh, g, g0, dm0 = spike8
         x, y = 0, 36
     res = solve_dp_unmodified(x, y, g, GaugeParams.build(mesh, dm0, p=p, D=math.inf))
-    assert res.converged and res.stages == 0 and res.beta_final == 0.0
+    assert res.converged and res.stages == 0
     assert res.active_constraint == "energy-bound"
     assert 1 <= res.iterations <= 100
     assert res.value >= float.fromhex(FISTA_UNMODIFIED[case]) * (1.0 - 1e-12)
@@ -385,13 +391,13 @@ def test_screened_solve_ignores_stage_budget(chain16):
     params = GaugeParams.build(mesh, dm0, p=2.0, D=10.0, max_stages=1)
     res = solve_dp(0, 16, g, g0, params)
     assert res.active_constraint == "energy-bound"
-    assert res.converged and res.stages == 0 and res.beta_final == 0.0
+    assert res.converged and res.stages == 0
     assert res.value == pytest.approx(2.0 ** 0.5, rel=1e-12)
 
 
 def test_newton_step_cap(monkeypatch, chain16):
     # out of Newton steps: the uncapped solve raises with its partial
-    # result, and the capped solve falls back to the continuation
+    # result, and the capped solve runs the barrier from the partial f*
     mesh, g0, dm0 = chain16
     g = make_conformal_constant((mesh, g0), 2.0)
     monkeypatch.setattr(solver, "_NEWTON_MAX_STEPS", 1)
@@ -416,16 +422,70 @@ def spike_t3():
     return mesh, g, g0, GaugeParams.build(mesh, dm0, p=10.0, D=D)
 
 
-def test_fallback_pair_is_bitwise_unchanged(spike_t3):
-    # pair 0-129 fails the energy-bound screen (H/D ~ 1.19 A), so it runs
-    # the beta continuation from the profile start: same bits as before
-    # the Newton solve existed
-    mesh, g, g0, params = spike_t3
-    res = solve_dp(0, 129, g, g0, params)
-    assert res.value.hex() == "0x1.a7e5f74988392p+0"   # 1.6558527521631032
-    assert res.active_constraint == "both"
-    assert res.stages == 9 and res.beta_final == 655360.0
+# capped values of the smoothed FISTA path that preceded the barrier
+# (float.hex), keyed (j, p, D, y) for pair 0-y of the 8x8 spike and "t3" for
+# pair 0-129 of the 6^3 spike; values are lower bounds, so higher is better.
+# The p = 128 cases are where a barrier on E instead of A fell short.
+FISTA_CAPPED = {
+    (1, 7.0, 1.35, 36): "0x1.08dac7ae14cdcp+0",
+    (1, 32.0, 1.35, 36): "0x1.ca6dcead868f7p-1",
+    (1, 128.0, 1.0, 4): "0x1.02c9a3e778061p-1",
+    (1, 128.0, 1.35, 4): "0x1.040ca4197bf38p-1",
+    (4, 128.0, 1.35, 4): "0x1.03ef6c1d46760p-1",
+    (4, 32.0, 2.0, 36): "0x1.d375ecf29bb4ap-1",
+    "t3": "0x1.a7e5f74988392p+0",
+}
+
+
+@pytest.mark.parametrize("case", list(FISTA_CAPPED),
+                         ids=lambda c: c if c == "t3" else "j{}-p{:g}-D{:g}-0-{}".format(*c))
+def test_capped_value_not_below_fista(case, spike8, spike_t3):
+    if case == "t3":
+        # fails the screen (H/D ~ 1.19 A) and ends with both terms tied
+        mesh, g, g0, params = spike_t3
+        res = solve_dp(0, 129, g, g0, params)
+        assert res.active_constraint == "both"
+        assert res.value >= 1.65585500
+    else:
+        j, p, D, y = case
+        mesh, _, g0, dm0 = spike8
+        g = make_spike_sequence((mesh, g0), j)
+        res = solve_dp(0, y, g, g0, GaugeParams.build(mesh, dm0, p=p, D=D))
     assert res.converged
+    assert res.value >= float.fromhex(FISTA_CAPPED[case]) * (1.0 - 1e-12)
+
+
+def test_tight_cap_at_p128(spike8):
+    # a cap far below the energy bound starts the barrier at A ~ 1e-3, where
+    # E^ = A^128 underflows unless it is evaluated at a rescaled point
+    mesh, g, g0, dm0 = spike8
+    params = GaugeParams.build(mesh, dm0, p=128.0, D=1e-3)
+    res = solve_dp(0, 36, g, g0, params)
+    assert res.converged and res.active_constraint == "holder-bound"
+    assert res.value == pytest.approx(1e-3 * dm0[0, 36] ** params.t, rel=1e-12)
+
+
+def test_newton_stops_at_round_off(spike8):
+    # at p = 128 the decrement of pair 0-4 stalls just above 1e-14 E^ while
+    # Armijo halves every step; its mirror pair 0-32 converges outright
+    mesh, g, g0, dm0 = spike8
+    params = GaugeParams.build(mesh, dm0, p=128.0, D=math.inf)
+    a = solve_dp_unmodified(0, 4, g, params)
+    b = solve_dp_unmodified(0, 32, g, params)
+    assert a.converged and b.converged
+    assert a.iterations < solver._NEWTON_MAX_STEPS
+    assert a.value == pytest.approx(b.value, rel=1e-12)
+
+
+def test_capped_pair_below_p2(chain16):
+    # p = 1.5 < 2: the energy is not twice differentiable where q_c = 0;
+    # the cap binds, and the value is the cap's, not the uncapped screen's
+    mesh, g0, dm0 = chain16
+    g = make_conformal_constant((mesh, g0), 2.0)
+    res = solve_dp(3, 11, g, g0, GaugeParams.build(mesh, dm0, p=1.5, D=0.9))
+    assert res.converged
+    assert res.active_constraint == "holder-bound"
+    assert res.value == pytest.approx(0.71433, abs=1e-5)
 
 
 _BLAS_SCRIPT = """
@@ -438,9 +498,9 @@ g = make_spike_sequence(base, 2)
 dm0 = all_pairs_distances(mesh, g0)
 D = all_pairs_distances(mesh, g).diameter() / dm0.diameter() ** 0.7
 params = GaugeParams.build(mesh, dm0, p=10.0, D=D)
-for y in (108, 126, 3):
+for y in (108, 126, 3, 129):
     res = solve_dp(0, y, g, g0, params)
-    assert res.stages == 0, y
+    assert (res.stages == 0) == (y != 129), y   # 0-129 runs the barrier
     print(res.value.hex(), res.extremal.tobytes().hex())
 """
 
@@ -456,26 +516,10 @@ def _screened_run(threads):
 
 def test_screened_values_stable_across_blas_threads():
     one, two, two_again = _screened_run(1), _screened_run(2), _screened_run(2)
-    assert len(one) == 3
+    assert len(one) == 4
     assert two == two_again                  # reruns are bitwise equal
     for (v1, _), (v2, _) in zip(one, two):
         assert float.fromhex(v2) == pytest.approx(float.fromhex(v1), rel=1e-12)
-
-
-def test_backtrack_stalls_are_counted(monkeypatch, chain16):
-    mesh, g0, dm0 = chain16
-    params = GaugeParams.build(mesh, dm0, p=2.0, D=1.0)
-    assert solve_dp(0, 16, g0, g0, params).backtrack_stalls == 0
-    smoothed = solver._Gauge.smoothed
-
-    def no_decrease(self, f, beta, s, need_grad=True):
-        # the value path never shows sufficient decrease: every stage stalls
-        return smoothed(self, f, beta, s) if need_grad else math.inf
-
-    monkeypatch.setattr(solver._Gauge, "smoothed", no_decrease)
-    res = solve_dp(0, 16, g0, g0, params)
-    assert res.stages >= 1
-    assert res.backtrack_stalls == res.stages
 
 
 # -- batch driver -------------------------------------------------------------
@@ -485,9 +529,7 @@ def test_distance_matrix_records_failures(chain16):
     params = GaugeParams.build(mesh, dm0, p=2.0, D=1.0)
     outcomes = distance_matrix([(0, 8), (3, 3), (0, 16)], g0, g0, params)
     assert [oc.error for oc in outcomes] == [None, "SameVertex", None]
-    res = outcomes[0].result
-    assert res.converged
-    assert res.beta_final == params.beta0 * params.beta_growth ** (res.stages - 1)
+    assert outcomes[0].result.converged
     assert outcomes[1].result is None
 
 
@@ -498,8 +540,7 @@ def test_nonconverged_carries_partial_result(chain16):
         solve_dp(0, 16, g0, g0, params)
     partial = err.value.result
     assert partial is not None and not partial.converged
-    assert partial.stages == 1
-    assert partial.beta_final == params.beta0   # the beta the only stage ran at
+    assert partial.stages == 1                  # one centering, gap still 1e-3
     # the batch driver downgrades it to a recorded outcome
     oc = distance_matrix([(0, 16)], g0, g0, params)[0]
     assert oc.error == "NonConverged" and oc.result is not None
