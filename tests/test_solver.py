@@ -238,6 +238,51 @@ def spike_instance(request):
     return mesh, g, g0, all_pairs_distances(mesh, g0)
 
 
+def _barrier_slots(num_nodes, y):
+    """Free index per node, with y sent to the dump index, as in _barrier_rounds."""
+    slot = np.full(num_nodes, num_nodes - 1)
+    free = np.flatnonzero(np.arange(num_nodes) != y)
+    slot[free] = np.arange(free.size)
+    return slot, free
+
+
+@pytest.mark.parametrize("cap", ["tied", "inf"])
+@pytest.mark.parametrize("beta", [10.0, 640.0])
+@pytest.mark.parametrize("s", [0.37, 1.0, 2.5])
+def test_smoothed_gradient_matches_central_differences(spike_instance, cap, beta, s):
+    # the barrier F_t is the smooth surrogate of the capped problem: beta is
+    # its weight t, s sets the depth A(f) = s/3, "tied" picks D = H/A over W
+    # (both constraints equally slack) and "inf" has D = inf, so W is empty
+    mesh, g, g0, dm0 = spike_instance
+    p, x, y = 7.0, 0, mesh.num_nodes // 2
+    f = np.random.default_rng(7).uniform(0.0, 1.0, mesh.num_nodes)
+    f[x], f[y] = 1.0, 0.0
+    D = math.inf
+    if cap == "tied":
+        D = 1.0
+    gauge = solver._Gauge(g, GaugeParams.build(mesh, dm0, p=p, D=D), x, y)
+    f *= (s / 3.0) / gauge.energy(f)
+    idx = np.array([], dtype=int)
+    if cap == "tied":
+        z = gauge.ratios(f)
+        idx = np.union1d(np.argsort(-np.abs(z), kind="stable")[:solver._SEED_PAIRS], [gauge.xy])
+        gauge.D = np.abs(z[idx]).max() / gauge.energy(f)
+    slot, free = _barrier_slots(f.size, y)
+    W = solver._WorkingSet(gauge, idx, slot)
+    assert W.m == 1 + 2 * idx.size
+    phi, grad = solver._barrier(gauge, f, beta, W, slot)[:2]
+    want = _reference_barrier(mesh, g, dm0.dist, x, y, p, gauge.D, beta, W.u, W.v, f)
+    assert phi == pytest.approx(want, rel=1e-12)
+    h = 1e-6
+    fd = np.empty(free.size)
+    for k, node in enumerate(free):
+        e = np.zeros_like(f)
+        e[node] = h
+        fd[k] = (solver._barrier(gauge, f + e, beta, W, slot)[0]
+                 - solver._barrier(gauge, f - e, beta, W, slot)[0]) / (2.0 * h)
+    assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
 @pytest.mark.parametrize("case", [(2, 2.5), (2, 7.0), (2, 128.0), (3, 4.0), (3, 10.0), (3, 128.0)],
                          ids=lambda c: f"torus{c[0]}d-p{c[1]:g}")
 def test_barrier_derivatives_match_central_differences(case):
@@ -256,9 +301,7 @@ def test_barrier_derivatives_match_central_differences(case):
     # W: the 8 largest ratios, (x, y), and every pair through y (dump slot)
     through_y = np.flatnonzero((gauge.iu == y) | (gauge.iv == y))[:5]
     idx = np.union1d(np.argsort(-np.abs(z))[:8], np.append(through_y, gauge.xy))
-    free = np.flatnonzero(np.arange(f.size) != y)
-    slot = np.full(f.size, f.size - 1)
-    slot[free] = np.arange(free.size)
+    slot, free = _barrier_slots(f.size, y)
     W = solver._WorkingSet(gauge, idx, slot)
 
     def F(h):
