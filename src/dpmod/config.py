@@ -28,7 +28,6 @@ _KNOWN_KEYS = {
     "center", "profile", "amplitude", "radius", "scale",
     # solve parameters
     "p", "p_list", "D", "pairs", "pair_radius",
-    "max_iters_per_stage", "max_stages", "stage_rtol",
     # kind-specific
     "lambda_list", "allow_low_p", "q1", "q2", "V1", "V2", "diam_bound",
 }

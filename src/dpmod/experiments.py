@@ -280,23 +280,9 @@ def _resolve_D(cfg, p, mesh, g, dm0, *, sequence=False, diam_g=None):
     return diam_g / diam0 ** t
 
 
-def _solver_knobs(cfg):
-    knobs = {}
-    for key, getter in (
-        ("max_iters_per_stage", cfg.get_int),
-        ("max_stages", cfg.get_int),
-        ("stage_rtol", cfg.get_float),
-    ):
-        value = getter(key)
-        if value is not None:
-            knobs[key] = value
-    return knobs
-
-
 def _params(cfg, mesh, dm0, p, D):
     return GaugeParams.build(mesh, dm0, p=p, D=D,
-                             pair_radius=cfg.get_float("pair_radius"),
-                             **_solver_knobs(cfg))
+                             pair_radius=cfg.get_float("pair_radius"))
 
 
 def _collect(outcomes):

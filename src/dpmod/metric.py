@@ -25,8 +25,7 @@ File format ``dpmetric v1``::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,19 +130,12 @@ class HypothesisReport:
     I_inv   : integral of |g_j^-1 - g0^-1|_{g0}^{n(p-1)/2}  (must tend to 0)
     I_eta   : integral of |g_j^-1|_{g0}^{n·eta/(p-eta)}, eta = 5n/12
     I_33    : (integral of |g_j^-1 - g0^-1|_{g0}^{p/(2(p-1))})^{(p-1)/p}
-    diam_g  : graph diameter under g_j, computed on first access (it costs
-              an all-pairs shortest-path solve)
     """
 
     I_g: float
     I_inv: float
     I_eta: float
     I_33: float
-    g_j: object = field(repr=False, compare=False)
-
-    @cached_property
-    def diam_g(self):
-        return geodesic.diameter(self.g_j.mesh, self.g_j)
 
 
 def _same_mesh(a, b):
@@ -238,7 +230,7 @@ def hypothesis_functionals(g_j, g0, p):
     I_inv = integral_wrt(diff ** (n * (p - 1) / 2.0), g0)
     I_eta = integral_wrt(norm_ginv_wrt_g0(pencil) ** (n * eta / (p - eta)), g0)
     I_33 = integral_wrt(diff ** (p / (2.0 * (p - 1))), g0) ** ((p - 1) / p)
-    return HypothesisReport(I_g, I_inv, I_eta, I_33, g_j)
+    return HypothesisReport(I_g, I_inv, I_eta, I_33)
 
 
 def scale_metric(g, lam):

@@ -48,13 +48,14 @@ F_t(f) = -t f(x) - log(1 - A) - sum_W log((D - z_k)(D + z_k)) by damped
 Newton with an Armijo search that keeps the point strictly feasible; the
 barrier sits on A = E^{1/p}, not on E, which keeps it well conditioned up
 to p = 128.  A round starts at t = m / (1e-3 f(x)), m = 1 + 2|W|, and t
-grows 20x per centering until the gap m/t is at most ``stage_rtol`` f(x).
-After every centering one pass over all pairs looks for violated pairs;
-if there are any, they join W and the next round starts from f scaled
-back to 0.99 of the feasible boundary.  A centering at the gap target with
-no violated pair ends the solve.  ``max_stages`` caps the centerings and
-``max_iters_per_stage`` the Newton steps of one centering; running out of
-either raises NonConverged with the partial result attached.
+grows 20x per centering until the gap m/t is at most _GAP_RTOL = 1e-10
+times f(x).  After every centering one pass over all pairs looks for
+violated pairs; if there are any, they join W and the next round starts
+from f scaled back to 0.99 of the feasible boundary.  A centering at the
+gap target with no violated pair ends the solve.  _MAX_CENTERINGS = 26
+caps the centerings of one solve and _MAX_CENTER_STEPS = 4000 the Newton
+steps of one centering; running out of either raises NonConverged with the
+partial result attached.
 ``iterations`` counts the screen's Newton steps plus the barrier's.
 
 Kernel: one energy kernel (_cell_energy) serves energy_p, the exact gauge
@@ -80,15 +81,15 @@ for swapped queries.  d(x, y) and d(y, x) are therefore bitwise equal.
 Accuracy note: every value is attained by its extremal, rescaled to unit
 exact gauge over all pairs, so it is a valid lower bound.  Energy-bound
 pairs are solved to Newton-decrement accuracy; every other pair stops at
-the barrier gap m/t <= stage_rtol f(x) on a working set that no pair
-violates, so it lies within about stage_rtol (relative) of the supremum,
+the barrier gap m/t <= _GAP_RTOL f(x) on a working set that no pair
+violates, so it lies within about 1e-10 (relative) of the supremum,
 whichever constraint binds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -107,7 +108,7 @@ P_CAP = 128.0
 
 @dataclass
 class GaugeParams:
-    """Exponents, cap, Holder pair set, and solver knobs for one instance.
+    """Exponents, cap and Holder pair set of one instance.
 
     Build with :meth:`GaugeParams.build`; ``d0`` is the dense background
     distance matrix and (iu, iv) the constrained node pairs (all pairs by
@@ -122,12 +123,9 @@ class GaugeParams:
     iu: np.ndarray
     iv: np.ndarray
     pair_radius: float | None = None
-    stage_rtol: float = 1e-10        # barrier gap target, relative to the value
-    max_stages: int = 26             # barrier centerings per solve
-    max_iters_per_stage: int = 4000  # Newton steps per centering
 
     @classmethod
-    def build(cls, mesh, dm0, p, D, pair_radius=None, **knobs):
+    def build(cls, mesh, dm0, p, D, pair_radius=None):
         n = mesh.dim
         if not p > n:
             raise SolverError(f"need p > n = {n}, got p = {p}")
@@ -142,11 +140,15 @@ class GaugeParams:
             raise MeshMismatchError("distance matrix does not match mesh node count")
         iu, iv = np.triu_indices(N, k=1)
         if pair_radius is not None:
-            keep = d0[iu, iv] <= pair_radius
+            d = d0[iu, iv]
+            keep = d <= pair_radius
+            if d.size and not keep.any():
+                raise SolverError(f"pair_radius = {pair_radius} keeps no Holder pair: "
+                                  f"the smallest background distance is {d.min():.6g}")
             iu, iv = iu[keep], iv[keep]
         if np.any(d0[iu, iv] <= 0.0):
             raise ZeroDistancePairError("constrained pair with zero background distance")
-        return cls(mesh, float(p), float(D), t, d0, iu, iv, pair_radius, **knobs)
+        return cls(mesh, float(p), float(D), t, d0, iu, iv, pair_radius)
 
 
 @dataclass
@@ -159,12 +161,10 @@ class DistanceResult:
     extremal: np.ndarray
     active_constraint: str   # energy-bound | holder-bound | both
     iterations: int          # Newton steps of the screen and the barrier
-    gauge_value: float       # Phi of the unit-normalized minimizer = 1/value
     energy_residual: float   # max(0, E_p(extremal) - 1)
     holder_residual: float   # max(0, H(extremal)/D - 1)
     converged: bool
     stages: int = 0          # barrier centerings (0 for a screened pair)
-    pair_radius: float | None = None
 
 
 def _cell_forms(mesh, tensors):
@@ -357,12 +357,17 @@ def _newton_energy(gauge, f):
 
 
 # Barrier rounds: t grows _BARRIER_GROWTH-fold per centering and restarts
-# at the relative gap _BARRIER_GAP0 each round, W is seeded with the
-# _SEED_PAIRS largest cap ratios, and a round starts at _INTERIOR times the
-# feasible boundary.  A centering ends once lambda^2 <= _CENTER_TOL, or
-# once lambda^2 <= _CENTER_FLOOR stops falling (less than halved by a step)
-# or needs a halving: slacks near 1e-12 are resolved to a few digits only,
-# which puts a round-off floor under lambda^2 and under the Armijo test.
+# at the relative gap _BARRIER_GAP0 each round until the gap reaches
+# _GAP_RTOL, W is seeded with the _SEED_PAIRS largest cap ratios, and a
+# round starts at _INTERIOR times the feasible boundary.  A solve gets
+# _MAX_CENTERINGS centerings of at most _MAX_CENTER_STEPS Newton steps each.
+# A centering ends once lambda^2 <= _CENTER_TOL, or once lambda^2 <=
+# _CENTER_FLOOR stops falling (less than halved by a step) or needs a
+# halving: slacks near 1e-12 are resolved to a few digits only, which puts
+# a round-off floor under lambda^2 and under the Armijo test.
+_GAP_RTOL = 1e-10
+_MAX_CENTERINGS = 26
+_MAX_CENTER_STEPS = 4000
 _BARRIER_GROWTH = 20.0
 _BARRIER_GAP0 = 1e-3
 _SEED_PAIRS = 8
@@ -426,7 +431,7 @@ def _barrier(gauge, f, t, W, slot):
     return F, grad, H0, c2, gE
 
 
-def _center(gauge, f, t, W, slot, max_steps):
+def _center(gauge, f, t, W, slot):
     """Damped Newton minimization of F_t from a strictly feasible f.
 
     The step solves (H0 + c2 gE gE^T) d = -grad by Sherman-Morrison on one
@@ -438,7 +443,7 @@ def _center(gauge, f, t, W, slot, max_steps):
     x = gauge.fixed[0]
     A, z = gauge.energy(f), W.ratios(f)
     lam2_prev = math.inf
-    for step in range(max_steps):
+    for step in range(_MAX_CENTER_STEPS):
         _, grad, H0, c2, gE = _barrier(gauge, f, t, W, slot)
         a, b = np.linalg.solve(H0, np.column_stack((-grad, gE))).T
         d = a - (c2 * (gE @ a) / (1.0 + c2 * (gE @ b))) * b
@@ -465,10 +470,10 @@ def _center(gauge, f, t, W, slot, max_steps):
         f, A, z = trial, A1, z1
         if s < 1.0 and lam2 <= _CENTER_FLOOR:
             return f, step + 1, True
-    return f, max_steps, False
+    return f, _MAX_CENTER_STEPS, False
 
 
-def _barrier_rounds(gauge, f, params):
+def _barrier_rounds(gauge, f):
     """Barrier rounds from the screen's extremal f (f(x) = 1, f(y) = 0).
 
     Returns (f, Newton steps, centerings, converged); f is strictly
@@ -486,19 +491,19 @@ def _barrier_rounds(gauge, f, params):
         W = _WorkingSet(gauge, idx, slot)
         t = W.m / (_BARRIER_GAP0 * f[x])
         while True:
-            if centerings == params.max_stages:
+            if centerings == _MAX_CENTERINGS:
                 return f, steps, centerings, False
             centerings += 1
-            f, used, centered = _center(gauge, f, t, W, slot, params.max_iters_per_stage)
+            f, used, centered = _center(gauge, f, t, W, slot)
             steps += used
             if not centered:
                 return f, steps, centerings, False
             violated = np.flatnonzero(np.abs(gauge.ratios(f)) > gauge.D)
             if violated.size:
                 break
-            if W.m / t <= params.stage_rtol * f[x]:
+            if W.m / t <= _GAP_RTOL * f[x]:
                 return f, steps, centerings, True
-            t = min(_BARRIER_GROWTH * t, W.m / (params.stage_rtol * f[x]))
+            t = min(_BARRIER_GROWTH * t, W.m / (_GAP_RTOL * f[x]))
         idx = np.union1d(idx, violated)
         f = (_INTERIOR / gauge.gauge(f)[0]) * f
 
@@ -507,19 +512,19 @@ def _swap_orientation(result, x, y):
     return replace(result, x=x, y=y, extremal=-result.extremal)
 
 
-def _solve(x, y, g, params, modified):
+def _solve(x, y, g, params):
     """Canonical-orientation front end: d is symmetric in (x, y)."""
     if x <= y:
-        return _solve_oriented(x, y, g, params, modified)
+        return _solve_oriented(x, y, g, params)
     try:
-        result = _solve_oriented(y, x, g, params, modified)
+        result = _solve_oriented(y, x, g, params)
     except NonConvergedError as exc:
         exc.result = _swap_orientation(exc.result, x, y)
         raise
     return _swap_orientation(result, x, y)
 
 
-def _solve_oriented(x, y, g, params, modified):
+def _solve_oriented(x, y, g, params):
     mesh = params.mesh
     N = mesh.num_nodes
     if not (0 <= x < N and 0 <= y < N):
@@ -531,9 +536,7 @@ def _solve_oriented(x, y, g, params, modified):
     if params.d0[x, y] <= 0.0:
         raise ZeroDistancePairError(f"d_g0({x},{y}) = 0")
 
-    D = params.D if modified else math.inf
-    work = replace(params, D=D) if D != params.D else params
-    gauge = _Gauge(g, work, x, y)
+    gauge = _Gauge(g, params, x, y)
 
     # init: background-distance profile, Holder-feasible by the snowflake bound
     prof = (gauge.sigma ** -1 * params.d0[y, :]) ** params.t
@@ -545,8 +548,9 @@ def _solve_oriented(x, y, g, params, modified):
         raise SolverError(f"normalized start has invalid gauge {s!r}")
 
     f, steps, newton_ok = _newton_energy(gauge, f0)
-    if not modified or (newton_ok and _active(*gauge.gauge(f)[1:], D) == "energy-bound"):
-        result = _result(gauge, g, work, x, y, f, steps, newton_ok, 0)
+    if math.isinf(params.D) or (
+            newton_ok and _active(*gauge.gauge(f)[1:], params.D) == "energy-bound"):
+        result = _result(gauge, g, params, x, y, f, steps, newton_ok, 0)
         if not newton_ok:
             raise NonConvergedError(
                 f"Newton energy solve stopped after {steps} steps without "
@@ -555,8 +559,8 @@ def _solve_oriented(x, y, g, params, modified):
             )
         return result
 
-    f, used, stages, converged = _barrier_rounds(gauge, f, params)
-    result = _result(gauge, g, work, x, y, f, steps + used, converged, stages)
+    f, used, stages, converged = _barrier_rounds(gauge, f)
+    result = _result(gauge, g, params, x, y, f, steps + used, converged, stages)
     if not converged:
         raise NonConvergedError(
             f"barrier stopped after {stages} centerings without reaching its "
@@ -574,23 +578,22 @@ def _active(A, H, D):
     return "energy-bound" if A > cap_term else "holder-bound"
 
 
-def _result(gauge, g, work, x, y, f, iterations, converged, stages):
+def _result(gauge, g, params, x, y, f, iterations, converged, stages):
     """The solve's answer from candidate f, rescaled to unit exact gauge."""
     phi, A, H = gauge.gauge(f)
-    sig_t = gauge.sigma ** work.t
+    sig_t = gauge.sigma ** params.t
     value = sig_t * ((f[x] - f[y]) / phi)
     extremal = (sig_t / phi) * f
-    e_res = max(0.0, energy_p(extremal, g, work.p) ** (1.0 / work.p) - 1.0)
-    if math.isinf(work.D):
+    e_res = max(0.0, energy_p(extremal, g, params.p) ** (1.0 / params.p) - 1.0)
+    if math.isinf(params.D):
         h_res = 0.0
     else:
-        h_res = max(0.0, holder_seminorm(extremal, work) / work.D - 1.0)
+        h_res = max(0.0, holder_seminorm(extremal, params) / params.D - 1.0)
     return DistanceResult(
-        x=x, y=y, p=work.p, D=work.D,
-        value=value, extremal=extremal, active_constraint=_active(A, H, work.D),
-        iterations=iterations, gauge_value=1.0 / value,
-        energy_residual=e_res, holder_residual=h_res,
-        converged=converged, stages=stages, pair_radius=work.pair_radius,
+        x=x, y=y, p=params.p, D=params.D,
+        value=value, extremal=extremal, active_constraint=_active(A, H, params.D),
+        iterations=iterations, energy_residual=e_res, holder_residual=h_res,
+        converged=converged, stages=stages,
     )
 
 
@@ -604,12 +607,12 @@ def solve_dp(x, y, g, g0, params):
         raise MeshMismatchError("g0 lives on a different mesh than params")
     if math.isinf(params.D):
         raise SolverError("params.D is inf; use solve_dp_unmodified")
-    return _solve(x, y, g, params, modified=True)
+    return _solve(x, y, g, params)
 
 
 def solve_dp_unmodified(x, y, g, params):
     """Uncapped p-energy distance (the D = +inf case of solve_dp)."""
-    return _solve(x, y, g, params, modified=False)
+    return _solve(x, y, g, replace(params, D=math.inf))
 
 
 @dataclass

@@ -352,8 +352,7 @@ def test_computed_distance_is_pseudometric():
     nodes = mesh.num_nodes
     pairs = [(u, v) for u in range(nodes) for v in range(nodes) if u != v]
     for cap in (0.7, 0.9, 1.5):
-        params = GaugeParams.build(mesh, dm0, p=3.0, D=cap, stage_rtol=1e-7,
-                                   max_stages=40, max_iters_per_stage=20000)
+        params = GaugeParams.build(mesh, dm0, p=3.0, D=cap)
         dist = np.zeros((nodes, nodes))
         for outcome in distance_matrix(pairs, g, g0, params):
             assert outcome.result is not None and outcome.result.converged

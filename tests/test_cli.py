@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from dpmod import cli
+from dpmod import cli, solver
 from dpmod.mesh import read_mesh
 from dpmod.metric import read_metric
 
@@ -121,10 +121,11 @@ def test_compute_empty_pairs_header_only(tmp_path, capsys):
     ]
 
 
-def test_compute_nonconverged_exits_2(tmp_path, capsys):
+def test_compute_nonconverged_exits_2(tmp_path, capsys, monkeypatch):
     # D = 0.5 makes the pair holder-bound, so it runs the barrier with its
     # centering budget (an energy-bound pair is settled by the Newton screen)
-    config = cfg_file(tmp_path, CONFORMAL_1D + "D = 0.5\nmax_stages = 1\n")
+    monkeypatch.setattr(solver, "_MAX_CENTERINGS", 1)
+    config = cfg_file(tmp_path, CONFORMAL_1D + "D = 0.5\n")
     out = tmp_path / "run"
     assert cli.main(["compute", "--config", config, "--out", str(out)]) == 2
     assert "1 non-converged" in capsys.readouterr().out

@@ -1,7 +1,11 @@
 """Config parsing: grammar, typed getters, overrides, and hashing."""
 
+import re
+from pathlib import Path
+
 import pytest
 
+from dpmod import config
 from dpmod.config import KINDS, parse_config
 from dpmod.errors import ParseError
 
@@ -72,14 +76,14 @@ def test_typed_getters(tmp_path):
     cfg = parse_config(write(tmp_path, """\
 n = 2
 p = 7
-stage_rtol = 1e-6
+pair_radius = 1e-6
 torus = no
 lambda_list = 0.5, 1, 2
 j_list = 1..4, 8
 center = 0.5, 0.5
 """))
     assert cfg.get_int("n") == 2
-    assert cfg.get_float("stage_rtol") == 1e-6
+    assert cfg.get_float("pair_radius") == 1e-6
     assert cfg.get_bool("torus") is False
     assert cfg.get_bool("allow_low_p") is False        # absent -> default
     assert cfg.get_float_list("lambda_list") == [0.5, 1.0, 2.0]
@@ -120,9 +124,21 @@ def test_hash_semantics(tmp_path):
     assert len(a.hash()) == 12
 
 
-@pytest.mark.parametrize("key", ["beta0", "beta_growth"])
+@pytest.mark.parametrize(
+    "key", ["beta0", "beta_growth", "stage_rtol", "max_stages", "max_iters_per_stage"])
 def test_retired_continuation_keys_rejected(tmp_path, key):
-    # the smoothed continuation and its two knobs are gone
+    # the smoothed continuation's knobs are gone, and the barrier's gap
+    # target and budgets are fixed constants of the solver
     with pytest.raises(ParseError) as err:
         parse_config(write(tmp_path, f"kind = compute\n{key} = 4\n"))
     assert err.value.line == 2 and key in str(err.value)
+
+
+def test_readme_documents_every_key():
+    # the first column of the README's config table names every known key
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Config keys", 1)[1].strip().split("\n\n", 1)[0]
+    rows = table.splitlines()[2:]                  # past the header and the rule
+    documented = {name for row in rows
+                  for name in re.findall(r"`([^`]+)`", row.split("|")[1])}
+    assert documented == config._KNOWN_KEYS

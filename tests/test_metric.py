@@ -211,19 +211,15 @@ def test_hypothesis_functionals_validation():
         hypothesis_functionals(g0, g0, 2.0)   # p must exceed n
     rep = hypothesis_functionals(g0, g0, 3.0)
     assert min(rep.I_g, rep.I_eta) >= 0.0
-    assert rep.diam_g > 0.0
 
 
 def test_hypothesis_diameter_is_lazy(monkeypatch):
     # the sequence study reads only the integrals: no all-pairs shortest paths
     mesh, g0 = make_flat(2, 2, torus=True)
     calls = []
-    real = geodesic.diameter
-    monkeypatch.setattr(geodesic, "diameter", lambda *a: calls.append(a) or real(*a))
-    rep = hypothesis_functionals(g0, g0, 3.0)
+    monkeypatch.setattr(geodesic, "diameter", lambda *a: calls.append(a))
+    hypothesis_functionals(g0, g0, 3.0)
     assert calls == []
-    assert rep.diam_g == rep.diam_g > 0.0
-    assert len(calls) == 1
 
 
 # -- class membership ---------------------------------------------------------
