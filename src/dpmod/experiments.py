@@ -26,6 +26,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .errors import DpmodError, ParseError
 from .families import (
+    FAMILY_NAMES,
     FamilySpec,
     make_conformal_constant,
     make_flat,
@@ -108,6 +109,7 @@ _SEQUENCE_FAMILIES = ("flat", "conformal-constant", "spike", "oscillation")
 
 
 def _family_base(cfg):
+    """The flat (mesh, g0) pair, once every generator key is checked."""
     n = _require(cfg, "n", cfg.get_int)
     resolution = _require(cfg, "resolution", cfg.get_int)
     torus = cfg.get_bool("torus", False)
@@ -115,7 +117,34 @@ def _family_base(cfg):
         cfg._fail("n", f"dimension must be 1..3, got {n}")
     if resolution < 2:
         cfg._fail("resolution", "must be at least 2 cells per axis")
+    _check_family_values(cfg, n)
     return make_flat(n, resolution, torus)
+
+
+def _check_family_values(cfg, n):
+    family = cfg.get_str("family")
+    if family not in FAMILY_NAMES:
+        cfg._fail("family", f"unknown family {family!r}")
+    for key in ("conformal_c", "scale"):
+        v = cfg.get_float(key)
+        if v is not None and not v > 0:
+            cfg._fail(key, f"must be positive, got {v}")
+    A = cfg.get_float("amplitude")
+    if A is not None and not A >= 0:
+        cfg._fail("amplitude", f"must be >= 0, got {A}")
+    r = cfg.get_float("radius")
+    if r is not None and not 0 < r < 0.5:
+        cfg._fail("radius", f"must lie in (0, 0.5), half the box extent, got {r}")
+    center = cfg.get_floats("center")
+    if center is not None and len(center) != n:
+        cfg._fail("center", f"needs {n} coordinate(s) for n = {n}, got {len(center)}")
+    profile = cfg.get_str("profile", "ball")
+    if profile not in ("ball", "tube") or (profile == "tube" and n != 3):
+        cfg._fail("profile", f"must be 'ball', or 'tube' on a 3-D mesh, got {profile!r}")
+    if cfg.get_int("j", 1) < 1:
+        cfg._fail("j", "sequence index must be >= 1")
+    if any(j < 1 for j in cfg.get_int_list("j_list", [])):
+        cfg._fail("j_list", "indices must be >= 1")
 
 
 def _family_field(cfg, base, j):
@@ -137,6 +166,15 @@ def _family_field(cfg, base, j):
     if family == "oscillation":
         return make_oscillation_sequence(base, j, cfg.get_int("resolution"))
     cfg._fail("family", f"{family!r} is not usable here")
+
+
+def _scaled_pair(cfg, base):
+    """(lambda^2 g, lambda^2 g0), with g = c^2 g0 where conformal_c is set."""
+    _, g0 = base
+    lam = _require(cfg, "scale", cfg.get_float)
+    g = g0 if "conformal_c" not in cfg \
+        else make_conformal_constant(base, cfg.get_float("conformal_c"))
+    return scale_metric(g, lam), scale_metric(g0, lam)
 
 
 def _geometry(cfg, need_family=False):
@@ -161,16 +199,11 @@ def _geometry(cfg, need_family=False):
     base = _family_base(cfg)
     mesh, g0 = base
     if family == "scaled":
-        lam = _require(cfg, "scale", cfg.get_float)
-        g_base = g0 if "conformal_c" not in cfg \
-            else make_conformal_constant(base, cfg.get_float("conformal_c"))
-        return mesh, scale_metric(g_base, lam), scale_metric(g0, lam)
+        return (mesh, *_scaled_pair(cfg, base))
     if family in ("spike", "oscillation"):
         j = _require(cfg, "j", cfg.get_int)
         return mesh, _family_field(cfg, base, j), g0
-    if family in ("flat", "conformal-constant"):
-        return mesh, _family_field(cfg, base, 1), g0
-    cfg._fail("family", f"unknown family {family!r}")
+    return mesh, _family_field(cfg, base, 1), g0
 
 
 # -- pair resolution ----------------------------------------------------------
@@ -385,8 +418,8 @@ def run_sequence_study(cfg):
             cfg._fail("p", f"sequence studies need p > 3n = {3 * n} "
                            "(set allow_low_p = true to override)")
     j_list = cfg.get_int_list("j_list", list(DEFAULT_J_RANGE))
-    if not j_list or any(j < 1 for j in j_list):
-        cfg._fail("j_list", "indices must be >= 1")
+    if not j_list:
+        cfg._fail("j_list", "needs at least one index")
     dm0 = all_pairs_distances(mesh, g0)
     pairs = _resolve_pairs(cfg, mesh)
     if not pairs:
@@ -463,13 +496,13 @@ def run_class_check(cfg):
     """Measure class functionals of g over g0 and compare with the bounds."""
     _check_kind(cfg, "class-check")
     mesh, g, g0 = _geometry(cfg)
-    params = ClassParams(
-        q1=_require(cfg, "q1", cfg.get_float),
-        q2=_require(cfg, "q2", cfg.get_float),
-        V1=_require(cfg, "V1", cfg.get_float),
-        V2=_require(cfg, "V2", cfg.get_float),
-        D=_require(cfg, "diam_bound", cfg.get_float),
-    )
+    bounds = {key: _require(cfg, key, cfg.get_float)
+              for key in ("q1", "q2", "V1", "V2", "diam_bound")}
+    for key, v in bounds.items():
+        low = 1 if key in ("q1", "q2") else 0
+        if not v > low:
+            cfg._fail(key, f"must exceed {low}, got {v}")
+    params = ClassParams(*bounds.values())
     report = check_class_membership(g, g0, params)
     items = [
         ("(1) mass norm", report.norm_g, "V1", params.V1),
@@ -507,7 +540,7 @@ def run_gen(cfg):
     h = cfg.hash()
     files, records = [], []
 
-    def emit(name, fld, spec, j=None):
+    def emit(name, fld, spec):
         path = _out_path(cfg, name)
         write_metric(fld, path)
         files.append(path)
@@ -523,8 +556,8 @@ def run_gen(cfg):
                   center=cfg.get_floats("center"),
                   profile=cfg.get_str("profile", "ball"))
     if family == "scaled":
-        lam = _require(cfg, "scale", cfg.get_float)
-        _, g, g0_s = _geometry(cfg)
+        g, g0_s = _scaled_pair(cfg, base)
+        lam = cfg.get_float("scale")
         emit("metric.txt", g, FamilySpec("scaled", scale=lam,
                                          conformal=cfg.get_float("conformal_c"), **common))
         emit("metric0.txt", g0_s, FamilySpec("scaled", scale=lam, **common))
@@ -537,7 +570,7 @@ def run_gen(cfg):
                 spec = FamilySpec(family, j=j,
                                   amplitude=cfg.get_float("amplitude"),
                                   radius=cfg.get_float("radius"), **common)
-                emit(f"metric_j{j}.txt", _family_field(cfg, base, j), spec, j=j)
+                emit(f"metric_j{j}.txt", _family_field(cfg, base, j), spec)
         else:
             j = cfg.get_int("j", 1)
             spec = FamilySpec(family, j=j if family in ("spike", "oscillation") else None,

@@ -10,6 +10,16 @@ All families are built over a flat unit box or torus with G0 = I:
                           does not vanish)
 * ``scaled``              (lambda^2 g, lambda^2 g0) pairs for homogeneity checks
 
+The flat base is a grid of R^n cubes of side 1/R, one builder for n = 1, 2
+and 3.  Grid vertex (i_0, .., i_{n-1}) is chart vertex
+i_0 + (R+1) i_1 + (R+1)^2 i_2, so the first axis runs fastest.  Each cube
+is split into the n! Kuhn simplices: one per order of the axes, with
+vertices the cube's lower corner and the corners reached by stepping along
+the axes in that order.  Cubes are numbered like their lower corners and
+simplices by ``itertools.permutations``.  A torus keeps every seam vertex
+in the chart and glues each vertex on an upper face to its copy on the
+opposite lower face, as sorted ``ident`` pairs.
+
 The spike is the conformal stand-in for thin-bubble/neck sequences: the
 pointwise metric blows up (amplitude A_j = SPIKE_A0 * j) while the support
 shrinks fast enough (radius r_j = SPIKE_R0 * j^-(1+eps_n)) that the mass
@@ -40,6 +50,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
@@ -100,81 +111,25 @@ def spike_schedule(n, j):
 
 # -- flat boxes and tori ----------------------------------------------------
 
-def _flat_1d(resolution, torus):
-    verts = np.linspace(0.0, 1.0, resolution + 1).reshape(-1, 1)
-    cells = np.array([[i, i + 1] for i in range(resolution)], dtype=np.int64)
-    ident = [[resolution, 0]] if torus else None
-    return build_mesh(verts, cells, ident)
-
-
-def _flat_2d(resolution, torus):
-    R = resolution
-    coords = np.linspace(0.0, 1.0, R + 1)
-    verts = np.array([[x, y] for y in coords for x in coords])
-    vid = lambda i, j: j * (R + 1) + i
-    cells = []
-    for j in range(R):
-        for i in range(R):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            cells += [[a, b, c], [a, c, d]]
-    ident = None
-    if torus:
-        ident = []
-        for k in range(R + 1):
-            ident.append([vid(R, k), vid(0, k)])   # right seam -> left
-            ident.append([vid(k, R), vid(k, 0)])   # top seam -> bottom
-    return build_mesh(verts, np.array(cells, dtype=np.int64), ident)
-
-
-# Kuhn split of the unit cube into 6 tetrahedra along vertex paths
-_KUHN_PATHS = [
-    (0, 1, 3, 7), (0, 1, 5, 7), (0, 2, 3, 7),
-    (0, 2, 6, 7), (0, 4, 5, 7), (0, 4, 6, 7),
-]
-
-
-def _flat_3d(resolution, torus):
-    R = resolution
-    coords = np.linspace(0.0, 1.0, R + 1)
-    verts = np.array([[x, y, z] for z in coords for y in coords for x in coords])
-    vid = lambda i, j, k: (k * (R + 1) + j) * (R + 1) + i
-    cells = []
-    for k in range(R):
-        for j in range(R):
-            for i in range(R):
-                corner = [
-                    vid(i + (b & 1), j + ((b >> 1) & 1), k + ((b >> 2) & 1))
-                    for b in range(8)
-                ]
-                for path in _KUHN_PATHS:
-                    cells.append([corner[b] for b in path])
-    ident = None
-    if torus:
-        pairs = set()
-        for j in range(R + 1):
-            for k in range(R + 1):
-                pairs.add((vid(R, j, k), vid(0, j, k)))
-        for i in range(R + 1):
-            for k in range(R + 1):
-                pairs.add((vid(i, R, k), vid(i, 0, k)))
-        for i in range(R + 1):
-            for j in range(R + 1):
-                pairs.add((vid(i, j, R), vid(i, j, 0)))
-        ident = sorted(pairs)
-    return build_mesh(verts, np.array(cells, dtype=np.int64), ident)
-
-
 def make_flat(n, resolution, torus=False):
     """Unit box/torus mesh at the given per-axis resolution, with G = I."""
-    if n == 1:
-        mesh = _flat_1d(resolution, torus)
-    elif n == 2:
-        mesh = _flat_2d(resolution, torus)
-    elif n == 3:
-        mesh = _flat_3d(resolution, torus)
-    else:
+    if n not in (1, 2, 3):
         raise MeshError(f"dimension must be 1..3, got {n}")
+    R = resolution
+    grid = np.indices((R + 1,) * n).reshape(n, -1)[::-1]    # (n, V), axis 0 fastest
+    verts = np.linspace(0.0, 1.0, R + 1)[grid].T
+    stride = (R + 1) ** np.arange(n)
+    # Kuhn simplex of an axis order: the partial sums of its strides
+    paths = np.array([[0, *np.cumsum(stride[list(order)])]
+                      for order in permutations(range(n))])
+    lower = np.flatnonzero((grid < R).all(axis=0))          # cube lower corners
+    cells = (lower[:, None, None] + paths).reshape(-1, n + 1)
+    ident = None
+    if torus:
+        upper = [np.flatnonzero(grid[a] == R) for a in range(n)]
+        ident = np.unique(np.concatenate(
+            [np.column_stack([u, u - R * stride[a]]) for a, u in enumerate(upper)]), axis=0)
+    mesh = build_mesh(verts, cells, ident)
     return mesh, MetricField.identity(mesh)
 
 
@@ -205,6 +160,8 @@ def make_spike_sequence(base, j, A_j=None, r_j=None, center=None, profile="ball"
     if center is None:
         center = np.full(mesh.dim, 0.5)
     center = np.asarray(center, dtype=float)
+    if center.shape != (mesh.dim,):
+        raise ValueError(f"center needs {mesh.dim} coordinate(s), got shape {center.shape}")
     bary = _barycenters(mesh)
     if profile == "ball":
         d = np.linalg.norm(bary - center, axis=1)

@@ -50,18 +50,16 @@ def _check_metric(mesh, metric):
 def edge_lengths(mesh, metric):
     """(E,) lengths of all 1-skeleton edges under the cellwise metric."""
     _check_metric(mesh, metric)
-    _, edge_vecs, edge_cells = mesh.edges
+    _, edge_vecs, edge_cells, edge_starts = mesh.edges
     n = mesh.dim
     vols = mesh.volumes
     G = metric.tensors.reshape(-1, n * n)
-    counts = np.array([len(c) for c in edge_cells])
-    flat = np.concatenate(edge_cells)
-    starts = np.cumsum(counts) - counts
-    out = np.empty(len(edge_cells))
+    counts = np.diff(edge_starts)
+    out = np.empty(counts.size)
     # edges with the same number k of incident cells share one batched product
     for k in np.unique(counts):
         idx = np.flatnonzero(counts == k)
-        cells = flat[starts[idx, None] + np.arange(k)]            # (E_k, k)
+        cells = edge_cells[edge_starts[idx, None] + np.arange(k)]  # (E_k, k)
         w = vols[cells]
         Gbar = np.matmul(w[:, None, :], G[cells]).reshape(-1, n, n)
         Gbar /= w.sum(axis=1)[:, None, None]

@@ -119,7 +119,6 @@ class ClassReport:
     norm_g: float
     norm_ginv: float
     diam_g: float
-    params: ClassParams
 
 
 @dataclass
@@ -214,7 +213,7 @@ def check_class_membership(g, g0, params):
     norm_ginv = lq_norm(norm_ginv_wrt_g0(pencil), params.q2 / 2.0, g0)
     diam_g = geodesic.diameter(g.mesh, g)
     member = norm_g <= params.V1 and norm_ginv <= params.V2 and diam_g <= params.D
-    return ClassReport(member, norm_g, norm_ginv, diam_g, params)
+    return ClassReport(member, norm_g, norm_ginv, diam_g)
 
 
 def hypothesis_functionals(g_j, g0, p):

@@ -122,7 +122,6 @@ class GaugeParams:
     d0: np.ndarray
     iu: np.ndarray
     iv: np.ndarray
-    pair_radius: float | None = None
 
     @classmethod
     def build(cls, mesh, dm0, p, D, pair_radius=None):
@@ -148,7 +147,7 @@ class GaugeParams:
             iu, iv = iu[keep], iv[keep]
         if np.any(d0[iu, iv] <= 0.0):
             raise ZeroDistancePairError("constrained pair with zero background distance")
-        return cls(mesh, float(p), float(D), t, d0, iu, iv, pair_radius)
+        return cls(mesh, float(p), float(D), t, d0, iu, iv)
 
 
 @dataclass

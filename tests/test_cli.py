@@ -345,6 +345,47 @@ def test_missing_data_file_exits_1(tmp_path, capsys):
     assert err.startswith("error: ") and "nope.txt" in err
 
 
+SPIKE_1D = """\
+family = spike
+n = 1
+resolution = 8
+torus = true
+j = 1
+pairs = 0-4
+p = 2
+"""
+SPIKE_2D = (SPIKE_1D.replace("n = 1", "n = 2").replace("resolution = 8", "resolution = 4")
+            .replace("p = 2", "p = 4"))
+
+
+@pytest.mark.parametrize("kind,body,key", [
+    pytest.param("compute", SPIKE_1D + "amplitude = -1\n", "amplitude", id="amplitude"),
+    pytest.param("compute", SPIKE_1D + "radius = 0.7\n", "radius", id="radius"),
+    pytest.param("compute", CONFORMAL_1D.replace("conformal_c = 2", "conformal_c = -2"),
+                 "conformal_c", id="conformal_c"),
+    pytest.param("compute", CONFORMAL_1D.replace("conformal-constant", "scaled")
+                 + "scale = -1\n", "scale", id="scale"),
+    pytest.param("compute", SPIKE_1D + "profile = cone\n", "profile", id="profile-compute"),
+    pytest.param("gen", SPIKE_1D + "profile = cone\n", "profile", id="profile-gen"),
+    pytest.param("compute", SPIKE_2D + "profile = tube\n", "profile", id="tube-2d"),
+    pytest.param("compute", SPIKE_2D + "center = 0.5, 0.5, 0.5\n", "center", id="center-long"),
+    pytest.param("compute", SPIKE_2D + "center = 0.5\n", "center", id="center-short"),
+    pytest.param("compute", SPIKE_1D.replace("j = 1", "j = 0"), "j", id="j"),
+    pytest.param("gen", SPIKE_1D + "j_list = 0..2\n", "j_list", id="j_list-gen"),
+    pytest.param("gen", SPIKE_1D.replace("spike", "bogus"), "family", id="family-gen"),
+    pytest.param("class-check", CLASS_BODY.replace("q1 = 2", "q1 = 0.5") + "V1 = 6\n",
+                 "q1", id="q1"),
+    pytest.param("class-check", CLASS_BODY + "V1 = -1\n", "V1", id="V1"),
+])
+def test_bad_family_or_class_value_exits_1(tmp_path, capsys, kind, body, key):
+    # out-of-range values fail at the config boundary, not as a traceback
+    body = "\n".join(ln for ln in body.splitlines() if not ln.startswith("kind"))
+    config = cfg_file(tmp_path, body + "\n")
+    assert cli.main([kind, "--config", config, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"config key {key!r}" in err
+
+
 def test_argparse_usage_errors(tmp_path):
     with pytest.raises(SystemExit):
         cli.main([])                       # subcommand is required

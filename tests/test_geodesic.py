@@ -20,11 +20,12 @@ from conftest import chain_mesh, random_metric, strip_mesh
 
 def reference_edge_lengths(mesh, metric):
     """Edge lengths one edge at a time."""
-    edge_nodes, edge_vecs, edge_cells = mesh.edges
+    edge_nodes, edge_vecs, edge_cells, edge_starts = mesh.edges
     vols = mesh.volumes
     G = metric.tensors
     out = np.empty(len(edge_nodes))
-    for k, cells in enumerate(edge_cells):
+    for k in range(len(edge_nodes)):
+        cells = edge_cells[edge_starts[k]:edge_starts[k + 1]]
         w = vols[cells]
         Gbar = np.tensordot(w, G[cells], axes=(0, 0)) / w.sum()
         e = edge_vecs[k]

@@ -11,6 +11,7 @@ from dpmod.errors import (
 )
 from dpmod.families import make_flat
 from dpmod.mesh import (
+    _resolve_ident,
     build_mesh,
     ensure_function,
     find_node,
@@ -55,7 +56,124 @@ def reference_edges(mesh):
     )
 
 
+def reference_union_find(num, pairs):
+    """Python union-find that hangs the larger root under the smaller."""
+    parent = np.arange(num)
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    rep = np.array([find(i) for i in range(num)], dtype=np.int64)
+    reps = np.unique(rep)
+    return np.searchsorted(reps, rep), len(reps)
+
+
+# Per-dimension loop builders: (verts, cells, ident) of the unit box/torus
+# with vertices numbered x fastest, as make_flat numbers them.
+
+def _ref_flat_1d(R, torus):
+    verts = np.linspace(0.0, 1.0, R + 1).reshape(-1, 1)
+    cells = [[i, i + 1] for i in range(R)]
+    return verts, cells, [[R, 0]] if torus else None
+
+
+def _ref_flat_2d(R, torus):
+    coords = np.linspace(0.0, 1.0, R + 1)
+    verts = np.array([[x, y] for y in coords for x in coords])
+    vid = lambda i, j: j * (R + 1) + i
+    cells = []
+    for j in range(R):
+        for i in range(R):
+            a, b = vid(i, j), vid(i + 1, j)
+            c, d = vid(i + 1, j + 1), vid(i, j + 1)
+            cells += [[a, b, c], [a, c, d]]
+    ident = None
+    if torus:
+        ident = []
+        for k in range(R + 1):
+            ident.append([vid(R, k), vid(0, k)])   # right seam -> left
+            ident.append([vid(k, R), vid(k, 0)])   # top seam -> bottom
+    return verts, cells, ident
+
+
+_KUHN_PATHS = [
+    (0, 1, 3, 7), (0, 1, 5, 7), (0, 2, 3, 7),
+    (0, 2, 6, 7), (0, 4, 5, 7), (0, 4, 6, 7),
+]
+
+
+def _ref_flat_3d(R, torus):
+    coords = np.linspace(0.0, 1.0, R + 1)
+    verts = np.array([[x, y, z] for z in coords for y in coords for x in coords])
+    vid = lambda i, j, k: (k * (R + 1) + j) * (R + 1) + i
+    cells = []
+    for k in range(R):
+        for j in range(R):
+            for i in range(R):
+                corner = [vid(i + (b & 1), j + ((b >> 1) & 1), k + ((b >> 2) & 1))
+                          for b in range(8)]
+                cells += [[corner[b] for b in path] for path in _KUHN_PATHS]
+    ident = None
+    if torus:
+        pairs = set()
+        for u in range(R + 1):
+            for w in range(R + 1):
+                pairs.add((vid(R, u, w), vid(0, u, w)))
+                pairs.add((vid(u, R, w), vid(u, 0, w)))
+                pairs.add((vid(u, w, R), vid(u, w, 0)))
+        ident = sorted(pairs)
+    return verts, cells, ident
+
+
+REFERENCE_BUILDERS = {1: _ref_flat_1d, 2: _ref_flat_2d, 3: _ref_flat_3d}
+
+
 # -- construction and validation -------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("torus", [False, True])
+def test_flat_matches_reference_builders(n, torus):
+    for R in (2, 3, 4, 6, 10):
+        mesh, _ = make_flat(n, R, torus)
+        verts, cells, ident = REFERENCE_BUILDERS[n](R, torus)
+        ref = build_mesh(verts, np.array(cells), ident)
+        assert mesh.verts.tobytes() == ref.verts.tobytes()
+        assert mesh.cells.tobytes() == ref.cells.tobytes()
+        node_of, num_nodes = reference_union_find(len(verts), ident or [])
+        assert mesh.node_of.tobytes() == node_of.tobytes()
+        assert mesh.num_nodes == num_nodes
+        ref_ident = np.array(ident or [], dtype=np.int64).reshape(-1, 2)
+        if n == 2:   # the same seam pairs, sorted instead of interleaved
+            ref_ident = np.unique(ref_ident, axis=0)
+        assert mesh.ident.tobytes() == ref_ident.tobytes()
+        for new, old in zip(mesh.edges, ref.edges, strict=True):
+            assert new.tobytes() == old.tobytes()
+
+
+def test_resolve_ident_matches_union_find():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        num = int(rng.integers(1, 40))
+        pairs = rng.integers(0, num, size=(int(rng.integers(0, 2 * num)), 2))
+        node_of, count = _resolve_ident(num, pairs)
+        ref_node_of, ref_count = reference_union_find(num, pairs)
+        assert node_of.tobytes() == ref_node_of.tobytes() and count == ref_count
+    # a long path in shuffled node and edge order: pointer jumping keeps the
+    # number of rounds logarithmic in its length
+    order = rng.permutation(5000)
+    pairs = np.column_stack([order[:-1], order[1:]])[rng.permutation(4999)]
+    node_of, count = _resolve_ident(5000, pairs)
+    assert count == 1 and not node_of.any()
+    ref_node_of, _ = reference_union_find(5000, pairs)
+    assert node_of.tobytes() == ref_node_of.tobytes()
+
 
 def test_build_rejects_degenerate_cell():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
@@ -139,11 +257,11 @@ def test_unit_box_volumes(n, resolution, torus):
 def test_edge_table_counts_and_dedup():
     # R^2 squares split NE: per square 1 horizontal + 1 vertical + 1 diagonal
     mesh, _ = make_flat(2, 4, torus=True)
-    edge_nodes, edge_vecs, edge_cells = mesh.edges
+    edge_nodes, _, edge_cells, edge_starts = mesh.edges
     assert len(edge_nodes) == 3 * 16
-    assert all(len(c) in (1, 2) for c in edge_cells)
+    assert edge_starts[0] == 0 and edge_starts[-1] == edge_cells.size
     # interior manifold: every edge of a torus bounds exactly two cells
-    assert all(len(c) == 2 for c in edge_cells)
+    assert np.all(np.diff(edge_starts) == 2)
     assert np.all(edge_nodes[:, 0] < edge_nodes[:, 1])
 
 
@@ -165,11 +283,13 @@ def test_edge_table_matches_reference_loop():
     meshes += [make_flat(n, r, torus=t)[0]
                for n, r in [(1, 5), (2, 4), (3, 3)] for t in (False, True)]
     for mesh in meshes:
-        nodes, vecs, cells = mesh.edges
+        nodes, vecs, cells, starts = mesh.edges
         ref_nodes, ref_vecs, ref_cells = reference_edges(mesh)
         assert nodes.dtype == ref_nodes.dtype and np.array_equal(nodes, ref_nodes)
         assert vecs.shape == ref_vecs.shape and vecs.tobytes() == ref_vecs.tobytes()
-        assert [c.tolist() for c in cells] == [c.tolist() for c in ref_cells]
+        assert cells.dtype == np.int64 and starts.size == len(ref_cells) + 1
+        assert [c.tolist() for c in np.split(cells, starts[1:-1])] == \
+            [c.tolist() for c in ref_cells]
     # the -0.0 and 0.0 seam faces are one edge, as on the unperturbed torus
     assert len(_seam_mesh().edges[0]) == 3 * 9
 
