@@ -19,20 +19,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .config import ExperimentConfig
 from .errors import DpmodError, ParseError
-from .families import (
-    FAMILY_NAMES,
-    FamilySpec,
-    make_conformal_constant,
-    make_flat,
-    make_oscillation_sequence,
-    make_spike_sequence,
-)
+from .families import FamilySpec, FamilyValueError, make_flat
 from .geodesic import all_pairs_distances
 from .mesh import find_node, read_mesh, write_mesh
 from .metric import (
@@ -106,84 +99,34 @@ def _out_path(cfg, name):
 # -- geometry assembly -------------------------------------------------------
 
 _SEQUENCE_FAMILIES = ("flat", "conformal-constant", "spike", "oscillation")
+_INDEXED = ("spike", "oscillation")
 
 
-def _family_base(cfg):
-    """The flat (mesh, g0) pair, once every generator key is checked."""
+def _family(cfg, j, j_key="j"):
+    """The configured family member at index j, checked; j came from ``j_key``."""
+    family = _require(cfg, "family", cfg.get_str)
     n = _require(cfg, "n", cfg.get_int)
     resolution = _require(cfg, "resolution", cfg.get_int)
-    torus = cfg.get_bool("torus", False)
-    if n not in (1, 2, 3):
-        cfg._fail("n", f"dimension must be 1..3, got {n}")
-    if resolution < 2:
-        cfg._fail("resolution", "must be at least 2 cells per axis")
-    _check_family_values(cfg, n)
-    return make_flat(n, resolution, torus)
-
-
-def _check_family_values(cfg, n):
-    family = cfg.get_str("family")
-    if family not in FAMILY_NAMES:
-        cfg._fail("family", f"unknown family {family!r}")
-    for key in ("conformal_c", "scale"):
-        v = cfg.get_float(key)
-        if v is not None and not v > 0:
-            cfg._fail(key, f"must be positive, got {v}")
-    A = cfg.get_float("amplitude")
-    if A is not None and not A >= 0:
-        cfg._fail("amplitude", f"must be >= 0, got {A}")
-    r = cfg.get_float("radius")
-    if r is not None and not 0 < r < 0.5:
-        cfg._fail("radius", f"must lie in (0, 0.5), half the box extent, got {r}")
-    center = cfg.get_floats("center")
-    if center is not None and len(center) != n:
-        cfg._fail("center", f"needs {n} coordinate(s) for n = {n}, got {len(center)}")
-    profile = cfg.get_str("profile", "ball")
-    if profile not in ("ball", "tube") or (profile == "tube" and n != 3):
-        cfg._fail("profile", f"must be 'ball', or 'tube' on a 3-D mesh, got {profile!r}")
-    if cfg.get_int("j", 1) < 1:
-        cfg._fail("j", "sequence index must be >= 1")
-    if any(j < 1 for j in cfg.get_int_list("j_list", [])):
-        cfg._fail("j_list", "indices must be >= 1")
-
-
-def _family_field(cfg, base, j):
-    """The family's j-th metric over the flat base (j ignored where static)."""
-    family = cfg.get_str("family")
-    mesh, g0 = base
-    if family == "flat":
-        return g0
     if family == "conformal-constant":
-        return make_conformal_constant(base, _require(cfg, "conformal_c", cfg.get_float))
-    if family == "spike":
-        return make_spike_sequence(
-            base, j,
-            A_j=cfg.get_float("amplitude"),
-            r_j=cfg.get_float("radius"),
-            center=cfg.get_floats("center"),
-            profile=cfg.get_str("profile", "ball"),
-        )
-    if family == "oscillation":
-        return make_oscillation_sequence(base, j, cfg.get_int("resolution"))
-    cfg._fail("family", f"{family!r} is not usable here")
+        _require(cfg, "conformal_c", cfg.get_float)
+    if family == "scaled":
+        _require(cfg, "scale", cfg.get_float)
+    try:
+        return FamilySpec(family, n, resolution, torus=cfg.get_bool("torus", False), j=j,
+                          amplitude=cfg.get_float("amplitude"),
+                          radius=cfg.get_float("radius"), scale=cfg.get_float("scale"),
+                          conformal=cfg.get_float("conformal_c"),
+                          center=cfg.get_floats("center"),
+                          profile=cfg.get_str("profile", "ball"))
+    except FamilyValueError as exc:
+        cfg._fail(j_key if exc.key == "j" else exc.key, exc.message)
 
 
-def _scaled_pair(cfg, base):
-    """(lambda^2 g, lambda^2 g0), with g = c^2 g0 where conformal_c is set."""
-    _, g0 = base
-    lam = _require(cfg, "scale", cfg.get_float)
-    g = g0 if "conformal_c" not in cfg \
-        else make_conformal_constant(base, cfg.get_float("conformal_c"))
-    return scale_metric(g, lam), scale_metric(g0, lam)
-
-
-def _geometry(cfg, need_family=False):
+def _geometry(cfg):
     """(mesh, g, g0) from files or a generator family."""
     has_mesh, has_family = "mesh" in cfg, "family" in cfg
     if has_mesh and has_family:
         cfg._fail("family", "give either mesh/metric files or a family, not both")
-    if need_family and not has_family:
-        cfg._fail("family", "this experiment kind needs a generator family")
 
     if has_mesh:
         mesh = read_mesh(cfg.get_str("mesh"))
@@ -195,15 +138,10 @@ def _geometry(cfg, need_family=False):
     if not has_family:
         cfg._fail("kind", "config needs either mesh = <file> or family = <name>")
 
-    family = cfg.get_str("family")
-    base = _family_base(cfg)
-    mesh, g0 = base
-    if family == "scaled":
-        return (mesh, *_scaled_pair(cfg, base))
-    if family in ("spike", "oscillation"):
-        j = _require(cfg, "j", cfg.get_int)
-        return mesh, _family_field(cfg, base, j), g0
-    return mesh, _family_field(cfg, base, 1), g0
+    indexed = cfg.get_str("family") in _INDEXED
+    spec = _family(cfg, _require(cfg, "j", cfg.get_int) if indexed else cfg.get_int("j"))
+    base = make_flat(spec.n, spec.resolution, spec.torus)
+    return (base[0], *spec.metrics(base))
 
 
 # -- pair resolution ----------------------------------------------------------
@@ -238,13 +176,8 @@ def _corner_pairs(mesh):
     return [(nodes[0], other) for other in nodes[1:]]
 
 
-def _resolve_pairs(cfg, mesh, *, required=True):
-    spec = cfg.get_str("pairs")
-    if spec is None:
-        if required:
-            cfg._fail("pairs", "is required for this experiment kind")
-        return []
-    spec = spec.strip()
+def _resolve_pairs(cfg, mesh):
+    spec = _require(cfg, "pairs", cfg.get_str).strip()
     if spec == "":
         return []
     if spec == "corner-pairs":
@@ -313,6 +246,13 @@ def _resolve_D(cfg, p, mesh, g, dm0, *, sequence=False, diam_g=None):
     return diam_g / diam0 ** t
 
 
+def _exponent(cfg, n):
+    p = _require(cfg, "p", cfg.get_float)
+    if not p > n:
+        cfg._fail("p", f"must exceed the dimension n = {n}, got {p}")
+    return p
+
+
 def _params(cfg, mesh, dm0, p, D):
     return GaugeParams.build(mesh, dm0, p=p, D=D,
                              pair_radius=cfg.get_float("pair_radius"))
@@ -338,7 +278,7 @@ def run_compute(cfg):
     mesh, g, g0 = _geometry(cfg)
     dm0 = all_pairs_distances(mesh, g0)
     pairs = _resolve_pairs(cfg, mesh)
-    p = _require(cfg, "p", cfg.get_float)
+    p = _exponent(cfg, mesh.dim)
     D = _resolve_D(cfg, p, mesh, g, dm0)
     h = cfg.hash()
     rows, code = [], EXIT_OK
@@ -367,6 +307,8 @@ def run_p_sweep(cfg):
         cfg._fail("pairs", "sweep-p needs at least one pair (the first is used)")
     x, y = pairs[0]
     p_list = _require(cfg, "p_list", cfg.get_float_list)
+    if not p_list:
+        cfg._fail("p_list", "needs at least one exponent")
     n = mesh.dim
     for a, b in zip(p_list, p_list[1:]):
         if not b > a:
@@ -406,7 +348,11 @@ def run_sequence_study(cfg):
     family = _require(cfg, "family", cfg.get_str)
     if family not in _SEQUENCE_FAMILIES:
         cfg._fail("family", f"sequence studies support {_SEQUENCE_FAMILIES}")
-    base = _family_base(cfg)
+    j_list = cfg.get_int_list("j_list", list(DEFAULT_J_RANGE))
+    if not j_list:
+        cfg._fail("j_list", "needs at least one index")
+    specs = [_family(cfg, j, "j_list") for j in j_list]
+    base = make_flat(specs[0].n, specs[0].resolution, specs[0].torus)
     mesh, g0 = base
     n = mesh.dim
     p = cfg.get_float("p", float(3 * n + 1))
@@ -417,9 +363,6 @@ def run_sequence_study(cfg):
         else:
             cfg._fail("p", f"sequence studies need p > 3n = {3 * n} "
                            "(set allow_low_p = true to override)")
-    j_list = cfg.get_int_list("j_list", list(DEFAULT_J_RANGE))
-    if not j_list:
-        cfg._fail("j_list", "needs at least one index")
     dm0 = all_pairs_distances(mesh, g0)
     pairs = _resolve_pairs(cfg, mesh)
     if not pairs:
@@ -431,14 +374,14 @@ def run_sequence_study(cfg):
     base_vals = np.array([r.value for r in base_results])
     h = cfg.hash()
     rows = []
-    for j in j_list:
-        g_j = _family_field(cfg, base, j)
+    for spec in specs:
+        g_j, _ = spec.metrics(base)
         results, worst = _collect(distance_matrix(pairs, g_j, g0, params))
         code = max(code, worst)
         vals = np.array([r.value for r in results])
         disc = float(np.max(np.abs(vals - base_vals) / base_vals))
         rep = hypothesis_functionals(g_j, g0, p)
-        rows.append((j, rep.I_g, rep.I_inv, rep.I_eta, rep.I_33, disc, h))
+        rows.append((spec.j, rep.I_g, rep.I_inv, rep.I_eta, rep.I_33, disc, h))
     path = _out_path(cfg, "sequence.csv")
     _write_csv(path, SEQUENCE_HEADER, rows)
     svg = _out_path(cfg, "sequence.svg")
@@ -457,8 +400,10 @@ def run_scaling_check(cfg):
     if not pairs:
         cfg._fail("pairs", "scaling checks need at least one pair (the first is used)")
     x, y = pairs[0]
-    p = _require(cfg, "p", cfg.get_float)
+    p = _exponent(cfg, mesh.dim)
     lambdas = cfg.get_float_list("lambda_list", list(DEFAULT_LAMBDAS))
+    if not lambdas:
+        cfg._fail("lambda_list", "needs at least one scale factor")
     if any(not lam > 0 for lam in lambdas):
         cfg._fail("lambda_list", "scale factors must be positive")
     t = (p - mesh.dim) / p
@@ -529,59 +474,52 @@ def run_class_check(cfg):
 
 
 def run_gen(cfg):
-    """Write mesh/metric files plus a JSON-lines provenance record."""
-    _check_kind(cfg, "gen")
-    family = _require(cfg, "family", cfg.get_str)
-    base = _family_base(cfg)
-    mesh, g0 = base
-    n = mesh.dim
-    resolution = cfg.get_int("resolution")
-    torus = cfg.get_bool("torus", False)
-    h = cfg.hash()
-    files, records = [], []
+    """Write mesh/metric files plus a JSON-lines provenance record.
 
-    def emit(name, fld, spec):
+    Each file's record is the configured spec with the values that file
+    does not carry cleared.  ``metric0.txt`` is the flat background
+    (rescaled for ``scaled``); a spike or oscillation ``j_list`` writes one
+    ``metric_j<j>.txt`` per index.
+    """
+    _check_kind(cfg, "gen")
+    spec = _family(cfg, cfg.get_int("j", 1))
+    base = make_flat(spec.n, spec.resolution, spec.torus)
+    mesh, g0 = base
+    if spec.family == "scaled":
+        rec = replace(spec, j=None, amplitude=None, radius=None)
+        g, g0_scaled = rec.metrics(base)
+        fields = [("metric.txt", g, rec),
+                  ("metric0.txt", g0_scaled, replace(rec, conformal=None))]
+    else:
+        flat = replace(spec, family="flat", j=None, amplitude=None, radius=None,
+                       scale=None, conformal=None)
+        if spec.family == "flat":
+            members = [("metric.txt", flat)]
+        elif spec.family in _INDEXED and "j_list" in cfg:
+            members = [(f"metric_j{j}.txt",
+                        replace(_family(cfg, j, "j_list"), scale=None, conformal=None))
+                       for j in cfg.get_int_list("j_list")]
+        else:
+            members = [("metric.txt", replace(
+                spec, scale=None, j=spec.j if spec.family in _INDEXED else None))]
+        fields = [("metric0.txt", g0, flat)]
+        fields += [(name, rec.metrics(base)[0], rec) for name, rec in members]
+
+    h = cfg.hash()
+    mesh_path = _out_path(cfg, "mesh.txt")
+    write_mesh(mesh, mesh_path)
+    files, records = [mesh_path], []
+    for name, fld, rec in fields:
         path = _out_path(cfg, name)
         write_metric(fld, path)
         files.append(path)
-        rec = json.loads(spec.to_json())
-        rec.update(file=name, seed=cfg.seed, config_hash=h)
-        records.append(json.dumps(rec, sort_keys=True))
-
-    mesh_path = _out_path(cfg, "mesh.txt")
-    write_mesh(mesh, mesh_path)
-    files.append(mesh_path)
-
-    common = dict(n=n, resolution=resolution, torus=torus,
-                  center=cfg.get_floats("center"),
-                  profile=cfg.get_str("profile", "ball"))
-    if family == "scaled":
-        g, g0_s = _scaled_pair(cfg, base)
-        lam = cfg.get_float("scale")
-        emit("metric.txt", g, FamilySpec("scaled", scale=lam,
-                                         conformal=cfg.get_float("conformal_c"), **common))
-        emit("metric0.txt", g0_s, FamilySpec("scaled", scale=lam, **common))
-    else:
-        emit("metric0.txt", g0, FamilySpec("flat", **common))
-        if family == "flat":
-            emit("metric.txt", g0, FamilySpec("flat", **common))
-        elif family in ("spike", "oscillation") and "j_list" in cfg:
-            for j in cfg.get_int_list("j_list"):
-                spec = FamilySpec(family, j=j,
-                                  amplitude=cfg.get_float("amplitude"),
-                                  radius=cfg.get_float("radius"), **common)
-                emit(f"metric_j{j}.txt", _family_field(cfg, base, j), spec)
-        else:
-            j = cfg.get_int("j", 1)
-            spec = FamilySpec(family, j=j if family in ("spike", "oscillation") else None,
-                              amplitude=cfg.get_float("amplitude"),
-                              radius=cfg.get_float("radius"),
-                              conformal=cfg.get_float("conformal_c"), **common)
-            emit("metric.txt", _family_field(cfg, base, j), spec)
+        record = json.loads(rec.to_json())
+        record.update(file=name, seed=cfg.seed, config_hash=h)
+        records.append(json.dumps(record, sort_keys=True))
 
     jsonl = _out_path(cfg, "family.jsonl")
     with open(jsonl, "w") as fh:
-        fh.write("\n".join(records) + ("\n" if records else ""))
+        fh.write("\n".join(records) + "\n")
     files.append(jsonl)
     return RunResult(EXIT_OK, files, f"{len(records)} field(s) generated")
 

@@ -44,12 +44,20 @@ measured range.
 Spike profiles use the chart euclidean distance to the center (``ball``) or
 to the vertical axis through it (``tube``, the 3-D line-supported variant),
 evaluated at cell barycenters.
+
+A :class:`FamilySpec` describes one family member and builds its fields
+with ``FamilySpec.metrics``.  Family values have one check,
+``_check_values``, which ``FamilySpec``, ``make_spike_sequence`` and
+``make_oscillation_sequence`` all call.  Its :class:`FamilyValueError`
+names the config key of the bad value, so the experiment runners report it
+as an error in that key.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -65,9 +73,54 @@ SPIKE_EPS = {1: -0.1, 2: -0.05, 3: -0.3}
 FAMILY_NAMES = ("flat", "conformal-constant", "spike", "oscillation", "scaled")
 
 
+class FamilyValueError(ValueError):
+    """A family value out of range; ``key`` is the config key that sets it."""
+
+    def __init__(self, key, message):
+        super().__init__(f"{key} {message}")
+        self.key = key
+        self.message = message
+
+
+def _check_values(family, n, resolution=None, j=None, amplitude=None, radius=None,
+                  scale=None, conformal=None, center=None, profile="ball"):
+    """The one check of family values; None means not given.
+
+    Raises :class:`FamilyValueError` naming the config key of the first bad
+    value.
+    """
+    for key, ok, message in (
+        ("family", family in FAMILY_NAMES,
+         f"must be one of {', '.join(FAMILY_NAMES)}, got {family!r}"),
+        ("n", n in (1, 2, 3), f"dimension must be 1..3, got {n}"),
+        ("resolution", resolution is None or resolution >= 2,
+         "must be at least 2 cells per axis"),
+        ("j", j is None or j >= 1, f"sequence index must be >= 1, got {j}"),
+        ("conformal_c", conformal is None or 0 < conformal < math.inf,
+         f"must be positive and finite, got {conformal}"),
+        ("scale", scale is None or 0 < scale < math.inf,
+         f"must be positive and finite, got {scale}"),
+        ("amplitude", amplitude is None or 0 <= amplitude < math.inf,
+         f"must be >= 0 and finite, got {amplitude}"),
+        ("radius", radius is None or 0 < radius < 0.5,
+         f"must lie in (0, 0.5), half the box extent, got {radius}"),
+        ("center", center is None or np.shape(center) == (n,),
+         f"needs {n} coordinates for n = {n}, got shape {np.shape(center)}"),
+        ("profile", profile == "ball" or (profile == "tube" and n == 3),
+         f"must be 'ball', or 'tube' on a 3-D mesh, got {profile!r}"),
+    ):
+        if not ok:
+            raise FamilyValueError(key, message)
+
+
 @dataclass
 class FamilySpec:
-    """Provenance record for one generated field."""
+    """One generated field: the family, its flat base and its values.
+
+    ``metrics(make_flat(n, resolution, torus))`` builds the field; the spec
+    is also the field's provenance record.  Values the family does not use
+    are checked but ignored.
+    """
 
     family: str
     n: int
@@ -82,20 +135,23 @@ class FamilySpec:
     profile: str = "ball"
 
     def __post_init__(self):
-        if self.family not in FAMILY_NAMES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.n not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1..3, got {self.n}")
-        if self.resolution < 2:
-            raise ValueError("resolution must be at least 2 cells per axis")
-        if self.j is not None and self.j < 1:
-            raise ValueError("sequence index j must be >= 1")
-        for name in ("amplitude", "radius", "scale", "conformal"):
-            v = getattr(self, name)
-            if v is not None and not v > 0 and not (name == "amplitude" and v == 0):
-                raise ValueError(f"{name} must be positive, got {v}")
-        if self.profile not in ("ball", "tube"):
-            raise ValueError(f"profile must be 'ball' or 'tube', got {self.profile!r}")
+        _check_values(self.family, self.n, self.resolution, self.j, self.amplitude,
+                      self.radius, self.scale, self.conformal, self.center, self.profile)
+
+    def metrics(self, base):
+        """(g, g0) over ``base``; g0 is the background, rescaled for ``scaled``."""
+        _, g0 = base
+        if self.family == "flat":
+            return g0, g0
+        if self.family == "conformal-constant":
+            return make_conformal_constant(base, self.conformal), g0
+        if self.family == "spike":
+            return make_spike_sequence(base, self.j, A_j=self.amplitude, r_j=self.radius,
+                                       center=self.center, profile=self.profile), g0
+        if self.family == "oscillation":
+            return make_oscillation_sequence(base, self.j, self.resolution), g0
+        g = g0 if self.conformal is None else make_conformal_constant(base, self.conformal)
+        return scale_metric(g, self.scale), scale_metric(g0, self.scale)
 
     def to_json(self):
         d = {k: v for k, v in self.__dict__.items() if v is not None}
@@ -148,29 +204,16 @@ def make_spike_sequence(base, j, A_j=None, r_j=None, center=None, profile="ball"
     ``spike_schedule(n, j)`` and center = box midpoint.
     """
     mesh, g0 = base
-    if not j >= 1:
-        raise ValueError(f"sequence index j must be >= 1, got {j}")
+    _check_values("spike", mesh.dim, j=j, amplitude=A_j, radius=r_j, center=center,
+                  profile=profile)
     sched_A, sched_r = spike_schedule(mesh.dim, j)
     A = sched_A if A_j is None else float(A_j)
     r = sched_r if r_j is None else float(r_j)
-    if A < 0:
-        raise ValueError(f"amplitude must be >= 0, got {A}")
-    if not 0 < r < 0.5:
-        raise ValueError(f"radius must lie in (0, half extent), got {r}")
-    if center is None:
-        center = np.full(mesh.dim, 0.5)
-    center = np.asarray(center, dtype=float)
-    if center.shape != (mesh.dim,):
-        raise ValueError(f"center needs {mesh.dim} coordinate(s), got shape {center.shape}")
+    center = np.full(mesh.dim, 0.5) if center is None else np.asarray(center, dtype=float)
     bary = _barycenters(mesh)
-    if profile == "ball":
-        d = np.linalg.norm(bary - center, axis=1)
-    elif profile == "tube":
-        if mesh.dim != 3:
-            raise ValueError("tube profile requires a 3-D mesh")
-        d = np.linalg.norm(bary[:, :2] - center[:2], axis=1)
-    else:
-        raise ValueError(f"profile must be 'ball' or 'tube', got {profile!r}")
+    if profile == "tube":
+        bary, center = bary[:, :2], center[:2]
+    d = np.linalg.norm(bary - center, axis=1)
     phi = 1.0 + A * np.maximum(0.0, 1.0 - d / r)
     return MetricField(mesh, g0.tensors * (phi ** 2)[:, None, None])
 
@@ -193,8 +236,7 @@ def make_oscillation_sequence(base, j, resolution):
     mesh, g0 = base
     if mesh.dim != 2:
         raise MeshError("oscillation family is 2-D")
-    if j < 1:
-        raise ValueError(f"sequence index j must be >= 1, got {j}")
+    _check_values("oscillation", mesh.dim, resolution=resolution, j=j)
     R = int(resolution)
     b = R // (2 * j)
     if b < 1 or R % b != 0:

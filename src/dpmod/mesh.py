@@ -30,7 +30,11 @@ File format ``dpmesh v1``::
     c <i0> ... <in>
     ident <a> <b>
 
-with one vertex/cell/ident per line; ``#`` starts a comment.
+with one vertex/cell/ident per line; ``#`` starts a comment.  This reader
+and the ``dpmetric`` reader in :mod:`dpmod.metric` share
+``_read_records``, which cuts comments and blank lines, checks the
+``<magic> v1`` header and yields the remaining lines as numbered tokens,
+one at a time, so neither file is held in memory as text.
 """
 
 from __future__ import annotations
@@ -286,68 +290,66 @@ def find_node(mesh, coords, tol=1e-9):
 
 def write_mesh(mesh, path):
     lines = [f"dpmesh v1 {mesh.dim}"]
-    for v in mesh.verts:
-        lines.append("v " + " ".join(repr(float(x)) for x in v))
-    for c in mesh.cells:
-        lines.append("c " + " ".join(str(int(i)) for i in c))
-    for a, b in mesh.ident:
-        lines.append(f"ident {int(a)} {int(b)}")
+    for tag, rows in (("v", mesh.verts), ("c", mesh.cells), ("ident", mesh.ident)):
+        lines += [f"{tag} " + " ".join(map(repr, row)) for row in rows.tolist()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_records(path, magic, header_names):
+    """Header integers of a ``<magic> v1 <int>...`` file and its other records.
+
+    Returns (header line number, header integers, records), where records
+    lazily yields (line number, tokens) for every later line that is not
+    blank once its ``#`` comment is cut, so callers convert one line at a
+    time.
+    """
+    def lines():
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                tokens = line.split("#", 1)[0].split()
+                if tokens:
+                    yield lineno, tokens
+
+    records = lines()
+    lineno, tokens = next(records, (None, None))
+    if tokens is None:
+        raise ParseError(f"empty {magic} file", path)
+    if tokens[:2] != [magic, "v1"] or len(tokens) != 2 + len(header_names):
+        form = " ".join(f"<{name}>" for name in header_names)
+        raise ParseError(f"expected header '{magic} v1 {form}'", path, lineno)
+    try:
+        return lineno, [int(tok) for tok in tokens[2:]], records
+    except ValueError:
+        raise ParseError(f"bad header numbers {tokens[2:]}", path, lineno) from None
+
+
 def read_mesh(path):
-    verts, cells, ident = [], [], []
-    with open(path) as fh:
-        raw = fh.readlines()
-    header = None
-    for lineno, line in enumerate(raw, start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        parts = text.split()
-        if header is None:
-            if len(parts) != 3 or parts[0] != "dpmesh" or parts[1] != "v1":
-                raise ParseError("expected header 'dpmesh v1 <n>'", path, lineno)
-            try:
-                header = int(parts[2])
-            except ValueError:
-                raise ParseError(f"bad dimension {parts[2]!r}", path, lineno) from None
-            if header not in (1, 2, 3):
-                raise ParseError(f"dimension must be 1..3, got {header}", path, lineno)
-            continue
-        kind, args = parts[0], parts[1:]
+    line, (n,), records = _read_records(path, "dpmesh", ("n",))
+    if n not in (1, 2, 3):
+        raise ParseError(f"dimension must be 1..3, got {n}", path, line)
+    # record tag -> (name, argument count, what the arguments are, their type)
+    kinds = {"v": ("vertex", n, "coordinates", float),
+             "c": ("cell", n + 1, "indices", int),
+             "ident": ("ident", 2, "indices", int)}
+    rows = {tag: [] for tag in kinds}
+    for lineno, (tag, *args) in records:
+        if tag not in kinds:
+            raise ParseError(f"unknown record {tag!r}", path, lineno)
+        name, count, what, kind = kinds[tag]
+        if len(args) != count:
+            raise ParseError(f"{name} needs {count} {what}, got {len(args)}", path, lineno)
         try:
-            if kind == "v":
-                if len(args) != header:
-                    raise ParseError(
-                        f"vertex needs {header} coordinates, got {len(args)}",
-                        path,
-                        lineno,
-                    )
-                verts.append([float(x) for x in args])
-            elif kind == "c":
-                if len(args) != header + 1:
-                    raise ParseError(
-                        f"cell needs {header + 1} indices, got {len(args)}",
-                        path,
-                        lineno,
-                    )
-                cells.append([int(x) for x in args])
-            elif kind == "ident":
-                if len(args) != 2:
-                    raise ParseError("ident needs 2 indices", path, lineno)
-                ident.append([int(x) for x in args])
-            else:
-                raise ParseError(f"unknown record {kind!r}", path, lineno)
+            rows[tag].append([kind(x) for x in args])
         except ValueError:
-            raise ParseError(f"bad number in {text!r}", path, lineno) from None
-    if header is None:
-        raise ParseError("empty mesh file", path)
-    if not verts:
+            raise ParseError(f"bad number in {' '.join([tag, *args])!r}",
+                             path, lineno) from None
+    if not rows["v"]:
         raise ParseError("mesh file has no vertices", path)
     try:
-        return build_mesh(np.array(verts), np.array(cells, dtype=np.int64).reshape(len(cells), -1), ident or None)
+        return build_mesh(np.array(rows["v"]),
+                          np.array(rows["c"], dtype=np.int64).reshape(-1, n + 1),
+                          rows["ident"] or None)
     except MeshError as exc:
         raise ParseError(str(exc), path) from exc
 

@@ -21,6 +21,9 @@ File format ``dpmetric v1``::
 
     dpmetric v1 <n> <num_cells>
     <g11> <g12> ... <gnn>     # upper triangle, row-major, one cell per line
+
+``#`` starts a comment.  ``read_metric`` takes its lines from
+``mesh._read_records``, the reader it shares with ``read_mesh``.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import numpy as np
 
 from . import geodesic
 from .errors import MeshMismatchError, MetricError, NotSPDError, ParseError
+from .mesh import _read_records
 
 _ETA_FACTOR = 5.0 / 12.0  # eta = 5n/12 in the inverse-integrability exponent
 
@@ -252,48 +256,25 @@ def write_metric(field, path):
 
 
 def read_metric(path, mesh):
-    with open(path) as fh:
-        raw = fh.readlines()
-    header = None
+    line, (n, num_cells), records = _read_records(path, "dpmetric", ("n", "num_cells"))
+    if n != mesh.dim:
+        raise ParseError(f"metric dimension {n} does not match mesh dimension {mesh.dim}",
+                         path, line)
+    if num_cells != mesh.num_cells:
+        raise ParseError(f"metric has {num_cells} cells, mesh has {mesh.num_cells}",
+                         path, line)
+    iu, ju = np.triu_indices(n)
     rows = []
-    for lineno, line in enumerate(raw, start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        parts = text.split()
-        if header is None:
-            if len(parts) != 4 or parts[0] != "dpmetric" or parts[1] != "v1":
-                raise ParseError("expected header 'dpmetric v1 <n> <num_cells>'", path, lineno)
-            try:
-                header = (int(parts[2]), int(parts[3]))
-            except ValueError:
-                raise ParseError("bad header numbers", path, lineno) from None
-            if header[0] != mesh.dim:
-                raise ParseError(
-                    f"metric dimension {header[0]} does not match mesh dimension {mesh.dim}",
-                    path,
-                    lineno,
-                )
-            if header[1] != mesh.num_cells:
-                raise ParseError(
-                    f"metric has {header[1]} cells, mesh has {mesh.num_cells}",
-                    path,
-                    lineno,
-                )
-            continue
-        want = mesh.dim * (mesh.dim + 1) // 2
-        if len(parts) != want:
-            raise ParseError(f"cell row needs {want} entries, got {len(parts)}", path, lineno)
+    for lineno, tokens in records:
+        if len(tokens) != iu.size:
+            raise ParseError(f"cell row needs {iu.size} entries, got {len(tokens)}",
+                             path, lineno)
         try:
-            rows.append([float(x) for x in parts])
+            rows.append([float(x) for x in tokens])
         except ValueError:
-            raise ParseError(f"bad number in {text!r}", path, lineno) from None
-    if header is None:
-        raise ParseError("empty metric file", path)
+            raise ParseError(f"bad number in {' '.join(tokens)!r}", path, lineno) from None
     if len(rows) != mesh.num_cells:
         raise ParseError(f"expected {mesh.num_cells} cell rows, got {len(rows)}", path)
-    n = mesh.dim
-    iu, ju = np.triu_indices(n)
     vals = np.array(rows, dtype=float).reshape(len(rows), iu.size)
     tensors = np.empty((len(rows), n, n))
     tensors[:, iu, ju] = vals

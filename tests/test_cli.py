@@ -2,8 +2,11 @@
 
 import csv
 import json
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from dpmod import cli, solver
 from dpmod.mesh import read_mesh
@@ -52,6 +55,31 @@ def test_gen_flat_writes_readable_files(tmp_path, capsys):
     assert len(records) == 2
     assert all(r["config_hash"] == records[0]["config_hash"] for r in records)
     assert {r["file"] for r in records} == {"metric0.txt", "metric.txt"}
+
+
+def test_gen_scaled_records(tmp_path):
+    config = cfg_file(tmp_path, """\
+kind = gen
+family = scaled
+n = 1
+resolution = 4
+scale = 2
+conformal_c = 3
+""")
+    out = tmp_path / "gen"
+    assert cli.main(["gen", "--config", config, "--out", str(out)]) == 0
+    records = [json.loads(ln) for ln in (out / "family.jsonl").read_text().splitlines()]
+    h = records[0]["config_hash"]
+    assert records == [
+        {"family": "scaled", "n": 1, "resolution": 4, "torus": False, "profile": "ball",
+         "scale": 2.0, "conformal": 3.0, "file": "metric.txt", "seed": 0,
+         "config_hash": h},
+        {"family": "scaled", "n": 1, "resolution": 4, "torus": False, "profile": "ball",
+         "scale": 2.0, "file": "metric0.txt", "seed": 0, "config_hash": h},
+    ]
+    mesh = read_mesh(out / "mesh.txt")
+    assert read_metric(out / "metric.txt", mesh).tensors.max() == 36.0    # 2^2 3^2
+    assert read_metric(out / "metric0.txt", mesh).tensors.max() == 4.0
 
 
 def test_gen_spike_j_list(tmp_path):
@@ -376,6 +404,10 @@ SPIKE_2D = (SPIKE_1D.replace("n = 1", "n = 2").replace("resolution = 8", "resolu
     pytest.param("class-check", CLASS_BODY.replace("q1 = 2", "q1 = 0.5") + "V1 = 6\n",
                  "q1", id="q1"),
     pytest.param("class-check", CLASS_BODY + "V1 = -1\n", "V1", id="V1"),
+    pytest.param("compute", CONFORMAL_1D.replace("p = 2", "p = 0"), "p", id="p-zero"),
+    pytest.param("sweep-p", CONFORMAL_1D + "p_list = ,\n", "p_list", id="p_list-empty"),
+    pytest.param("scaling", CONFORMAL_1D + "lambda_list = ,\n", "lambda_list",
+                 id="lambda_list-empty"),
 ])
 def test_bad_family_or_class_value_exits_1(tmp_path, capsys, kind, body, key):
     # out-of-range values fail at the config boundary, not as a traceback
@@ -402,3 +434,42 @@ def test_gen_byte_identical_across_out_dirs(tmp_path):
     assert cli.main(["gen", "--config", config, "--out", str(out_b)]) == 0
     for name in ("mesh.txt", "metric0.txt", "metric.txt", "family.jsonl"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+# -- fuzzed config boundary ------------------------------------------------------
+
+TINY = {
+    "gen": "family = spike\nn = 2\nresolution = 3\ntorus = true\nj = 2\n",
+    "compute": CONFORMAL_1D.replace("resolution = 8", "resolution = 4").replace("0-4", "0-2"),
+    "sweep-p": CONFORMAL_1D.replace("resolution = 8", "resolution = 4")
+               .replace("0-4", "0-2").replace("p = 2", "p_list = 2, 4"),
+    "sequence": "family = spike\nn = 1\nresolution = 4\ntorus = true\nj_list = 1, 2\n"
+                "pairs = corner-pairs\n",
+    "scaling": "family = flat\nn = 1\nresolution = 4\npairs = 0-2\np = 2\n"
+               "lambda_list = 1, 2\n",
+    "class-check": CLASS_BODY + "V1 = 6\n",
+}
+FUZZ_KEYS = ("family", "n", "resolution", "torus", "j", "j_list", "conformal_c", "center",
+             "profile", "amplitude", "radius", "scale", "p", "p_list", "D", "pairs",
+             "pair_radius", "lambda_list", "allow_low_p", "q1", "V1", "diam_bound", "seed")
+FUZZ_VALUES = ("", ",", "0", "-1", "1", "2", "0.5", "nan", "inf", "1e400", "x", "0..2",
+               "2..1", "true", "corner-pairs", "random-2", "0-1", "1-1", "tube", "scaled",
+               "oscillation", "auto")
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(kind=st.sampled_from(sorted(TINY)), key=st.sampled_from(FUZZ_KEYS),
+       value=st.sampled_from(FUZZ_VALUES))
+@example(kind="sweep-p", key="p_list", value=",")
+@example(kind="scaling", key="lambda_list", value="")
+def test_fuzzed_config_value_never_raises(kind, key, value):
+    # one malformed or edge value on one key of a valid tiny config: the CLI
+    # answers with an exit code, never a traceback
+    lines = [ln for ln in TINY[kind].splitlines()
+             if ln.split("=")[0].strip() not in ("kind", key)]
+    with tempfile.TemporaryDirectory() as tmp:
+        config = f"{tmp}/run.cfg"
+        with open(config, "w") as fh:
+            fh.write("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        assert cli.main([kind, "--config", config, "--out", f"{tmp}/out"]) in (0, 1, 2)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from dpmod import cli
 from dpmod.errors import MeshError
 from dpmod.families import (
     FAMILY_NAMES,
@@ -65,6 +66,50 @@ def test_family_spec_validation():
     with pytest.raises(ValueError):
         FamilySpec("spike", 2, 8, profile="cone")
     FamilySpec("spike", 2, 8, amplitude=0.0)   # zero amplitude is allowed
+
+
+GEN_SPIKE = dict(family="spike", n="2", resolution="4", torus="true", j="1")
+
+
+@pytest.mark.parametrize("key,spec,spike,config", [
+    pytest.param("family", dict(family="vortex"), None, dict(family="vortex"), id="family"),
+    pytest.param("n", dict(n=4), None, dict(n="4"), id="n"),
+    pytest.param("resolution", dict(resolution=1), None, dict(resolution="1"),
+                 id="resolution"),
+    pytest.param("j", dict(j=0), dict(j=0), dict(j="0"), id="j"),
+    pytest.param("conformal_c", dict(family="conformal-constant", conformal=-2.0), None,
+                 dict(family="conformal-constant", conformal_c="-2"), id="conformal_c"),
+    pytest.param("scale", dict(family="scaled", scale=0.0), None,
+                 dict(family="scaled", scale="0"), id="scale"),
+    pytest.param("amplitude", dict(amplitude=-1.0), dict(A_j=-1.0), dict(amplitude="-1"),
+                 id="amplitude-negative"),
+    pytest.param("amplitude", dict(amplitude=np.inf), dict(A_j=np.inf),
+                 dict(amplitude="inf"), id="amplitude-inf"),
+    pytest.param("radius", dict(radius=0.7), dict(r_j=0.7), dict(radius="0.7"),
+                 id="radius-beyond-half"),
+    pytest.param("radius", dict(radius=0.0), dict(r_j=0.0), dict(radius="0"), id="radius-0"),
+    pytest.param("center", dict(center=(0.5,)), dict(center=(0.5,)), dict(center="0.5"),
+                 id="center"),
+    pytest.param("profile", dict(profile="tube"), dict(profile="tube"),
+                 dict(profile="tube"), id="profile-tube-2d"),
+    pytest.param("profile", dict(profile="cone"), dict(profile="cone"),
+                 dict(profile="cone"), id="profile-cone"),
+])
+def test_one_rule_everywhere(tmp_path, capsys, key, spec, spike, config):
+    # the library and both CLI family paths reject the same value, naming the
+    # same config key
+    with pytest.raises(ValueError) as err:
+        FamilySpec(**(dict(family="spike", n=2, resolution=8, j=1) | spec))
+    assert err.value.key == key
+    if spike is not None:
+        with pytest.raises(ValueError) as err:
+            make_spike_sequence(make_flat(2, 4, torus=True), **(dict(j=1) | spike))
+        assert err.value.key == key
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in (GEN_SPIKE | config).items()))
+    for kind in ("gen", "compute"):
+        assert cli.main([kind, "--config", str(path), "--out", str(tmp_path / kind)]) == 1
+        assert f"config key {key!r}" in capsys.readouterr().err
 
 
 def test_family_spec_json_round():

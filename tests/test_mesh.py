@@ -316,6 +316,29 @@ def test_mesh_roundtrip(tmp_path, n, resolution, torus):
     assert back.num_nodes == mesh.num_nodes
 
 
+def _write_mesh_per_line(mesh, path):
+    """Reference writer: one formatted line per vertex, cell and ident."""
+    lines = [f"dpmesh v1 {mesh.dim}"]
+    for v in mesh.verts:
+        lines.append("v " + " ".join(repr(float(x)) for x in v))
+    for c in mesh.cells:
+        lines.append("c " + " ".join(str(int(i)) for i in c))
+    for a, b in mesh.ident:
+        lines.append(f"ident {int(a)} {int(b)}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("torus", [False, True])
+@pytest.mark.parametrize("n,resolution", [(1, 5), (2, 3), (3, 2)])
+def test_write_mesh_bytes_match_per_line_loop(tmp_path, n, resolution, torus):
+    mesh, _ = make_flat(n, resolution, torus=torus)
+    fast, slow = tmp_path / "fast.txt", tmp_path / "slow.txt"
+    write_mesh(mesh, fast)
+    _write_mesh_per_line(mesh, slow)
+    assert fast.read_bytes() == slow.read_bytes()
+
+
 def _parse_error(tmp_path, text):
     path = tmp_path / "bad.txt"
     path.write_text(text)
@@ -354,6 +377,7 @@ def test_read_mesh_empty_and_semantic_errors(tmp_path):
     # structurally fine, semantically degenerate -> still ParseError
     err = _parse_error(tmp_path, "dpmesh v1 1\nv 0.0\nv 0.0\nc 0 1\n")
     assert isinstance(err, ParseError)
+    assert "no cells" in str(_parse_error(tmp_path, "dpmesh v1 1\nv 0.0\nv 1.0\n"))
 
 
 def test_mesh_comments_and_blank_lines(tmp_path):
