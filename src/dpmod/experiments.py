@@ -122,11 +122,18 @@ def _family(cfg, j, j_key="j"):
         cfg._fail(j_key if exc.key == "j" else exc.key, exc.message)
 
 
+def _no_files(cfg, msg):
+    """Fail on the first mesh/metric file key of a config built from a family."""
+    for key in ("mesh", "metric", "metric0"):
+        if key in cfg:
+            cfg._fail(key, msg)
+
+
 def _geometry(cfg):
     """(mesh, g, g0) from files or a generator family."""
     has_mesh, has_family = "mesh" in cfg, "family" in cfg
-    if has_mesh and has_family:
-        cfg._fail("family", "give either mesh/metric files or a family, not both")
+    if has_family:
+        _no_files(cfg, "give either mesh/metric files or a family, not both")
 
     if has_mesh:
         mesh = read_mesh(cfg.get_str("mesh"))
@@ -345,6 +352,7 @@ def run_sequence_study(cfg):
     across j (explicit, or the g0-based default).
     """
     _check_kind(cfg, "sequence")
+    _no_files(cfg, "sequence studies build g0 and g_j from a family, not from files")
     family = _require(cfg, "family", cfg.get_str)
     if family not in _SEQUENCE_FAMILIES:
         cfg._fail("family", f"sequence studies support {_SEQUENCE_FAMILIES}")
@@ -482,6 +490,7 @@ def run_gen(cfg):
     ``metric_j<j>.txt`` per index.
     """
     _check_kind(cfg, "gen")
+    _no_files(cfg, "gen writes mesh/metric files from a family and reads none")
     spec = _family(cfg, cfg.get_int("j", 1))
     base = make_flat(spec.n, spec.resolution, spec.torus)
     mesh, g0 = base

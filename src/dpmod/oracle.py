@@ -12,9 +12,21 @@ and each Holder test only on its pair's 2 values.  So every term is evaluated
 once on the small sub-grid of the axes it touches, and the product grid only
 broadcasts: it ANDs the pair masks and adds the cell terms.  The results are
 the same, bit for bit, as a search that evaluates every term at every grid
-point.  Each point still gets the same per-point formula for each term, the
-cell terms are still added in cell order starting from 0, and the grid is
-still walked in C order with the first maximum kept.
+point: each point still gets the same per-point formula for each term, and
+the cell terms are still added in cell order starting from 0.
+
+The product grid is cut into blocks that are contiguous runs in C order.
+A point's score is f(x) - tie E with tie > 0 and E >= 0, and rounding is
+monotone, so the largest f(x) in a block bounds every score in it.  Blocks
+are visited by descending bound, and the search stops at the first block
+whose bound is below the best score so far.  The best is kept as a (score,
+C-order index) pair and replaced on a higher score, or on an equal score at
+a smaller index, so the result is the first maximum in C order whatever the
+visit order: the same point a full C-order scan keeps.  Pair masks that do
+not vary over the blocked axes are ANDed once per round, and a block whose
+masks leave no point skips its energy sum.  Pruning needs x's axis among
+the blocked axes (axis 0 is, and it is x's axis when x is the first free
+node); otherwise every block has the same bound and all are scanned.
 
 1-D closed form (derivation)
 ----------------------------
@@ -65,7 +77,11 @@ def brute_force_dp(x, y, g, g0, params):
 
     Each round's search is separable (see the module docstring).  Pair masks
     and cell terms are computed on their own sub-grids, and the product grid
-    is scanned in C-order blocks of at most ``_CHUNK`` points.
+    is cut into C-order blocks of at most ``_CHUNK`` points.  Blocks are
+    visited by descending max f(x), which bounds every score in the block,
+    until that bound falls below the best score; the (score, C-order index)
+    tie rule keeps the first maximum in C order, so the value is the same,
+    bit for bit, as that of a full C-order scan.
     """
     mesh = params.mesh
     N = mesh.num_nodes
@@ -136,30 +152,55 @@ def brute_force_dp(x, y, g, g0, params):
             """Block ``sel`` of a broadcast-shaped array (its size-1 axes stay whole)."""
             return a[tuple(sl if n > 1 else slice(None) for sl, n in zip(sel, a.shape))]
 
-        best_score, best_val, best_point = -np.inf, -np.inf, None
+        # pair masks that do not vary over the blocked axes 0..s: ANDed once
+        base = np.ones((1,) * (s + 1) + sizes[s + 1:], dtype=bool)
+        varying = []
+        for m in masks:
+            if any(n > 1 for n in m.shape[:s + 1]):
+                varying.append(m)
+            else:
+                base &= m
+
+        # visit blocks by descending max f(x), which bounds every score in
+        # the block; the sort is stable, so equal bounds stay in C order
+        blocks = []
         for lead in np.ndindex(*sizes[:s]):
             for lo in range(0, sizes[s], rows):
                 sel = tuple(slice(i, i + 1) for i in lead) + (slice(lo, lo + rows),)
-                shape = (1,) * s + (min(rows, sizes[s] - lo),) + sizes[s + 1:]
-                ok = np.ones(shape, dtype=bool)
-                for m in masks:
-                    ok &= part(m, sel)
-                E = np.zeros(shape)
-                for term in terms:
-                    E += part(term, sel)
-                ok &= E <= 1.0
-                if ok.any():
-                    score = np.where(ok, part(fx, sel) - tie * E, -np.inf)
-                    k = int(np.argmax(score))
-                    if score.flat[k] > best_score:
-                        best_score = float(score.flat[k])
-                        at = np.unravel_index(k, shape)
-                        at = lead + (lo + at[s],) + at[s + 1:]
-                        best_point = np.zeros(N)
-                        for j, v in enumerate(free):
-                            best_point[v] = axes[j][at[j]]
-                        best_val = float(best_point[x])
-        return best_val, best_point
+                blocks.append((float(part(fx, sel).max()), lead, lo, sel))
+        blocks.sort(key=lambda block: -block[0])
+        best_score, best_index, best_at = -np.inf, math.inf, None
+        for bound, lead, lo, sel in blocks:
+            if bound < best_score:
+                break
+            shape = (1,) * s + (min(rows, sizes[s] - lo),) + sizes[s + 1:]
+            ok = np.broadcast_to(base, shape).copy()
+            for m in varying:
+                ok &= part(m, sel)
+            if not ok.any():
+                continue
+            E = np.zeros(shape)
+            for term in terms:          # cell order: E's bits depend on it
+                E += part(term, sel)
+            ok &= E <= 1.0
+            if not ok.any():
+                continue
+            score = np.where(ok, part(fx, sel) - tie * E, -np.inf)
+            k = int(np.argmax(score))
+            at = np.unravel_index(k, shape)
+            at = lead + (lo + at[s],) + at[s + 1:]
+            index = np.ravel_multi_index(at, sizes)
+            # the first maximum in C order over the whole grid, whatever
+            # order the blocks are visited in
+            top = float(score.flat[k])
+            if top > best_score or (top == best_score and index < best_index):
+                best_score, best_index, best_at = top, index, at
+        if best_at is None:
+            return -np.inf, None
+        best_point = np.zeros(N)
+        for j, v in enumerate(free):
+            best_point[v] = axes[j][best_at[j]]
+        return float(best_point[x]), best_point
 
     # initial pass: step B/50, halved resolution until within budget
     step = B / 50.0

@@ -26,10 +26,11 @@ block, with the pinned nodes sent to a dump row and column; a ridge of
 1e-12 tr/N_free is added, the step comes from np.linalg.solve, an Armijo
 backtracking search damps it, and the method stops when the Newton
 decrement lambda^2 falls to 1e-14 E^, or to 1e-10 E^ on a step that
-needed a halving (there the line search is resolving round-off).  Cells
-with q_c = 0 get zero coefficients (the energy is flat there for p > 2
-and not twice differentiable for p < 2).  solve_dp_unmodified returns this
-minimizer.
+needed a halving (there the line search is resolving round-off), or at
+once when the free gradient is zero.  Cells with q_c = 0 get zero
+coefficients (the energy is flat there for p > 2 and not twice
+differentiable for p < 2).  A singular dense system, here or in the
+barrier, raises SolverError.  solve_dp_unmodified returns this minimizer.
 
 Energy-bound screen: the capped feasible set is a subset of the uncapped
 one, so if the uncapped minimizer f* already satisfies the cap with room,
@@ -310,6 +311,14 @@ def _energy_hat(f, nodes, forms, w, p, slot=None):
     return E, grad, hess.reshape(k, k)[:-1, :-1]
 
 
+def _dense_solve(a, b, what):
+    """np.linalg.solve, with a singular system raised as SolverError."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"{what}: {exc}") from exc
+
+
 def _newton_energy(gauge, f):
     """Damped Newton minimization of E^ with the pinned values of f kept.
 
@@ -321,8 +330,10 @@ def _newton_energy(gauge, f):
     Armijo test E^(f + t d) <= E^(f) - _ARMIJO_SLOPE t lambda^2 holds.  A
     step that needed a halving at lambda^2 <= _NEWTON_FLOOR E^ is the last:
     there E^ moves by round-off only and the decrement stalls just above
-    _NEWTON_RTOL.  Returns (f*, steps, converged); converged is False when
-    the step cap or the line search ran out first.
+    _NEWTON_RTOL.  A zero free gradient (every free cell flat, as on a box
+    end cell) is a minimizer and returns at once: there the Hessian and its
+    ridge are zero too.  Returns (f*, steps, converged); converged is False
+    when the step cap or the line search ran out first.
     """
     free = np.ones(f.size, dtype=bool)
     free[gauge.fixed] = False
@@ -335,8 +346,10 @@ def _newton_energy(gauge, f):
     f = f.copy()
     for step in range(_NEWTON_MAX_STEPS):
         E, grad, hess = _energy_hat(f, *args, slot)
+        if not grad.any():              # E^ is convex: a minimizer
+            return f, step, True
         hess[diag] += _NEWTON_RIDGE * np.trace(hess) / max(grad.size, 1)
-        d = np.linalg.solve(hess, -grad)
+        d = _dense_solve(hess, -grad, "energy Newton step")
         lam2 = -float(grad @ d)
         if lam2 <= _NEWTON_RTOL * E:
             return f, step, True
@@ -444,7 +457,7 @@ def _center(gauge, f, t, W, slot):
     lam2_prev = math.inf
     for step in range(_MAX_CENTER_STEPS):
         _, grad, H0, c2, gE = _barrier(gauge, f, t, W, slot)
-        a, b = np.linalg.solve(H0, np.column_stack((-grad, gE))).T
+        a, b = _dense_solve(H0, np.column_stack((-grad, gE)), "barrier Newton step").T
         d = a - (c2 * (gE @ a) / (1.0 + c2 * (gE @ b))) * b
         lam2 = -float(grad @ d)
         if lam2 <= _CENTER_TOL or _CENTER_FLOOR >= lam2 > 0.5 * lam2_prev:

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dpmod import cli, solver
+from dpmod.oracle import analytic_1d_dp
 from dpmod.mesh import read_mesh
 from dpmod.metric import read_metric
 
@@ -161,6 +162,21 @@ def test_compute_nonconverged_exits_2(tmp_path, capsys, monkeypatch):
     assert rows[0]["converged"] == "false"
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_compute_box_end_pair(tmp_path, p):
+    # on the last cell of a box every free cell starts flat: the energy
+    # Newton start has a zero gradient and a zero Hessian
+    config = cfg_file(tmp_path, "kind = compute\nfamily = flat\nn = 1\nresolution = 4\n"
+                                f"p = {p:g}\npairs = 3-4\n")
+    out = tmp_path / "run"
+    assert cli.main(["compute", "--config", config, "--out", str(out)]) == 0
+    (row,) = read_rows(out / "compute.csv")
+    truth, clean = analytic_1d_dp([1.0], [0.25], p, 1.0)
+    assert clean and truth == pytest.approx(0.25 ** ((p - 1) / p), rel=1e-15)
+    assert row["converged"] == "true"
+    assert float(row["value"]) == pytest.approx(truth, rel=1e-12)
+
+
 def test_compute_random_pairs_are_seeded(tmp_path):
     base = CONFORMAL_1D.replace("pairs = 0-4", "pairs = random-3")
     config = cfg_file(tmp_path, base)
@@ -257,6 +273,22 @@ p = 2
     config2 = cfg_file(tmp_path, body + "allow_low_p = true\n", name="low.cfg")
     assert cli.main(["sequence", "--config", config2, "--out", str(tmp_path / "y")]) == 0
     assert "convergence along the family is not guaranteed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,body", [
+    ("sequence", "family = spike\nn = 1\nresolution = 4\ntorus = true\nj_list = 1, 2\n"
+                 "pairs = corner-pairs\n"),
+    ("gen", "family = flat\nn = 1\nresolution = 4\n"),
+])
+@pytest.mark.parametrize("key", ["mesh", "metric", "metric0"])
+def test_family_subcommands_reject_file_keys(tmp_path, capsys, kind, body, key):
+    # sequence and gen build their geometry from a family; a file key would
+    # otherwise be ignored without a word
+    config = cfg_file(tmp_path, body + f"{key} = {tmp_path / 'nonexistent.txt'}\n")
+    assert cli.main([kind, "--config", config, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"config key {key!r}" in err
+    assert not (tmp_path / "x").exists()
 
 
 # -- scaling ------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dpmod import oracle
 from dpmod.errors import OracleError
 from dpmod.geodesic import all_pairs_distances
 from dpmod.metric import MetricField
@@ -156,12 +157,41 @@ def _interior_chain():
     return 2, 0, g, g0, params
 
 
+def _strip6_reversed():
+    x, y, g, g0, params = _strip6()
+    return y, x, g, g0, params
+
+
+def _capped_chain6():
+    rng = np.random.default_rng(23)
+    mesh = chain_mesh(np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 1.2, size=5))]))
+    return (0, 5) + _random_instance(mesh, rng, p=4.0, D=0.3)
+
+
 @pytest.mark.parametrize("build, bits", [
     (_strip6, "0x1.79c7b8d82e81ap+0"),
     (_chain6, "0x1.b14b4950b77edp+1"),
     (_interior_chain, "0x1.6a00ee08fef99p-1"),
-], ids=["strip6", "chain6", "interior_chain"])
+    (_strip6_reversed, "0x1.79c7b8d82e81ap+0"),
+    (_capped_chain6, "0x1.1c55d763cf3a9p+0"),
+], ids=["strip6", "chain6", "interior_chain", "strip6_reversed", "capped_chain6"])
 def test_brute_pinned_bits(build, bits):
     # exact values of the dense per-point search this oracle replaced: the
-    # separable search keeps each point's arithmetic and the first-max order
+    # separable search keeps each point's arithmetic and the first-max order.
+    # The last two were taken from the full C-order scan, before blocks were
+    # pruned by their f(x) bound: reversed, x sits on the last grid axis and
+    # no block can be pruned; in the capped chain the Holder masks alone
+    # empty the block above the optimum in every refinement round
     assert brute_force_dp(*build()).hex() == bits
+
+
+@pytest.mark.parametrize("build", [_strip6, _chain6, _capped_chain6],
+                         ids=["strip6", "chain6", "capped_chain6"])
+def test_brute_bits_independent_of_block_size(build, monkeypatch):
+    # 10_000 points per block puts axis 0 (x's axis) among the single-index
+    # lead axes; 2^23 points puts every grid of the search in one block
+    args = build()
+    want = brute_force_dp(*args).hex()
+    for chunk in (10_000, 1 << 23):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        assert brute_force_dp(*args).hex() == want

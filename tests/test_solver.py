@@ -585,6 +585,26 @@ def test_distance_matrix_records_failures(chain16):
     assert outcomes[1].result is None
 
 
+@pytest.mark.parametrize("ndim", [1, 2], ids=["energy", "barrier"])
+def test_singular_system_is_recorded_per_pair(monkeypatch, chain16, ndim):
+    # a singular dense Newton system surfaces as SolverError: the energy step
+    # solves for one right-hand side, the barrier step for two
+    mesh, g0, dm0 = chain16
+    params = GaugeParams.build(mesh, dm0, p=2.0, D=1.0)
+    real_solve = np.linalg.solve
+
+    def solve(a, b):
+        if np.ndim(b) == ndim:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    with pytest.raises(SolverError, match="Singular matrix"):
+        solve_dp(0, 16, g0, g0, params)
+    (oc,) = distance_matrix([(0, 16)], g0, g0, params)
+    assert oc.result is None and oc.error.startswith("SolverError: ")
+
+
 def test_nonconverged_carries_partial_result(monkeypatch, chain16):
     mesh, g0, dm0 = chain16
     monkeypatch.setattr(solver, "_MAX_CENTERINGS", 1)

@@ -58,3 +58,19 @@ def test_package_imports_only_numpy_and_stdlib():
             found += [f"{path.name}:{node.lineno}: {name}" for name in names
                       if name.split(".", 1)[0] not in allowed]
     assert not found, f"imports outside numpy and the standard library: {found}"
+
+
+def test_oracle_imports_nothing_from_the_solver():
+    # the brute-force oracle checks the solver, so it shares no code with it
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [".".join(filter(None, [node.module, a.name])) for a in node.names]
+        else:
+            continue
+        found += [f"oracle.py:{node.lineno}: {name}" for name in names
+                  if "solver" in name.split(".")]
+    assert not found, f"oracle.py imports the solver: {found}"
