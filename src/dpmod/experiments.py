@@ -38,7 +38,7 @@ from .metric import (
     write_metric,
 )
 from .plot import plot_from_csv
-from .solver import GaugeParams, distance_matrix
+from .solver import P_CAP, GaugeParams, distance_matrix
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -320,8 +320,8 @@ def run_p_sweep(cfg):
     for a, b in zip(p_list, p_list[1:]):
         if not b > a:
             cfg._fail("p_list", "must be strictly ascending")
-    if p_list[0] <= n or p_list[-1] > 128:
-        cfg._fail("p_list", f"entries must lie in (n, 128] with n = {n}")
+    if p_list[0] <= n or p_list[-1] > P_CAP:
+        cfg._fail("p_list", f"entries must lie in (n, {P_CAP:g}] with n = {n}")
     dm_g = all_pairs_distances(mesh, g)
     d_graph = dm_g[x, y]
     diam_g = dm_g.diameter()
@@ -382,14 +382,14 @@ def run_sequence_study(cfg):
     base_vals = np.array([r.value for r in base_results])
     h = cfg.hash()
     rows = []
-    for spec in specs:
+    for j, spec in zip(j_list, specs):
         g_j, _ = spec.metrics(base)
         results, worst = _collect(distance_matrix(pairs, g_j, g0, params))
         code = max(code, worst)
         vals = np.array([r.value for r in results])
         disc = float(np.max(np.abs(vals - base_vals) / base_vals))
         rep = hypothesis_functionals(g_j, g0, p)
-        rows.append((spec.j, rep.I_g, rep.I_inv, rep.I_eta, rep.I_33, disc, h))
+        rows.append((j, rep.I_g, rep.I_inv, rep.I_eta, rep.I_33, disc, h))
     path = _out_path(cfg, "sequence.csv")
     _write_csv(path, SEQUENCE_HEADER, rows)
     svg = _out_path(cfg, "sequence.svg")
@@ -484,8 +484,8 @@ def run_class_check(cfg):
 def run_gen(cfg):
     """Write mesh/metric files plus a JSON-lines provenance record.
 
-    Each file's record is the configured spec with the values that file
-    does not carry cleared.  ``metric0.txt`` is the flat background
+    Each file's record is the spec that built it, which holds only the
+    values its family reads.  ``metric0.txt`` is the flat background
     (rescaled for ``scaled``); a spike or oscillation ``j_list`` writes one
     ``metric_j<j>.txt`` per index.
     """
@@ -493,26 +493,16 @@ def run_gen(cfg):
     _no_files(cfg, "gen writes mesh/metric files from a family and reads none")
     spec = _family(cfg, cfg.get_int("j", 1))
     base = make_flat(spec.n, spec.resolution, spec.torus)
-    mesh, g0 = base
-    if spec.family == "scaled":
-        rec = replace(spec, j=None, amplitude=None, radius=None)
-        g, g0_scaled = rec.metrics(base)
-        fields = [("metric.txt", g, rec),
-                  ("metric0.txt", g0_scaled, replace(rec, conformal=None))]
+    mesh = base[0]
+    background = replace(spec, conformal=None) if spec.family == "scaled" \
+        else replace(spec, family="flat")
+    if spec.family in _INDEXED and "j_list" in cfg:
+        members = [(f"metric_j{j}.txt", _family(cfg, j, "j_list"))
+                   for j in cfg.get_int_list("j_list")]
     else:
-        flat = replace(spec, family="flat", j=None, amplitude=None, radius=None,
-                       scale=None, conformal=None)
-        if spec.family == "flat":
-            members = [("metric.txt", flat)]
-        elif spec.family in _INDEXED and "j_list" in cfg:
-            members = [(f"metric_j{j}.txt",
-                        replace(_family(cfg, j, "j_list"), scale=None, conformal=None))
-                       for j in cfg.get_int_list("j_list")]
-        else:
-            members = [("metric.txt", replace(
-                spec, scale=None, j=spec.j if spec.family in _INDEXED else None))]
-        fields = [("metric0.txt", g0, flat)]
-        fields += [(name, rec.metrics(base)[0], rec) for name, rec in members]
+        members = [("metric.txt", spec)]
+    fields = [(name, rec.metrics(base)[0], rec)
+              for name, rec in [("metric0.txt", background), *members]]
 
     h = cfg.hash()
     mesh_path = _out_path(cfg, "mesh.txt")

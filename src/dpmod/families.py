@@ -46,7 +46,9 @@ to the vertical axis through it (``tube``, the 3-D line-supported variant),
 evaluated at cell barycenters.
 
 A :class:`FamilySpec` describes one family member and builds its fields
-with ``FamilySpec.metrics``.  Family values have one check,
+with ``FamilySpec.metrics``; it keeps only the values its family reads
+(``_READS``), so it doubles as the field's provenance record.  Family
+values have one check,
 ``_check_values``, which ``FamilySpec``, ``make_spike_sequence`` and
 ``make_oscillation_sequence`` all call.  Its :class:`FamilyValueError`
 names the config key of the bad value, so the experiment runners report it
@@ -70,7 +72,15 @@ SPIKE_A0 = {1: 2.0, 2: 2.0, 3: 8.0}
 SPIKE_R0 = 0.45
 SPIKE_EPS = {1: -0.1, 2: -0.05, 3: -0.3}
 
-FAMILY_NAMES = ("flat", "conformal-constant", "spike", "oscillation", "scaled")
+# the spec values each family reads; FamilySpec drops the others
+_READS = {
+    "flat": (),
+    "conformal-constant": ("conformal",),
+    "spike": ("j", "amplitude", "radius", "center", "profile"),
+    "oscillation": ("j",),
+    "scaled": ("scale", "conformal"),
+}
+FAMILY_NAMES = tuple(_READS)
 
 
 class FamilyValueError(ValueError):
@@ -83,7 +93,7 @@ class FamilyValueError(ValueError):
 
 
 def _check_values(family, n, resolution=None, j=None, amplitude=None, radius=None,
-                  scale=None, conformal=None, center=None, profile="ball"):
+                  scale=None, conformal=None, center=None, profile=None):
     """The one check of family values; None means not given.
 
     Raises :class:`FamilyValueError` naming the config key of the first bad
@@ -106,7 +116,7 @@ def _check_values(family, n, resolution=None, j=None, amplitude=None, radius=Non
          f"must lie in (0, 0.5), half the box extent, got {radius}"),
         ("center", center is None or np.shape(center) == (n,),
          f"needs {n} coordinates for n = {n}, got shape {np.shape(center)}"),
-        ("profile", profile == "ball" or (profile == "tube" and n == 3),
+        ("profile", profile in (None, "ball") or (profile == "tube" and n == 3),
          f"must be 'ball', or 'tube' on a 3-D mesh, got {profile!r}"),
     ):
         if not ok:
@@ -118,8 +128,8 @@ class FamilySpec:
     """One generated field: the family, its flat base and its values.
 
     ``metrics(make_flat(n, resolution, torus))`` builds the field; the spec
-    is also the field's provenance record.  Values the family does not use
-    are checked but ignored.
+    is also the field's provenance record.  Every value is checked; those
+    its family does not read are then set to None.
     """
 
     family: str
@@ -132,11 +142,14 @@ class FamilySpec:
     scale: float | None = None
     conformal: float | None = None
     center: tuple | None = None
-    profile: str = "ball"
+    profile: str | None = "ball"
 
     def __post_init__(self):
         _check_values(self.family, self.n, self.resolution, self.j, self.amplitude,
                       self.radius, self.scale, self.conformal, self.center, self.profile)
+        for name in ("j", "amplitude", "radius", "scale", "conformal", "center", "profile"):
+            if name not in _READS[self.family]:
+                setattr(self, name, None)
 
     def metrics(self, base):
         """(g, g0) over ``base``; g0 is the background, rescaled for ``scaled``."""

@@ -229,7 +229,7 @@ def holder_seminorm(f, params):
 
 
 class _Gauge:
-    """Precomputed, sigma-normalized instance data of one solve."""
+    """Precomputed, sigma-normalized instance data of one solve (x < y)."""
 
     def __init__(self, g, params, x, y):
         mesh = params.mesh
@@ -246,10 +246,9 @@ class _Gauge:
 
         # Holder data: normalized distances, pair (x, y) always present
         iu, iv = params.iu, params.iv
-        is_xy = (iu == min(x, y)) & (iv == max(x, y))
+        is_xy = (iu == x) & (iv == y)
         if not is_xy.any():
-            iu = np.append(iu, min(x, y))
-            iv = np.append(iv, max(x, y))
+            iu, iv = np.append(iu, x), np.append(iv, y)
             self.xy = iu.size - 1
         else:
             self.xy = int(np.flatnonzero(is_xy)[0])
@@ -520,23 +519,18 @@ def _barrier_rounds(gauge, f):
         f = (_INTERIOR / gauge.gauge(f)[0]) * f
 
 
-def _swap_orientation(result, x, y):
-    return replace(result, x=x, y=y, extremal=-result.extremal)
-
-
 def _solve(x, y, g, params):
     """Canonical-orientation front end: d is symmetric in (x, y)."""
-    if x <= y:
-        return _solve_oriented(x, y, g, params)
-    try:
-        result = _solve_oriented(y, x, g, params)
-    except NonConvergedError as exc:
-        exc.result = _swap_orientation(exc.result, x, y)
-        raise
-    return _swap_orientation(result, x, y)
+    result, failure = _solve_oriented(min(x, y), max(x, y), g, params)
+    if x > y:
+        result = replace(result, x=x, y=y, extremal=-result.extremal)
+    if failure is not None:
+        raise NonConvergedError(f"{failure}: last value {result.value:.6g}", result=result)
+    return result
 
 
 def _solve_oriented(x, y, g, params):
+    """(result, failure text or None) for x <= y."""
     mesh = params.mesh
     N = mesh.num_nodes
     if not (0 <= x < N and 0 <= y < N):
@@ -562,24 +556,15 @@ def _solve_oriented(x, y, g, params):
     f, steps, newton_ok = _newton_energy(gauge, f0)
     if math.isinf(params.D) or (
             newton_ok and _active(*gauge.gauge(f)[1:], params.D) == "energy-bound"):
-        result = _result(gauge, g, params, x, y, f, steps, newton_ok, 0)
-        if not newton_ok:
-            raise NonConvergedError(
-                f"Newton energy solve stopped after {steps} steps without "
-                f"meeting its decrement test: last value {result.value:.6g}",
-                result=result,
-            )
-        return result
+        failure = None if newton_ok else (
+            f"Newton energy solve stopped after {steps} steps without "
+            "meeting its decrement test")
+        return _result(gauge, g, params, x, y, f, steps, newton_ok, 0), failure
 
     f, used, stages, converged = _barrier_rounds(gauge, f)
-    result = _result(gauge, g, params, x, y, f, steps + used, converged, stages)
-    if not converged:
-        raise NonConvergedError(
-            f"barrier stopped after {stages} centerings without reaching its "
-            f"gap target: last value {result.value:.6g}",
-            result=result,
-        )
-    return result
+    failure = None if converged else (
+        f"barrier stopped after {stages} centerings without reaching its gap target")
+    return _result(gauge, g, params, x, y, f, steps + used, converged, stages), failure
 
 
 def _active(A, H, D):

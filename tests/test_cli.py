@@ -2,13 +2,15 @@
 
 import csv
 import json
+import math
 import tempfile
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dpmod import cli, solver
+from dpmod import cli, experiments, solver
+from dpmod.errors import SolverError
 from dpmod.oracle import analytic_1d_dp
 from dpmod.mesh import read_mesh
 from dpmod.metric import read_metric
@@ -72,11 +74,11 @@ conformal_c = 3
     records = [json.loads(ln) for ln in (out / "family.jsonl").read_text().splitlines()]
     h = records[0]["config_hash"]
     assert records == [
-        {"family": "scaled", "n": 1, "resolution": 4, "torus": False, "profile": "ball",
+        {"family": "scaled", "n": 1, "resolution": 4, "torus": False,
+         "scale": 2.0, "file": "metric0.txt", "seed": 0, "config_hash": h},
+        {"family": "scaled", "n": 1, "resolution": 4, "torus": False,
          "scale": 2.0, "conformal": 3.0, "file": "metric.txt", "seed": 0,
          "config_hash": h},
-        {"family": "scaled", "n": 1, "resolution": 4, "torus": False, "profile": "ball",
-         "scale": 2.0, "file": "metric0.txt", "seed": 0, "config_hash": h},
     ]
     mesh = read_mesh(out / "mesh.txt")
     assert read_metric(out / "metric.txt", mesh).tensors.max() == 36.0    # 2^2 3^2
@@ -177,6 +179,36 @@ def test_compute_box_end_pair(tmp_path, p):
     assert float(row["value"]) == pytest.approx(truth, rel=1e-12)
 
 
+def test_compute_unmodified_distance(tmp_path):
+    # D = inf runs the uncapped solve; on a conformal chain it meets the
+    # closed form c^((p-1)/p) = 2^(2/3), in both orientations
+    config = cfg_file(tmp_path, "kind = compute\nfamily = conformal-constant\n"
+                                "conformal_c = 2\nn = 1\nresolution = 8\np = 3\nD = inf\n"
+                                "pairs = 0-8, 8-0\n")
+    out = tmp_path / "run"
+    assert cli.main(["compute", "--config", config, "--out", str(out)]) == 0
+    rows = read_rows(out / "compute.csv")
+    truth, clean = analytic_1d_dp([2.0] * 8, [1 / 8] * 8, 3.0, math.inf)
+    assert clean and truth == pytest.approx(2 ** (2 / 3), rel=1e-15)
+    assert [(r["x"], r["y"], r["D"], r["value"], r["active_constraint"]) for r in rows] == [
+        ("0", "8", "inf", "1.5874010519681994", "energy-bound"),
+        ("8", "0", "inf", "1.5874010519681994", "energy-bound"),
+    ]
+    assert float(rows[0]["value"]) == pytest.approx(truth, rel=1e-12)
+
+
+def test_compute_failed_pair_exits_1(tmp_path, capsys, monkeypatch):
+    # a pair that fails outright (no partial result) aborts the run as an
+    # input error naming the pair
+    def fail(x, y, g, g0, params):
+        raise SolverError("no start")
+
+    monkeypatch.setattr(solver, "solve_dp", fail)
+    config = cfg_file(tmp_path, CONFORMAL_1D)
+    assert cli.main(["compute", "--config", config, "--out", str(tmp_path / "run")]) == 1
+    assert "error: pair (0, 4) failed: SolverError: no start" in capsys.readouterr().err
+
+
 def test_compute_random_pairs_are_seeded(tmp_path):
     base = CONFORMAL_1D.replace("pairs = 0-4", "pairs = random-3")
     config = cfg_file(tmp_path, base)
@@ -256,6 +288,27 @@ pairs = corner-pairs
     assert (out / "sequence.svg").read_text().startswith("<svg")
 
 
+def test_sequence_on_a_family_that_ignores_j(tmp_path, capsys):
+    # conformal-constant reads no index, so its specs carry none: the rows are
+    # labelled by j_list and are otherwise equal
+    config = cfg_file(tmp_path, """\
+kind = sequence
+family = conformal-constant
+conformal_c = 2
+n = 2
+resolution = 4
+torus = true
+j_list = 1..3
+pairs = corner-pairs
+""")
+    out = tmp_path / "run"
+    assert cli.main(["sequence", "--config", config, "--out", str(out)]) == 0
+    assert "3 index(es) x 4 pair(s)" in capsys.readouterr().out
+    rows = read_rows(out / "sequence.csv")
+    assert [r.pop("j") for r in rows] == ["1", "2", "3"]
+    assert rows[0] == rows[1] == rows[2]
+
+
 def test_sequence_rejects_low_p_without_override(tmp_path, capsys):
     body = """\
 kind = sequence
@@ -310,6 +363,28 @@ lambda_list = 1, 2
     assert [float(r["lambda"]) for r in rows] == [1.0, 2.0]
     assert all(float(r["rel_err"]) <= 1e-4 for r in rows)
     assert float(rows[0]["lhs"]) == pytest.approx(float(rows[0]["rhs"]), rel=1e-9)
+
+
+def test_scaling_violation_exits_2(tmp_path, capsys, monkeypatch):
+    # scaling both metrics by (2 lambda)^2 where the check expects lambda^2
+    # breaks the law at every factor
+    real = experiments.scale_metric
+    monkeypatch.setattr(experiments, "scale_metric", lambda m, lam: real(m, 2 * lam))
+    config = cfg_file(tmp_path, """\
+kind = scaling
+family = flat
+n = 1
+resolution = 4
+pairs = 0-2
+p = 2
+lambda_list = 1, 2
+""")
+    out = tmp_path / "run"
+    assert cli.main(["scaling", "--config", config, "--out", str(out)]) == 2
+    assert ("scaling law violated beyond 1e-4 at lambda = [1.0, 2.0]"
+            in capsys.readouterr().out)
+    rows = read_rows(out / "scaling.csv")
+    assert all(float(r["rel_err"]) > 1e-4 for r in rows)
 
 
 # -- class-check --------------------------------------------------------------

@@ -143,6 +143,20 @@ def test_cap_is_exact(chain16):
     assert res.active_constraint == "holder-bound"
 
 
+def test_solved_pair_joins_a_radius_limited_pair_set(chain16):
+    # pair_radius = 0.25 leaves (0, 16) out of the constrained pairs; the
+    # solve appends it, so the cap D d0(x,y)^t = 0.5 binds (the uncapped
+    # value is 2^(1/2))
+    mesh, g0, dm0 = chain16
+    g = make_conformal_constant((mesh, g0), 2.0)
+    params = GaugeParams.build(mesh, dm0, p=2.0, D=0.5, pair_radius=0.25)
+    assert not ((params.iu == 0) & (params.iv == 16)).any()
+    for x, y in ((0, 16), (16, 0)):
+        res = solve_dp(x, y, g, g0, params)
+        assert res.value == 0.5
+        assert res.active_constraint == "holder-bound"
+
+
 def test_cap_monotone_in_D(chain16):
     mesh, g0, dm0 = chain16
     g = make_conformal_constant((mesh, g0), 2.0)
@@ -614,6 +628,17 @@ def test_nonconverged_carries_partial_result(monkeypatch, chain16):
     partial = err.value.result
     assert partial is not None and not partial.converged
     assert partial.stages == 1                  # one centering, gap still 1e-3
+    assert str(err.value) == ("barrier stopped after 1 centerings without reaching "
+                              f"its gap target: last value {partial.value:.6g}")
+    # the reversed query runs the same canonical solve: same message, x and y
+    # swapped, extremal negated
+    with pytest.raises(NonConvergedError) as back:
+        solve_dp(16, 0, g0, g0, params)
+    flipped = back.value.result
+    assert str(back.value) == str(err.value)
+    assert (flipped.x, flipped.y, flipped.value) == (16, 0, partial.value)
+    assert not flipped.converged and flipped.stages == 1
+    np.testing.assert_array_equal(flipped.extremal, -partial.extremal)
     # the batch driver downgrades it to a recorded outcome
     oc = distance_matrix([(0, 16)], g0, g0, params)[0]
     assert oc.error == "NonConverged" and oc.result is not None

@@ -1,10 +1,16 @@
 """Source-level checks on the package."""
 
 import ast
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dpmod"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "dpmod"
 
 
 def test_package_has_no_assert_statements():
@@ -74,3 +80,20 @@ def test_oracle_imports_nothing_from_the_solver():
         found += [f"oracle.py:{node.lineno}: {name}" for name in names
                   if "solver" in name.split(".")]
     assert not found, f"oracle.py imports the solver: {found}"
+
+
+def test_readme_python_example_runs():
+    # the README's API example imports from the submodules, as every caller
+    # must: the package root exports only __version__
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", block], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    first, second = run.stdout.splitlines()
+    value, label = first.split()
+    assert label == "energy-bound"
+    assert float(value) == pytest.approx(0.31204396203595114, rel=1e-9)
+    assert float(second) == pytest.approx(float(value), rel=1e-12)   # the extremal attains it
