@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import tempfile
 
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dpmod import cli, experiments, solver
+from dpmod.config import KINDS
 from dpmod.errors import SolverError
+from dpmod.families import make_flat
 from dpmod.oracle import analytic_1d_dp
 from dpmod.mesh import read_mesh
 from dpmod.metric import read_metric
@@ -523,6 +526,61 @@ def test_bad_family_or_class_value_exits_1(tmp_path, capsys, kind, body, key):
     assert cli.main([kind, "--config", config, "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"config key {key!r}" in err
+
+
+SEQUENCE_1D = "family = spike\nn = 1\nresolution = 4\ntorus = true\npairs = corner-pairs\n"
+
+
+@pytest.mark.parametrize("kind,body,key,message", [
+    pytest.param("compute", CONFORMAL_1D.replace("p = 2\n", ""), "p",
+                 "is required for this experiment kind", id="p-missing"),
+    pytest.param("compute", "pairs = 0-1\np = 2\n", "kind",
+                 "config needs either mesh = <file> or family = <name>", id="no-geometry"),
+    pytest.param("compute", CONFORMAL_1D.replace("0-4", "random-abc"), "pairs",
+                 "expected random-<count>, got 'random-abc'", id="random-abc"),
+    pytest.param("compute", SPIKE_2D.replace("0-4", "random-1000"), "pairs",
+                 "random pair count 1000 out of range for 16 nodes", id="random-1000"),
+    pytest.param("compute", CONFORMAL_1D.replace("0-4", "3-3"), "pairs",
+                 "pair '3-3' joins a node to itself", id="self-pair"),
+    pytest.param("compute", CONFORMAL_1D + "D = 0\n", "D",
+                 "must be positive (or auto/inf), got '0'", id="D-zero"),
+    pytest.param("sweep-p", CONFORMAL_1D.replace("0-4", "") + "p_list = 3\n", "pairs",
+                 "sweep-p needs at least one pair (the first is used)", id="sweep-p-no-pairs"),
+    pytest.param("scaling", CONFORMAL_1D.replace("0-4", ""), "pairs",
+                 "scaling checks need at least one pair (the first is used)",
+                 id="scaling-no-pairs"),
+    pytest.param("sweep-p", SPIKE_2D + "p_list = 1.5, 4\n", "p_list",
+                 "entries must lie in (n, 128] with n = 2", id="p_list-below-n"),
+    pytest.param("sequence", SEQUENCE_1D + "j_list = ,\n", "j_list",
+                 "needs at least one index", id="j_list-empty"),
+    pytest.param("scaling", CONFORMAL_1D + "lambda_list = 0.5, -1\n", "lambda_list",
+                 "scale factors must be positive", id="lambda_list-negative"),
+])
+def test_runner_input_error_message(tmp_path, capsys, kind, body, key, message):
+    # each runner's input errors name the config key and keep their text
+    body = "\n".join(ln for ln in body.splitlines() if not ln.startswith("kind"))
+    config = cfg_file(tmp_path, body + "\n")
+    assert cli.main([kind, "--config", config, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}:") and err.count("\n") == 1
+    assert err.endswith(f": config key {key!r}: {message}\n")
+
+
+def test_corner_pairs_on_the_3d_torus():
+    # origin to each half-period point, in the order of compute_spike_t3's
+    # reference rows
+    mesh, _ = make_flat(3, 6, torus=True)
+    assert experiments._corner_pairs(mesh) == [
+        (0, 108), (0, 18), (0, 126), (0, 3), (0, 111), (0, 21), (0, 129)]
+
+
+def test_subcommand_tables_agree():
+    # the config's kind check, the CLI's subcommands and the runners name the
+    # same experiments
+    usage = cli._build_parser().format_usage()
+    subcommands = re.search(r"\{(.*?)\}", usage).group(1).split(",")
+    assert set(KINDS) == set(subcommands) == set(experiments.RUNNERS)
+    assert len(KINDS) == len(subcommands) == len(experiments.RUNNERS) == 6
 
 
 def test_argparse_usage_errors(tmp_path):
