@@ -11,7 +11,7 @@ import sys
 
 from .config import parse_config
 from .errors import DpmodError
-from .experiments import EXIT_INPUT, RUNNERS
+from .experiments import EXIT_INPUT, run
 
 
 def _build_parser():
@@ -46,7 +46,7 @@ def main(argv=None):
         return EXIT_INPUT
     try:
         cfg = parse_config(args.config, seed=args.seed, out=args.out)
-        result = RUNNERS[args.kind](cfg)
+        result = run(args.kind, cfg)
     except (DpmodError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

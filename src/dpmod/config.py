@@ -115,11 +115,6 @@ class ExperimentConfig:
                 self._fail(key, f"expected integers or a..b ranges, got {tok!r}")
         return out
 
-    def get_floats(self, key, default=None):
-        """Comma-separated float tuple (e.g. a spike center)."""
-        vals = self.get_float_list(key, None)
-        return tuple(vals) if vals is not None else default
-
     def hash(self):
         lines = [
             ln for ln in self.text.splitlines()

@@ -1,7 +1,8 @@
 """Experiment runners behind the CLI.
 
-Each runner takes a parsed :class:`~dpmod.config.ExperimentConfig`, writes its
-CSV/SVG/text outputs into the configured directory, and returns a
+:func:`run` checks a parsed :class:`~dpmod.config.ExperimentConfig` against
+the subcommand and hands it to that kind's runner.  Each runner writes its
+CSV/SVG/text outputs into the configured directory and returns a
 :class:`RunResult` with the exit code.  Everything is deterministic for a
 fixed config + seed: floats are serialized with ``repr`` (shortest
 round-trip), rows keep the configured order, files are written after all
@@ -23,7 +24,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import ExperimentConfig
 from .errors import DpmodError, ParseError
 from .families import FamilySpec, FamilyValueError, make_flat
 from .geodesic import all_pairs_distances
@@ -37,7 +37,7 @@ from .metric import (
     scale_metric,
     write_metric,
 )
-from .plot import plot_from_csv
+from .plot import render_line_chart
 from .solver import P_CAP, GaugeParams, distance_matrix
 
 EXIT_OK = 0
@@ -78,17 +78,21 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
+def _write_svg(path, header, rows, x_col, y_cols, title, ylabel):
+    """Chart columns of CSV rows against ``x_col``, with the floats the CSV holds."""
+    def column(name):
+        return [float(row[header.index(name)]) for row in rows]
+
+    with open(path, "w") as fh:
+        fh.write(render_line_chart([(col, column(x_col), column(col)) for col in y_cols],
+                                   title=title, xlabel=x_col, ylabel=ylabel))
+
+
 def _require(cfg, key, getter):
     value = getter(key)
     if value is None:
         cfg._fail(key, "is required for this experiment kind")
     return value
-
-
-def _check_kind(cfg, kind):
-    stated = cfg.get_str("kind")
-    if stated is not None and stated != kind:
-        cfg._fail("kind", f"config says {stated!r} but the {kind!r} subcommand was run")
 
 
 def _out_path(cfg, name):
@@ -116,7 +120,7 @@ def _family(cfg, j, j_key="j"):
                           amplitude=cfg.get_float("amplitude"),
                           radius=cfg.get_float("radius"), scale=cfg.get_float("scale"),
                           conformal=cfg.get_float("conformal_c"),
-                          center=cfg.get_floats("center"),
+                          center=cfg.get_float_list("center"),
                           profile=cfg.get_str("profile", "ball"))
     except FamilyValueError as exc:
         cfg._fail(j_key if exc.key == "j" else exc.key, exc.message)
@@ -265,23 +269,29 @@ def _params(cfg, mesh, dm0, p, D):
                              pair_radius=cfg.get_float("pair_radius"))
 
 
-def _collect(outcomes):
-    """Results in configured order; input-shaped failures abort the run."""
-    results, worst = [], EXIT_OK
-    for oc in outcomes:
-        if oc.result is None:
-            raise DpmodError(f"pair ({oc.x}, {oc.y}) failed: {oc.error}")
-        if not oc.result.converged:
-            worst = EXIT_NONCONVERGED
-        results.append(oc.result)
-    return results, worst
+def _collect(batches):
+    """Solve (pairs, g, g0, params) batches in order: each one's results, and the exit code.
+
+    A pair that fails outright aborts the run as an input error; one that
+    stops short of convergence makes the exit code 2.
+    """
+    solved, code = [], EXIT_OK
+    for pairs, g, g0, params in batches:
+        results = []
+        for oc in distance_matrix(pairs, g, g0, params):
+            if oc.result is None:
+                raise DpmodError(f"pair ({oc.x}, {oc.y}) failed: {oc.error}")
+            if not oc.result.converged:
+                code = EXIT_NONCONVERGED
+            results.append(oc.result)
+        solved.append(results)
+    return solved, code
 
 
 # -- runners ------------------------------------------------------------------
 
 def run_compute(cfg):
     """One modified-distance solve per configured pair."""
-    _check_kind(cfg, "compute")
     mesh, g, g0 = _geometry(cfg)
     dm0 = all_pairs_distances(mesh, g0)
     pairs = _resolve_pairs(cfg, mesh)
@@ -290,8 +300,7 @@ def run_compute(cfg):
     h = cfg.hash()
     rows, code = [], EXIT_OK
     if pairs:
-        params = _params(cfg, mesh, dm0, p, D)
-        results, code = _collect(distance_matrix(pairs, g, g0, params))
+        (results,), code = _collect([(pairs, g, g0, _params(cfg, mesh, dm0, p, D))])
         rows = [
             (r.x, r.y, r.p, r.D, r.value, r.active_constraint, r.iterations,
              r.energy_residual, r.holder_residual, r.converged, h)
@@ -306,7 +315,6 @@ def run_compute(cfg):
 
 def run_p_sweep(cfg):
     """Solve the first configured pair over an ascending list of p values."""
-    _check_kind(cfg, "sweep-p")
     mesh, g, g0 = _geometry(cfg)
     dm0 = all_pairs_distances(mesh, g0)
     pairs = _resolve_pairs(cfg, mesh)
@@ -326,21 +334,15 @@ def run_p_sweep(cfg):
     d_graph = dm_g[x, y]
     diam_g = dm_g.diameter()
     h = cfg.hash()
-
-    outcomes = []
-    for p in p_list:
-        D = _resolve_D(cfg, p, mesh, g, dm0, diam_g=diam_g)
-        outcomes += distance_matrix([(x, y)], g, g0, _params(cfg, mesh, dm0, p, D))
-    results, code = _collect(outcomes)
-    rows = [
-        (r.p, r.value, d_graph, abs(r.value - d_graph), h)
-        for r in results
-    ]
+    Ds = (_resolve_D(cfg, p, mesh, g, dm0, diam_g=diam_g) for p in p_list)
+    solved, code = _collect(([(x, y)], g, g0, _params(cfg, mesh, dm0, p, D))
+                            for p, D in zip(p_list, Ds))
+    rows = [(r.p, r.value, d_graph, abs(r.value - d_graph), h) for (r,) in solved]
     path = _out_path(cfg, "sweep.csv")
     _write_csv(path, SWEEP_HEADER, rows)
     svg = _out_path(cfg, "sweep.svg")
-    plot_from_csv(path, "p", ["value", "d_graph"], svg,
-                  title=f"distance vs p, pair ({x}, {y})", ylabel="distance")
+    _write_svg(svg, SWEEP_HEADER, rows, "p", ["value", "d_graph"],
+               title=f"distance vs p, pair ({x}, {y})", ylabel="distance")
     return RunResult(code, [path, svg], f"{len(rows)} p value(s), pair ({x}, {y})")
 
 
@@ -351,7 +353,6 @@ def run_sequence_study(cfg):
     over the configured pairs of |d^D(g_j) - d^D(g0)| / d^D(g0).  D is fixed
     across j (explicit, or the g0-based default).
     """
-    _check_kind(cfg, "sequence")
     _no_files(cfg, "sequence studies build g0 and g_j from a family, not from files")
     family = _require(cfg, "family", cfg.get_str)
     if family not in _SEQUENCE_FAMILIES:
@@ -377,15 +378,12 @@ def run_sequence_study(cfg):
         cfg._fail("pairs", "sequence studies need a non-empty pair set")
     D = _resolve_D(cfg, p, mesh, g0, dm0, sequence=True)
     params = _params(cfg, mesh, dm0, p, D)
-
-    base_results, code = _collect(distance_matrix(pairs, g0, g0, params))
+    fields = [spec.metrics(base)[0] for spec in specs]
+    (base_results, *solved), code = _collect((pairs, g, g0, params) for g in [g0, *fields])
     base_vals = np.array([r.value for r in base_results])
     h = cfg.hash()
     rows = []
-    for j, spec in zip(j_list, specs):
-        g_j, _ = spec.metrics(base)
-        results, worst = _collect(distance_matrix(pairs, g_j, g0, params))
-        code = max(code, worst)
+    for j, g_j, results in zip(j_list, fields, solved):
         vals = np.array([r.value for r in results])
         disc = float(np.max(np.abs(vals - base_vals) / base_vals))
         rep = hypothesis_functionals(g_j, g0, p)
@@ -393,15 +391,14 @@ def run_sequence_study(cfg):
     path = _out_path(cfg, "sequence.csv")
     _write_csv(path, SEQUENCE_HEADER, rows)
     svg = _out_path(cfg, "sequence.svg")
-    plot_from_csv(path, "j", ["I_inv", "sup_pair_discrepancy"], svg,
-                  title=f"{family} family, p = {p:g}, D = {D:g}", ylabel="value")
+    _write_svg(svg, SEQUENCE_HEADER, rows, "j", ["I_inv", "sup_pair_discrepancy"],
+               title=f"{family} family, p = {p:g}, D = {D:g}", ylabel="value")
     return RunResult(code, [path, svg],
                      f"{len(j_list)} index(es) x {len(pairs)} pair(s)")
 
 
 def run_scaling_check(cfg):
     """Verify d^D(lam^2 g, lam^2 g0) = lam^((p-n)/p) d^D(g, g0) numerically."""
-    _check_kind(cfg, "scaling")
     mesh, g, g0 = _geometry(cfg)
     dm0 = all_pairs_distances(mesh, g0)
     pairs = _resolve_pairs(cfg, mesh)
@@ -416,20 +413,19 @@ def run_scaling_check(cfg):
         cfg._fail("lambda_list", "scale factors must be positive")
     t = (p - mesh.dim) / p
     D = _resolve_D(cfg, p, mesh, g, dm0)
-    params = _params(cfg, mesh, dm0, p, D)
-    base_results, code = _collect(distance_matrix([(x, y)], g, g0, params))
-    rhs = base_results[0].value
 
-    outcomes = []
-    for lam in lambdas:
-        g_l, g0_l = scale_metric(g, lam), scale_metric(g0, lam)
-        dm_l = all_pairs_distances(mesh, g0_l)
-        outcomes += distance_matrix([(x, y)], g_l, g0_l, _params(cfg, mesh, dm_l, p, D))
-    results, worst = _collect(outcomes)
-    code = max(code, worst)
+    def batches():
+        # one scale factor's distances at a time
+        yield [(x, y)], g, g0, _params(cfg, mesh, dm0, p, D)
+        for lam in lambdas:
+            g_l, g0_l = scale_metric(g, lam), scale_metric(g0, lam)
+            yield [(x, y)], g_l, g0_l, _params(cfg, mesh, all_pairs_distances(mesh, g0_l), p, D)
+
+    ([base], *solved), code = _collect(batches())
+    rhs = base.value
     h = cfg.hash()
     rows, failed = [], []
-    for lam, res in zip(lambdas, results):
+    for lam, (res,) in zip(lambdas, solved):
         lhs = res.value
         rel_err = abs(lhs - lam ** t * rhs) / lhs
         if rel_err > 1e-4:
@@ -447,7 +443,6 @@ def run_scaling_check(cfg):
 
 def run_class_check(cfg):
     """Measure class functionals of g over g0 and compare with the bounds."""
-    _check_kind(cfg, "class-check")
     mesh, g, g0 = _geometry(cfg)
     bounds = {key: _require(cfg, key, cfg.get_float)
               for key in ("q1", "q2", "V1", "V2", "diam_bound")}
@@ -489,7 +484,6 @@ def run_gen(cfg):
     (rescaled for ``scaled``); a spike or oscillation ``j_list`` writes one
     ``metric_j<j>.txt`` per index.
     """
-    _check_kind(cfg, "gen")
     _no_files(cfg, "gen writes mesh/metric files from a family and reads none")
     spec = _family(cfg, cfg.get_int("j", 1))
     base = make_flat(spec.n, spec.resolution, spec.torus)
@@ -512,7 +506,7 @@ def run_gen(cfg):
         path = _out_path(cfg, name)
         write_metric(fld, path)
         files.append(path)
-        record = json.loads(rec.to_json())
+        record = {key: v for key, v in vars(rec).items() if v is not None}
         record.update(file=name, seed=cfg.seed, config_hash=h)
         records.append(json.dumps(record, sort_keys=True))
 
@@ -531,3 +525,11 @@ RUNNERS = {
     "scaling": run_scaling_check,
     "class-check": run_class_check,
 }
+
+
+def run(kind, cfg):
+    """Run the ``kind`` experiment on ``cfg``; a config that names another kind fails."""
+    stated = cfg.get_str("kind")
+    if stated is not None and stated != kind:
+        cfg._fail("kind", f"config says {stated!r} but the {kind!r} subcommand was run")
+    return RUNNERS[kind](cfg)

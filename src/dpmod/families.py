@@ -57,7 +57,6 @@ as an error in that key.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import permutations
@@ -141,7 +140,7 @@ class FamilySpec:
     radius: float | None = None
     scale: float | None = None
     conformal: float | None = None
-    center: tuple | None = None
+    center: list | tuple | None = None
     profile: str | None = "ball"
 
     def __post_init__(self):
@@ -165,12 +164,6 @@ class FamilySpec:
             return make_oscillation_sequence(base, self.j, self.resolution), g0
         g = g0 if self.conformal is None else make_conformal_constant(base, self.conformal)
         return scale_metric(g, self.scale), scale_metric(g0, self.scale)
-
-    def to_json(self):
-        d = {k: v for k, v in self.__dict__.items() if v is not None}
-        if "center" in d:
-            d["center"] = list(d["center"])
-        return json.dumps(d, sort_keys=True)
 
 
 def spike_schedule(n, j):

@@ -1,4 +1,4 @@
-"""Minimal static SVG line charts, regenerated from CSV files.
+"""Minimal static SVG line charts of experiment rows.
 
 Just enough for the experiment reports: linear axes, a handful of series,
 no external dependencies.  Output is deterministic (fixed float formatting,
@@ -6,10 +6,6 @@ no timestamps) so rerunning a config reproduces the SVG byte for byte.
 """
 
 from __future__ import annotations
-
-import csv
-
-from .errors import ParseError
 
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 72, 24, 40, 52
@@ -84,21 +80,3 @@ def render_line_chart(series, title="", xlabel="", ylabel=""):
         out.append(f'<text x="{_W - _MR - 94}" y="{ly + 4}">{name}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def plot_from_csv(csv_path, x_col, y_cols, out_path, title="", ylabel=""):
-    """Read columns from a CSV written by the harness and plot them."""
-    with open(csv_path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise ParseError("no data rows to plot", path=str(csv_path))
-    try:
-        series = [
-            (col, [float(r[x_col]) for r in rows], [float(r[col]) for r in rows])
-            for col in y_cols
-        ]
-    except KeyError as exc:
-        raise ParseError(f"missing column {exc.args[0]!r}", path=str(csv_path)) from exc
-    svg = render_line_chart(series, title=title, xlabel=x_col, ylabel=ylabel)
-    with open(out_path, "w") as fh:
-        fh.write(svg)

@@ -88,7 +88,7 @@ center = 0.5, 0.5
     assert cfg.get_bool("allow_low_p") is False        # absent -> default
     assert cfg.get_float_list("lambda_list") == [0.5, 1.0, 2.0]
     assert cfg.get_int_list("j_list") == [1, 2, 3, 4, 8]
-    assert cfg.get_floats("center") == (0.5, 0.5)
+    assert cfg.get_float_list("center") == [0.5, 0.5]
     assert cfg.get_int("resolution", 16) == 16
 
 

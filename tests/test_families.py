@@ -112,10 +112,15 @@ def test_one_rule_everywhere(tmp_path, capsys, key, spec, spike, config):
         assert f"config key {key!r}" in capsys.readouterr().err
 
 
-def test_family_spec_json_round():
-    spec = FamilySpec("spike", 2, 8, torus=True, j=2, center=(0.5, 0.5))
-    d = json.loads(spec.to_json())
-    assert d["family"] == "spike" and d["center"] == [0.5, 0.5]
+def test_family_spec_json_round(tmp_path):
+    # gen's provenance record of a member is its spec's values, keys sorted
+    config = tmp_path / "gen.cfg"
+    config.write_text("family = spike\nn = 2\nresolution = 8\ntorus = true\nj = 2\n"
+                      "center = 0.5, 0.5\n")
+    assert cli.main(["gen", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    line = (tmp_path / "out" / "family.jsonl").read_text().splitlines()[1]
+    d = json.loads(line)
+    assert d["family"] == "spike" and d["center"] == [0.5, 0.5] and d["j"] == 2
     assert list(d) == sorted(d)
     assert set(FAMILY_NAMES) == {
         "flat", "conformal-constant", "spike", "oscillation", "scaled"

@@ -1,9 +1,8 @@
-"""SVG chart rendering: structure, determinism, and CSV plumbing."""
+"""SVG chart rendering: structure and determinism."""
 
 import pytest
 
-from dpmod.errors import ParseError
-from dpmod.plot import plot_from_csv, render_line_chart
+from dpmod.plot import render_line_chart
 
 
 def test_render_structure():
@@ -29,21 +28,3 @@ def test_render_rejects_empty():
         render_line_chart([])
     with pytest.raises(ValueError):
         render_line_chart([("empty", [], [])])
-
-
-def test_plot_from_csv(tmp_path):
-    src = tmp_path / "data.csv"
-    src.write_text("p,value,other\n2,0.5,9\n4,0.75,9\n")
-    out = tmp_path / "chart.svg"
-    plot_from_csv(src, "p", ["value"], out, title="t", ylabel="v")
-    assert out.read_text().startswith("<svg")
-
-    with pytest.raises(ParseError) as err:
-        plot_from_csv(src, "p", ["missing"], tmp_path / "x.svg")
-    assert "missing column" in str(err.value)
-
-    empty = tmp_path / "empty.csv"
-    empty.write_text("p,value\n")
-    with pytest.raises(ParseError) as err:
-        plot_from_csv(empty, "p", ["value"], tmp_path / "y.svg")
-    assert "no data rows" in str(err.value)

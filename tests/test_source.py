@@ -66,6 +66,21 @@ def test_package_imports_only_numpy_and_stdlib():
     assert not found, f"imports outside numpy and the standard library: {found}"
 
 
+def test_package_imports_are_all_used():
+    # a name imported and never read is a dependency kept for nothing
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                found += [f"{path.name}:{node.lineno}: {name}" for name in
+                          (a.asname or a.name.split(".")[0] for a in node.names)
+                          if name not in used]
+    assert not found, f"imported names the package never reads: {found}"
+
+
 def test_oracle_imports_nothing_from_the_solver():
     # the brute-force oracle checks the solver, so it shares no code with it
     tree = ast.parse((PACKAGE / "oracle.py").read_text())
