@@ -192,7 +192,10 @@ def _resolve_pairs(cfg, mesh):
     if spec == "":
         return []
     if spec == "corner-pairs":
-        return _corner_pairs(mesh)
+        try:
+            return _corner_pairs(mesh)
+        except ParseError as exc:
+            cfg._fail("pairs", str(exc))
     if spec.startswith("random-"):
         try:
             k = int(spec[len("random-"):])
@@ -261,6 +264,8 @@ def _exponent(cfg, n):
     p = _require(cfg, "p", cfg.get_float)
     if not p > n:
         cfg._fail("p", f"must exceed the dimension n = {n}, got {p}")
+    if not p <= P_CAP:
+        cfg._fail("p", f"is capped at {P_CAP:g}, got {p}")
     return p
 
 
@@ -364,7 +369,7 @@ def run_sequence_study(cfg):
     base = make_flat(specs[0].n, specs[0].resolution, specs[0].torus)
     mesh, g0 = base
     n = mesh.dim
-    p = cfg.get_float("p", float(3 * n + 1))
+    p = _exponent(cfg, n) if "p" in cfg else float(3 * n + 1)
     if not p > 3 * n:
         if cfg.get_bool("allow_low_p"):
             print(f"warning: p = {p:g} is not above 3n = {3 * n}; "
@@ -378,16 +383,19 @@ def run_sequence_study(cfg):
         cfg._fail("pairs", "sequence studies need a non-empty pair set")
     D = _resolve_D(cfg, p, mesh, g0, dm0, sequence=True)
     params = _params(cfg, mesh, dm0, p, D)
-    fields = [spec.metrics(base)[0] for spec in specs]
+    # equal specs (every member of a family that reads no j) are measured once
+    distinct = [spec for i, spec in enumerate(specs) if spec not in specs[:i]]
+    fields = [spec.metrics(base)[0] for spec in distinct]
     (base_results, *solved), code = _collect((pairs, g, g0, params) for g in [g0, *fields])
     base_vals = np.array([r.value for r in base_results])
-    h = cfg.hash()
-    rows = []
-    for j, g_j, results in zip(j_list, fields, solved):
+    measured = []
+    for g_j, results in zip(fields, solved):
         vals = np.array([r.value for r in results])
         disc = float(np.max(np.abs(vals - base_vals) / base_vals))
         rep = hypothesis_functionals(g_j, g0, p)
-        rows.append((j, rep.I_g, rep.I_inv, rep.I_eta, rep.I_33, disc, h))
+        measured.append((rep.I_g, rep.I_inv, rep.I_eta, rep.I_33, disc))
+    h = cfg.hash()
+    rows = [(j, *measured[distinct.index(spec)], h) for j, spec in zip(j_list, specs)]
     path = _out_path(cfg, "sequence.csv")
     _write_csv(path, SEQUENCE_HEADER, rows)
     svg = _out_path(cfg, "sequence.svg")

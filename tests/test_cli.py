@@ -291,9 +291,14 @@ pairs = corner-pairs
     assert (out / "sequence.svg").read_text().startswith("<svg")
 
 
-def test_sequence_on_a_family_that_ignores_j(tmp_path, capsys):
+def test_sequence_on_a_family_that_ignores_j(tmp_path, capsys, monkeypatch):
     # conformal-constant reads no index, so its specs carry none: the rows are
-    # labelled by j_list and are otherwise equal
+    # labelled by j_list and are otherwise equal, and the one distinct member
+    # is solved once, after the background
+    calls = []
+    real = experiments.distance_matrix
+    monkeypatch.setattr(experiments, "distance_matrix",
+                        lambda *args: calls.append(args) or real(*args))
     config = cfg_file(tmp_path, """\
 kind = sequence
 family = conformal-constant
@@ -310,6 +315,7 @@ pairs = corner-pairs
     rows = read_rows(out / "sequence.csv")
     assert [r.pop("j") for r in rows] == ["1", "2", "3"]
     assert rows[0] == rows[1] == rows[2]
+    assert len(calls) == 2
 
 
 def test_sequence_rejects_low_p_without_override(tmp_path, capsys):
@@ -555,6 +561,19 @@ SEQUENCE_1D = "family = spike\nn = 1\nresolution = 4\ntorus = true\npairs = corn
                  "needs at least one index", id="j_list-empty"),
     pytest.param("scaling", CONFORMAL_1D + "lambda_list = 0.5, -1\n", "lambda_list",
                  "scale factors must be positive", id="lambda_list-negative"),
+    # the README's rule n < p <= 128, checked before any solve
+    pytest.param("compute", CONFORMAL_1D.replace("p = 2", "p = 200"), "p",
+                 "is capped at 128, got 200.0", id="p-above-cap-compute"),
+    pytest.param("scaling", CONFORMAL_1D.replace("p = 2", "p = 130"), "p",
+                 "is capped at 128, got 130.0", id="p-above-cap-scaling"),
+    pytest.param("sequence", SEQUENCE_1D + "p = 200\n", "p",
+                 "is capped at 128, got 200.0", id="p-above-cap-sequence"),
+    pytest.param("sequence", SEQUENCE_1D + "p = 1\nallow_low_p = true\n", "p",
+                 "must exceed the dimension n = 1, got 1.0", id="low-p-override-keeps-p-above-n"),
+    pytest.param("compute", SPIKE_2D.replace("resolution = 4", "resolution = 5")
+                 .replace("0-4", "corner-pairs"), "pairs",
+                 "corner-pairs needs a vertex at (0.0, 0.5): no vertex at [0.0, 0.5] "
+                 "(closest is 0.1 away)", id="corner-pairs-odd-resolution"),
 ])
 def test_runner_input_error_message(tmp_path, capsys, kind, body, key, message):
     # each runner's input errors name the config key and keep their text
