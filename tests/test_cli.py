@@ -17,6 +17,7 @@ from dpmod.families import make_flat
 from dpmod.oracle import analytic_1d_dp
 from dpmod.mesh import read_mesh
 from dpmod.metric import read_metric
+from dpmod.plot import render_line_chart
 
 
 def cfg_file(tmp_path, text, name="run.cfg"):
@@ -250,8 +251,11 @@ p_list = 2, 4
     assert values[0] < values[1] <= d_graph + 1e-9     # climbing toward d_g
     for r in rows:
         assert float(r["gap"]) == pytest.approx(abs(float(r["value"]) - d_graph))
-    svg = (out / "sweep.svg").read_text()
-    assert svg.startswith("<svg") and "polyline" in svg
+    # the chart is drawn from the rows in hand, and matches the CSV read back
+    ps = [float(r["p"]) for r in rows]
+    assert (out / "sweep.svg").read_text() == render_line_chart(
+        [(col, ps, [float(r[col]) for r in rows]) for col in ("value", "d_graph")],
+        title="distance vs p, pair (0, 4)", xlabel="p", ylabel="distance")
 
 
 def test_sweep_p_requires_ascending_list(tmp_path, capsys):
