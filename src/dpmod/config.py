@@ -27,7 +27,7 @@ _KNOWN_KEYS = {
     "family", "n", "resolution", "torus", "j", "j_list", "conformal_c",
     "center", "profile", "amplitude", "radius", "scale",
     # solve parameters
-    "p", "p_list", "D", "pairs", "pair_radius",
+    "p", "p_list", "D", "pairs",
     # kind-specific
     "lambda_list", "allow_low_p", "q1", "q2", "V1", "V2", "diam_bound",
 }

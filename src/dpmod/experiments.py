@@ -269,11 +269,6 @@ def _exponent(cfg, n):
     return p
 
 
-def _params(cfg, mesh, dm0, p, D):
-    return GaugeParams.build(mesh, dm0, p=p, D=D,
-                             pair_radius=cfg.get_float("pair_radius"))
-
-
 def _collect(batches):
     """Solve (pairs, g, g0, params) batches in order: each one's results, and the exit code.
 
@@ -305,7 +300,7 @@ def run_compute(cfg):
     h = cfg.hash()
     rows, code = [], EXIT_OK
     if pairs:
-        (results,), code = _collect([(pairs, g, g0, _params(cfg, mesh, dm0, p, D))])
+        (results,), code = _collect([(pairs, g, g0, GaugeParams.build(mesh, dm0, p, D))])
         rows = [
             (r.x, r.y, r.p, r.D, r.value, r.active_constraint, r.iterations,
              r.energy_residual, r.holder_residual, r.converged, h)
@@ -340,7 +335,7 @@ def run_p_sweep(cfg):
     diam_g = dm_g.diameter()
     h = cfg.hash()
     Ds = (_resolve_D(cfg, p, mesh, g, dm0, diam_g=diam_g) for p in p_list)
-    solved, code = _collect(([(x, y)], g, g0, _params(cfg, mesh, dm0, p, D))
+    solved, code = _collect(([(x, y)], g, g0, GaugeParams.build(mesh, dm0, p, D))
                             for p, D in zip(p_list, Ds))
     rows = [(r.p, r.value, d_graph, abs(r.value - d_graph), h) for (r,) in solved]
     path = _out_path(cfg, "sweep.csv")
@@ -382,14 +377,18 @@ def run_sequence_study(cfg):
     if not pairs:
         cfg._fail("pairs", "sequence studies need a non-empty pair set")
     D = _resolve_D(cfg, p, mesh, g0, dm0, sequence=True)
-    params = _params(cfg, mesh, dm0, p, D)
-    # equal specs (every member of a family that reads no j) are measured once
+    params = GaugeParams.build(mesh, dm0, p, D)
+    # equal specs (every member of a family that reads no j) are measured once,
+    # and a member whose field is g0 itself reuses the baseline solve
     distinct = [spec for i, spec in enumerate(specs) if spec not in specs[:i]]
     fields = [spec.metrics(base)[0] for spec in distinct]
-    (base_results, *solved), code = _collect((pairs, g, g0, params) for g in [g0, *fields])
+    moved = [g for g in fields if g is not g0]
+    (base_results, *solved), code = _collect((pairs, g, g0, params) for g in [g0, *moved])
+    solved = iter(solved)
     base_vals = np.array([r.value for r in base_results])
     measured = []
-    for g_j, results in zip(fields, solved):
+    for g_j in fields:
+        results = base_results if g_j is g0 else next(solved)
         vals = np.array([r.value for r in results])
         disc = float(np.max(np.abs(vals - base_vals) / base_vals))
         rep = hypothesis_functionals(g_j, g0, p)
@@ -424,10 +423,11 @@ def run_scaling_check(cfg):
 
     def batches():
         # one scale factor's distances at a time
-        yield [(x, y)], g, g0, _params(cfg, mesh, dm0, p, D)
+        yield [(x, y)], g, g0, GaugeParams.build(mesh, dm0, p, D)
         for lam in lambdas:
             g_l, g0_l = scale_metric(g, lam), scale_metric(g0, lam)
-            yield [(x, y)], g_l, g0_l, _params(cfg, mesh, all_pairs_distances(mesh, g0_l), p, D)
+            dm0_l = all_pairs_distances(mesh, g0_l)
+            yield [(x, y)], g_l, g0_l, GaugeParams.build(mesh, dm0_l, p, D)
 
     ([base], *solved), code = _collect(batches())
     rhs = base.value

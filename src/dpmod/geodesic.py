@@ -126,8 +126,3 @@ def all_pairs_distances(mesh, metric):
         dist[sources] = _bellman_ford(nbr, wt, sources).T
     _symmetrize(dist)
     return DistanceMatrix(mesh, dist)
-
-
-def diameter(mesh, metric):
-    """Largest node-pair distance under the graph metric."""
-    return all_pairs_distances(mesh, metric).diameter()

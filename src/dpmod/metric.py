@@ -215,7 +215,7 @@ def check_class_membership(g, g0, params):
     pencil = generalized_eigenvalues(g, g0)
     norm_g = lq_norm(norm_g_wrt_g0(pencil), params.q1 / 2.0, g0)
     norm_ginv = lq_norm(norm_ginv_wrt_g0(pencil), params.q2 / 2.0, g0)
-    diam_g = geodesic.diameter(g.mesh, g)
+    diam_g = geodesic.all_pairs_distances(g.mesh, g).diameter()
     member = norm_g <= params.V1 and norm_ginv <= params.V2 and diam_g <= params.D
     return ClassReport(member, norm_g, norm_ginv, diam_g)
 

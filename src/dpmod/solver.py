@@ -6,9 +6,9 @@ The quantity computed between nodes x and y is
 
 over piecewise-linear f, where E_p(f) = sum_cells (df^T G^-1 df)^{p/2}
 sqrt(det G) vol is the p-energy under the metric g and H(f) is the Holder
-seminorm max_{(u,v)} |f(u) - f(v)| / d_{g0}(u,v)^t with t = (p - n)/p and
-d_{g0} the background graph metric.  D = +inf drops the cap (plain p-energy
-distance).
+seminorm max_{(u,v)} |f(u) - f(v)| / d_{g0}(u,v)^t over all node pairs, with
+t = (p - n)/p and d_{g0} the background graph metric.  The cap D lies in
+(0, +inf]; D = +inf drops the cap (plain p-energy distance).
 
 Reformulation: both constraints are 1-homogeneous, so with the gauge
 Phi(f) = max(E_p(f)^{1/p}, H(f)/D) the distance equals
@@ -30,12 +30,13 @@ needed a halving (there the line search is resolving round-off), or at
 once when the free gradient is zero.  Cells with q_c = 0 get zero
 coefficients (the energy is flat there for p > 2 and not twice
 differentiable for p < 2).  A singular dense system, here or in the
-barrier, raises SolverError.  solve_dp_unmodified returns this minimizer.
+barrier, raises SolverError.
 
 Energy-bound screen: the capped feasible set is a subset of the uncapped
 one, so if the uncapped minimizer f* already satisfies the cap with room,
 H(f*)/D <= A(f*) (1 - 1e-3) with A = E_p^{1/p}, it solves the capped
-problem and is returned as an energy-bound result with stages = 0.
+problem and is returned as an energy-bound result with stages = 0.  At
+D = +inf the cap term H/D is 0 and f* is always the answer.
 
 Barrier rounds: every other capped pair is solved as
 
@@ -112,8 +113,8 @@ class GaugeParams:
     """Exponents, cap and Holder pair set of one instance.
 
     Build with :meth:`GaugeParams.build`; ``d0`` is the dense background
-    distance matrix and (iu, iv) the constrained node pairs (all pairs by
-    default, or those with d0 <= pair_radius plus the solved pair itself).
+    distance matrix, (iu, iv) the constrained node pairs (every pair u < v)
+    and D in (0, +inf] the cap.
     """
 
     mesh: object
@@ -125,7 +126,7 @@ class GaugeParams:
     iv: np.ndarray
 
     @classmethod
-    def build(cls, mesh, dm0, p, D, pair_radius=None):
+    def build(cls, mesh, dm0, p, D):
         n = mesh.dim
         if not p > n:
             raise SolverError(f"need p > n = {n}, got p = {p}")
@@ -139,13 +140,6 @@ class GaugeParams:
         if d0.shape != (N, N):
             raise MeshMismatchError("distance matrix does not match mesh node count")
         iu, iv = np.triu_indices(N, k=1)
-        if pair_radius is not None:
-            d = d0[iu, iv]
-            keep = d <= pair_radius
-            if d.size and not keep.any():
-                raise SolverError(f"pair_radius = {pair_radius} keeps no Holder pair: "
-                                  f"the smallest background distance is {d.min():.6g}")
-            iu, iv = iu[keep], iv[keep]
         if np.any(d0[iu, iv] <= 0.0):
             raise ZeroDistancePairError("constrained pair with zero background distance")
         return cls(mesh, float(p), float(D), t, d0, iu, iv)
@@ -244,16 +238,10 @@ class _Gauge:
         self.w = sqrt_dets * mesh.volumes
         self.nodes = np.ascontiguousarray(mesh.cells_nodes.T)
 
-        # Holder data: normalized distances, pair (x, y) always present
-        iu, iv = params.iu, params.iv
-        is_xy = (iu == x) & (iv == y)
-        if not is_xy.any():
-            iu, iv = np.append(iu, x), np.append(iv, y)
-            self.xy = iu.size - 1
-        else:
-            self.xy = int(np.flatnonzero(is_xy)[0])
-        self.iu, self.iv = iu, iv
-        self.inv_dt = (params.d0[iu, iv] / sigma) ** (-params.t)
+        # Holder data: normalized distances; xy indexes the pair (x, y)
+        self.iu, self.iv = params.iu, params.iv
+        self.xy = int(np.flatnonzero((self.iu == x) & (self.iv == y))[0])
+        self.inv_dt = (params.d0[self.iu, self.iv] / sigma) ** (-params.t)
 
     def energy(self, f):
         """A(f) = E_p(f)^{1/p} of the normalized instance."""
@@ -267,8 +255,7 @@ class _Gauge:
         """Exact Phi(f) = max(A, H/D) and the two terms."""
         A = self.energy(f)
         H = float(np.abs(self.ratios(f)).max())
-        cap_term = 0.0 if math.isinf(self.D) else H / self.D
-        return max(A, cap_term), A, H
+        return max(A, H / self.D), A, H
 
 
 # Newton energy solve: step cap, ridge (relative to the mean Hessian
@@ -569,7 +556,7 @@ def _solve_oriented(x, y, g, params):
 
 def _active(A, H, D):
     """Which gauge term binds: the two tie within 1e-3 relative as "both"."""
-    cap_term = 0.0 if math.isinf(D) else H / D
+    cap_term = H / D
     if abs(A - cap_term) <= 1e-3 * max(A, cap_term):
         return "both"
     return "energy-bound" if A > cap_term else "holder-bound"
@@ -582,7 +569,7 @@ def _result(gauge, g, params, x, y, f, iterations, converged, stages):
     value = sig_t * ((f[x] - f[y]) / phi)
     extremal = (sig_t / phi) * f
     e_res = max(0.0, energy_p(extremal, g, params.p) ** (1.0 / params.p) - 1.0)
-    if math.isinf(params.D):
+    if math.isinf(params.D):     # H/D = 0: no pass over the pairs needed
         h_res = 0.0
     else:
         h_res = max(0.0, holder_seminorm(extremal, params) / params.D - 1.0)
@@ -602,14 +589,7 @@ def solve_dp(x, y, g, g0, params):
     """
     if g0 is not None and g0.mesh is not params.mesh:
         raise MeshMismatchError("g0 lives on a different mesh than params")
-    if math.isinf(params.D):
-        raise SolverError("params.D is inf; use solve_dp_unmodified")
     return _solve(x, y, g, params)
-
-
-def solve_dp_unmodified(x, y, g, params):
-    """Uncapped p-energy distance (the D = +inf case of solve_dp)."""
-    return _solve(x, y, g, replace(params, D=math.inf))
 
 
 @dataclass
@@ -625,11 +605,7 @@ def distance_matrix(pairs, g, g0, params):
     outcomes = []
     for x, y in pairs:
         try:
-            if math.isinf(params.D):
-                result = solve_dp_unmodified(x, y, g, params)
-            else:
-                result = solve_dp(x, y, g, g0, params)
-            outcomes.append(PairOutcome(x, y, result=result))
+            outcomes.append(PairOutcome(x, y, result=solve_dp(x, y, g, g0, params)))
         except SameVertexError:
             outcomes.append(PairOutcome(x, y, error="SameVertex"))
         except NonConvergedError as exc:

@@ -295,19 +295,22 @@ pairs = corner-pairs
     assert (out / "sequence.svg").read_text().startswith("<svg")
 
 
-def test_sequence_on_a_family_that_ignores_j(tmp_path, capsys, monkeypatch):
-    # conformal-constant reads no index, so its specs carry none: the rows are
-    # labelled by j_list and are otherwise equal, and the one distinct member
-    # is solved once, after the background
+@pytest.mark.parametrize("family,solves", [("flat", 1), ("conformal-constant", 2)],
+                         ids=["flat", "conformal-constant"])
+def test_sequence_on_a_family_that_ignores_j(tmp_path, capsys, monkeypatch, family, solves):
+    # flat and conformal-constant read no index, so their specs carry none:
+    # the rows are labelled by j_list and are otherwise equal, and the one
+    # distinct member is solved once, after the background; flat's member is
+    # the background itself and reuses its solve
     calls = []
     real = experiments.distance_matrix
     monkeypatch.setattr(experiments, "distance_matrix",
                         lambda *args: calls.append(args) or real(*args))
-    config = cfg_file(tmp_path, """\
+    extra = "conformal_c = 2\n" if family == "conformal-constant" else ""
+    config = cfg_file(tmp_path, f"""\
 kind = sequence
-family = conformal-constant
-conformal_c = 2
-n = 2
+family = {family}
+{extra}n = 2
 resolution = 4
 torus = true
 j_list = 1..3
@@ -319,7 +322,9 @@ pairs = corner-pairs
     rows = read_rows(out / "sequence.csv")
     assert [r.pop("j") for r in rows] == ["1", "2", "3"]
     assert rows[0] == rows[1] == rows[2]
-    assert len(calls) == 2
+    assert len(calls) == solves
+    if family == "flat":
+        assert rows[0]["sup_pair_discrepancy"] == "0.0"
 
 
 def test_sequence_rejects_low_p_without_override(tmp_path, capsys):
@@ -639,7 +644,7 @@ TINY = {
 }
 FUZZ_KEYS = ("family", "n", "resolution", "torus", "j", "j_list", "conformal_c", "center",
              "profile", "amplitude", "radius", "scale", "p", "p_list", "D", "pairs",
-             "pair_radius", "lambda_list", "allow_low_p", "q1", "V1", "diam_bound", "seed")
+             "lambda_list", "allow_low_p", "q1", "V1", "diam_bound", "seed")
 FUZZ_VALUES = ("", ",", "0", "-1", "1", "2", "0.5", "nan", "inf", "1e400", "x", "0..2",
                "2..1", "true", "corner-pairs", "random-2", "0-1", "1-1", "tube", "scaled",
                "oscillation", "auto")

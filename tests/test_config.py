@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from dpmod import config
+from dpmod import cli, config
 from dpmod.config import KINDS, parse_config
 from dpmod.errors import ParseError
 
@@ -76,14 +76,14 @@ def test_typed_getters(tmp_path):
     cfg = parse_config(write(tmp_path, """\
 n = 2
 p = 7
-pair_radius = 1e-6
+amplitude = 1e-6
 torus = no
 lambda_list = 0.5, 1, 2
 j_list = 1..4, 8
 center = 0.5, 0.5
 """))
     assert cfg.get_int("n") == 2
-    assert cfg.get_float("pair_radius") == 1e-6
+    assert cfg.get_float("amplitude") == 1e-6
     assert cfg.get_bool("torus") is False
     assert cfg.get_bool("allow_low_p") is False        # absent -> default
     assert cfg.get_float_list("lambda_list") == [0.5, 1.0, 2.0]
@@ -125,13 +125,18 @@ def test_hash_semantics(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key", ["beta0", "beta_growth", "stage_rtol", "max_stages", "max_iters_per_stage"])
-def test_retired_continuation_keys_rejected(tmp_path, key):
-    # the smoothed continuation's knobs are gone, and the barrier's gap
-    # target and budgets are fixed constants of the solver
+    "key", ["beta0", "beta_growth", "stage_rtol", "max_stages", "max_iters_per_stage",
+            "pair_radius"])
+def test_retired_continuation_keys_rejected(tmp_path, key, capsys):
+    # the smoothed continuation's knobs are gone, the barrier's gap target
+    # and budgets are fixed constants of the solver, and every solve caps
+    # all node pairs
+    path = write(tmp_path, f"kind = compute\n{key} = 4\n")
     with pytest.raises(ParseError) as err:
-        parse_config(write(tmp_path, f"kind = compute\n{key} = 4\n"))
+        parse_config(path)
     assert err.value.line == 2 and key in str(err.value)
+    assert cli.main(["compute", "--config", str(path)]) == 1
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 def test_readme_documents_every_key():

@@ -217,7 +217,7 @@ def test_hypothesis_diameter_is_lazy(monkeypatch):
     # the sequence study reads only the integrals: no all-pairs shortest paths
     mesh, g0 = make_flat(2, 2, torus=True)
     calls = []
-    monkeypatch.setattr(geodesic, "diameter", lambda *a: calls.append(a))
+    monkeypatch.setattr(geodesic, "all_pairs_distances", lambda *a: calls.append(a))
     hypothesis_functionals(g0, g0, 3.0)
     assert calls == []
 

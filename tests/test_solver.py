@@ -26,7 +26,6 @@ from dpmod.solver import (
     energy_p,
     holder_seminorm,
     solve_dp,
-    solve_dp_unmodified,
 )
 
 from conftest import chain_mesh, random_metric, strip_mesh
@@ -73,19 +72,9 @@ def test_build_validation(chain16):
         GaugeParams.build(mesh, dm0, p=2.0, D=0.0)
     with pytest.raises(MeshMismatchError):
         GaugeParams.build(mesh, np.zeros((3, 3)), p=2.0, D=1.0)
-    params = GaugeParams.build(mesh, dm0, p=4.0, D=2.0, pair_radius=0.25)
+    params = GaugeParams.build(mesh, dm0, p=4.0, D=2.0)
     assert params.t == pytest.approx(0.75)
-    kept = params.d0[params.iu, params.iv]
-    assert kept.max() <= 0.25
-
-
-def test_pair_radius_below_every_distance_rejected(chain16):
-    # no pair left to constrain: fail at build time, not at the end of a solve
-    mesh, _, dm0 = chain16
-    with pytest.raises(SolverError, match="smallest background distance is 0.0625"):
-        GaugeParams.build(mesh, dm0, p=2.0, D=0.5, pair_radius=0.01)
-    params = GaugeParams.build(mesh, dm0, p=2.0, D=0.5, pair_radius=0.0625)
-    assert params.iu.size == 16
+    assert params.iu.size == 17 * 16 // 2               # every node pair
 
 
 def test_solve_input_errors(chain16):
@@ -95,9 +84,11 @@ def test_solve_input_errors(chain16):
         solve_dp(3, 3, g0, g0, params)
     with pytest.raises(SolverError):
         solve_dp(0, 99, g0, g0, params)
-    inf_params = GaugeParams.build(mesh, dm0, p=2.0, D=math.inf)
-    with pytest.raises(SolverError):
-        solve_dp(0, 16, g0, g0, inf_params)   # must use solve_dp_unmodified
+    # D = inf is no input error: the Newton energy solve is the answer
+    res = solve_dp(0, 16, g0, g0, GaugeParams.build(mesh, dm0, p=2.0, D=math.inf))
+    assert res.active_constraint == "energy-bound" and res.stages == 0
+    assert res.converged and res.holder_residual == 0.0
+    assert res.value == pytest.approx(1.0, rel=1e-7)
     other_mesh, other_g0 = make_flat(1, 4, torus=False)
     with pytest.raises(MeshMismatchError):
         solve_dp(0, 16, other_g0, g0, params)
@@ -143,20 +134,6 @@ def test_cap_is_exact(chain16):
     assert res.active_constraint == "holder-bound"
 
 
-def test_solved_pair_joins_a_radius_limited_pair_set(chain16):
-    # pair_radius = 0.25 leaves (0, 16) out of the constrained pairs; the
-    # solve appends it, so the cap D d0(x,y)^t = 0.5 binds (the uncapped
-    # value is 2^(1/2))
-    mesh, g0, dm0 = chain16
-    g = make_conformal_constant((mesh, g0), 2.0)
-    params = GaugeParams.build(mesh, dm0, p=2.0, D=0.5, pair_radius=0.25)
-    assert not ((params.iu == 0) & (params.iv == 16)).any()
-    for x, y in ((0, 16), (16, 0)):
-        res = solve_dp(x, y, g, g0, params)
-        assert res.value == 0.5
-        assert res.active_constraint == "holder-bound"
-
-
 def test_cap_monotone_in_D(chain16):
     mesh, g0, dm0 = chain16
     g = make_conformal_constant((mesh, g0), 2.0)
@@ -167,7 +144,7 @@ def test_cap_monotone_in_D(chain16):
     assert all(a <= b + 1e-9 for a, b in zip(values, values[1:]))
     # large-D limit agrees with the unmodified distance
     params_inf = GaugeParams.build(mesh, dm0, p=2.0, D=math.inf)
-    free = solve_dp_unmodified(0, 16, g, params_inf).value
+    free = solve_dp(0, 16, g, None, params_inf).value
     assert values[-1] == pytest.approx(free, rel=1e-6)
 
 
@@ -227,7 +204,7 @@ def test_2d_unmodified_vs_large_cap():
     x, y = 0, mesh.num_nodes // 2
     params_inf = GaugeParams.build(mesh, dm0, p=6.0, D=math.inf)
     params_big = GaugeParams.build(mesh, dm0, p=6.0, D=50.0)
-    v_inf = solve_dp_unmodified(x, y, g0, params_inf).value
+    v_inf = solve_dp(x, y, g0, None, params_inf).value
     v_big = solve_dp(x, y, g0, g0, params_big).value
     assert v_big == pytest.approx(v_inf, rel=1e-5)
     # frozen band for this instance: the integral energy bound is laxer than
@@ -405,7 +382,7 @@ def spike8():
     return mesh, make_spike_sequence(base, 1), g0, all_pairs_distances(mesh, g0)
 
 
-# solve_dp_unmodified values of the smoothed FISTA path that preceded the
+# D = inf solve_dp values of the smoothed FISTA path that preceded the
 # Newton solve (float.hex): the conformal chain (c = 2) pair 0-16 and the
 # 8x8 spike (j = 1) pair 0-36; both are lower bounds, so higher is better
 FISTA_UNMODIFIED = {
@@ -431,7 +408,7 @@ def test_newton_unmodified_not_below_fista(case, chain16, spike8):
     else:
         mesh, g, g0, dm0 = spike8
         x, y = 0, 36
-    res = solve_dp_unmodified(x, y, g, GaugeParams.build(mesh, dm0, p=p, D=math.inf))
+    res = solve_dp(x, y, g, None, GaugeParams.build(mesh, dm0, p=p, D=math.inf))
     assert res.converged and res.stages == 0
     assert res.active_constraint == "energy-bound"
     assert 1 <= res.iterations <= 100
@@ -444,7 +421,7 @@ def test_two_node_chain_has_no_free_nodes(recwarn):
     mesh = chain_mesh([0.0, 1.0])
     g = MetricField.constant(mesh, np.array([[4.0]]))      # conformal c = 2
     dm0 = all_pairs_distances(mesh, MetricField.identity(mesh))
-    res = solve_dp_unmodified(1, 0, g, GaugeParams.build(mesh, dm0, p=3.0, D=math.inf))
+    res = solve_dp(1, 0, g, None, GaugeParams.build(mesh, dm0, p=3.0, D=math.inf))
     assert res.converged and res.iterations == 0
     assert res.value == pytest.approx(2.0 ** (2.0 / 3.0), rel=1e-15)
     assert not recwarn.list
@@ -468,7 +445,7 @@ def test_newton_step_cap(monkeypatch, chain16):
     g = make_conformal_constant((mesh, g0), 2.0)
     monkeypatch.setattr(solver, "_NEWTON_MAX_STEPS", 1)
     with pytest.raises(NonConvergedError) as err:
-        solve_dp_unmodified(0, 16, g, GaugeParams.build(mesh, dm0, p=7.0, D=math.inf))
+        solve_dp(0, 16, g, None, GaugeParams.build(mesh, dm0, p=7.0, D=math.inf))
     partial = err.value.result
     assert not partial.converged and partial.stages == 0 and partial.iterations == 1
     assert partial.value <= 2.0 ** (6.0 / 7.0)
@@ -536,8 +513,8 @@ def test_newton_stops_at_round_off(spike8):
     # Armijo halves every step; its mirror pair 0-32 converges outright
     mesh, g, g0, dm0 = spike8
     params = GaugeParams.build(mesh, dm0, p=128.0, D=math.inf)
-    a = solve_dp_unmodified(0, 4, g, params)
-    b = solve_dp_unmodified(0, 32, g, params)
+    a = solve_dp(0, 4, g, None, params)
+    b = solve_dp(0, 32, g, None, params)
     assert a.converged and b.converged
     assert a.iterations < solver._NEWTON_MAX_STEPS
     assert a.value == pytest.approx(b.value, rel=1e-12)

@@ -81,6 +81,24 @@ def test_package_imports_are_all_used():
     assert not found, f"imported names the package never reads: {found}"
 
 
+def test_every_config_key_is_read():
+    # a key that no code reads is a knob that does nothing: each known key
+    # must appear as a string somewhere outside the _KNOWN_KEYS literal
+    from dpmod import config
+
+    def declares_keys(node):
+        return isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "_KNOWN_KEYS" for t in node.targets)
+
+    strings = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        strings |= {node.value for top in tree.body if not declares_keys(top)
+                    for node in ast.walk(top)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert sorted(config._KNOWN_KEYS - strings) == []
+
+
 def test_oracle_imports_nothing_from_the_solver():
     # the brute-force oracle checks the solver, so it shares no code with it
     tree = ast.parse((PACKAGE / "oracle.py").read_text())
