@@ -1,8 +1,8 @@
 """Flat key = value experiment configs.
 
 Grammar: one ``key = value`` per line, ``#`` starts a comment, blank lines
-ignored.  Keys are validated against the known set so typos fail loudly with
-the offending line number.  The README documents every key.
+ignored.  Unknown keys, and keys the run would not read (``check_reads``),
+fail with the offending line number.  The README documents every key.
 
 The config hash echoed into CSV rows covers the *effective* inputs: the
 config text (minus ``out``, which only moves files) plus the effective seed
@@ -15,22 +15,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ParseError
+from .families import FAMILY_READS
 from .util import config_hash
 
-KINDS = ("gen", "compute", "sweep-p", "sequence", "scaling", "class-check")
-
-_KNOWN_KEYS = {
-    "kind", "out", "seed",
-    # geometry: files …
-    "mesh", "metric", "metric0",
-    # … or generator
-    "family", "n", "resolution", "torus", "j", "j_list", "conformal_c",
-    "center", "profile", "amplitude", "radius", "scale",
-    # solve parameters
-    "p", "p_list", "D", "pairs",
-    # kind-specific
-    "lambda_list", "allow_low_p", "q1", "q2", "V1", "V2", "diam_bound",
+# the keys each kind reads besides kind, out and seed; ``check_reads`` narrows them
+_FILES = ("mesh", "metric", "metric0")
+_FAMILY = ("family", "n", "resolution", "torus", "conformal_c", "amplitude", "radius",
+           "center", "profile", "scale")
+KEYS = {
+    "gen": (*_FAMILY, "j", "j_list"),
+    "compute": (*_FILES, *_FAMILY, "j", "p", "D", "pairs"),
+    "sweep-p": (*_FILES, *_FAMILY, "j", "p_list", "D", "pairs"),
+    "sequence": (*_FAMILY, "j_list", "p", "D", "pairs", "allow_low_p"),
+    "scaling": (*_FILES, *_FAMILY, "j", "p", "D", "pairs", "lambda_list"),
+    "class-check": (*_FILES, *_FAMILY, "j", "q1", "q2", "V1", "V2", "diam_bound"),
 }
+KINDS = tuple(KEYS)
+_KNOWN_KEYS = {"kind", "out", "seed"}.union(*KEYS.values())
+_VALUES = set().union(*FAMILY_READS.values())
 
 
 @dataclass
@@ -114,6 +116,21 @@ class ExperimentConfig:
             except ValueError:
                 self._fail(key, f"expected integers or a..b ranges, got {tok!r}")
         return out
+
+    def check_reads(self, kind):
+        """Fail on the first key, in line order, that a ``kind`` run does not read."""
+        family = self.get_str("family")
+        clash = _FILES if family is not None else (*_FAMILY, "j")
+        # unknown families are left to the runner; gen reads j_list as j, j only without it
+        skip = _VALUES.difference(FAMILY_READS.get(family, _VALUES))
+        for key in self.values:
+            if key in clash and any(file in self for file in _FILES):
+                self._fail(key, "give either mesh/metric files or a family, not both")
+            value = "conformal" if key == "conformal_c" else \
+                "j" if key == "j_list" and kind == "gen" else key
+            if key not in ("kind", "out", "seed", *KEYS[kind]) or value in skip or \
+                    kind == "gen" and key == "j" and "j_list" in self:
+                self._fail(key, f"is not read by this {kind} run")
 
     def hash(self):
         lines = [

@@ -1,10 +1,10 @@
 """Experiment runners behind the CLI.
 
 :func:`run` checks a parsed :class:`~dpmod.config.ExperimentConfig` against
-the subcommand and hands it to that kind's runner.  Each runner writes its
-CSV/SVG/text outputs into the configured directory and returns a
-:class:`RunResult` with the exit code.  Everything is deterministic for a
-fixed config + seed: floats are serialized with ``repr`` (shortest
+the subcommand and the keys it reads, then hands it to that kind's runner.
+Each runner writes its CSV/SVG/text outputs into the configured directory and
+returns a :class:`RunResult` with the exit code.  Everything is deterministic
+for a fixed config + seed: floats are serialized with ``repr`` (shortest
 round-trip), rows keep the configured order, files are written after all
 solves of a run, and no output embeds a timestamp.  Every CSV row echoes the
 config hash.
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DpmodError, ParseError
-from .families import FamilySpec, FamilyValueError, make_flat
+from .families import FAMILY_READS, FamilySpec, FamilyValueError, make_flat
 from .geodesic import all_pairs_distances
 from .mesh import find_node, read_mesh, write_mesh
 from .metric import (
@@ -103,7 +103,6 @@ def _out_path(cfg, name):
 # -- geometry assembly -------------------------------------------------------
 
 _SEQUENCE_FAMILIES = ("flat", "conformal-constant", "spike", "oscillation")
-_INDEXED = ("spike", "oscillation")
 
 
 def _family(cfg, j, j_key="j"):
@@ -126,31 +125,20 @@ def _family(cfg, j, j_key="j"):
         cfg._fail(j_key if exc.key == "j" else exc.key, exc.message)
 
 
-def _no_files(cfg, msg):
-    """Fail on the first mesh/metric file key of a config built from a family."""
-    for key in ("mesh", "metric", "metric0"):
-        if key in cfg:
-            cfg._fail(key, msg)
-
-
 def _geometry(cfg):
     """(mesh, g, g0) from files or a generator family."""
-    has_mesh, has_family = "mesh" in cfg, "family" in cfg
-    if has_family:
-        _no_files(cfg, "give either mesh/metric files or a family, not both")
-
-    if has_mesh:
+    if "mesh" in cfg:
         mesh = read_mesh(cfg.get_str("mesh"))
         g = read_metric(cfg.get_str("metric"), mesh) if "metric" in cfg \
             else MetricField.identity(mesh)
         g0 = read_metric(cfg.get_str("metric0"), mesh) if "metric0" in cfg \
             else MetricField.identity(mesh)
         return mesh, g, g0
-    if not has_family:
+    if "family" not in cfg:
         cfg._fail("kind", "config needs either mesh = <file> or family = <name>")
 
-    indexed = cfg.get_str("family") in _INDEXED
-    spec = _family(cfg, _require(cfg, "j", cfg.get_int) if indexed else cfg.get_int("j"))
+    reads_j = "j" in FAMILY_READS.get(cfg.get_str("family"), ())
+    spec = _family(cfg, _require(cfg, "j", cfg.get_int) if reads_j else None)
     base = make_flat(spec.n, spec.resolution, spec.torus)
     return (base[0], *spec.metrics(base))
 
@@ -353,7 +341,6 @@ def run_sequence_study(cfg):
     over the configured pairs of |d^D(g_j) - d^D(g0)| / d^D(g0).  D is fixed
     across j (explicit, or the g0-based default).
     """
-    _no_files(cfg, "sequence studies build g0 and g_j from a family, not from files")
     family = _require(cfg, "family", cfg.get_str)
     if family not in _SEQUENCE_FAMILIES:
         cfg._fail("family", f"sequence studies support {_SEQUENCE_FAMILIES}")
@@ -492,13 +479,12 @@ def run_gen(cfg):
     (rescaled for ``scaled``); a spike or oscillation ``j_list`` writes one
     ``metric_j<j>.txt`` per index.
     """
-    _no_files(cfg, "gen writes mesh/metric files from a family and reads none")
     spec = _family(cfg, cfg.get_int("j", 1))
     base = make_flat(spec.n, spec.resolution, spec.torus)
     mesh = base[0]
     background = replace(spec, conformal=None) if spec.family == "scaled" \
         else replace(spec, family="flat")
-    if spec.family in _INDEXED and "j_list" in cfg:
+    if "j_list" in cfg:
         members = [(f"metric_j{j}.txt", _family(cfg, j, "j_list"))
                    for j in cfg.get_int_list("j_list")]
     else:
@@ -536,8 +522,9 @@ RUNNERS = {
 
 
 def run(kind, cfg):
-    """Run the ``kind`` experiment on ``cfg``; a config that names another kind fails."""
+    """Run ``kind`` on ``cfg``; a config naming another kind or an unread key fails first."""
     stated = cfg.get_str("kind")
     if stated is not None and stated != kind:
         cfg._fail("kind", f"config says {stated!r} but the {kind!r} subcommand was run")
+    cfg.check_reads(kind)
     return RUNNERS[kind](cfg)

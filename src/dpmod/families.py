@@ -47,10 +47,9 @@ evaluated at cell barycenters.
 
 A :class:`FamilySpec` describes one family member and builds its fields
 with ``FamilySpec.metrics``; it keeps only the values its family reads
-(``_READS``), so it doubles as the field's provenance record.  Family
-values have one check,
-``_check_values``, which ``FamilySpec``, ``make_spike_sequence`` and
-``make_oscillation_sequence`` all call.  Its :class:`FamilyValueError`
+(``FAMILY_READS``), so it doubles as the field's provenance record.  Family
+values have one check, ``_check_values``, which ``FamilySpec``,
+``make_spike_sequence`` and ``make_oscillation_sequence`` all call.  Its :class:`FamilyValueError`
 names the config key of the bad value, so the experiment runners report it
 as an error in that key.
 """
@@ -72,14 +71,14 @@ SPIKE_R0 = 0.45
 SPIKE_EPS = {1: -0.1, 2: -0.05, 3: -0.3}
 
 # the spec values each family reads; FamilySpec drops the others
-_READS = {
+FAMILY_READS = {
     "flat": (),
     "conformal-constant": ("conformal",),
     "spike": ("j", "amplitude", "radius", "center", "profile"),
     "oscillation": ("j",),
     "scaled": ("scale", "conformal"),
 }
-FAMILY_NAMES = tuple(_READS)
+FAMILY_NAMES = tuple(FAMILY_READS)
 
 
 class FamilyValueError(ValueError):
@@ -147,7 +146,7 @@ class FamilySpec:
         _check_values(self.family, self.n, self.resolution, self.j, self.amplitude,
                       self.radius, self.scale, self.conformal, self.center, self.profile)
         for name in ("j", "amplitude", "radius", "scale", "conformal", "center", "profile"):
-            if name not in _READS[self.family]:
+            if name not in FAMILY_READS[self.family]:
                 setattr(self, name, None)
 
     def metrics(self, base):

@@ -25,8 +25,9 @@ a smaller index, so the result is the first maximum in C order whatever the
 visit order: the same point a full C-order scan keeps.  Pair masks that do
 not vary over the blocked axes are ANDed once per round, and a block whose
 masks leave no point skips its energy sum.  Pruning needs x's axis among
-the blocked axes (axis 0 is, and it is x's axis when x is the first free
-node); otherwise every block has the same bound and all are scanned.
+the blocked axes, or every block has the same bound and all are scanned.
+The value is symmetric, so the search runs as (min(x, y), max(x, y)): x is
+then on axis 0, which is always blocked, whenever min(x, y) = 0.
 
 1-D closed form (derivation)
 ----------------------------
@@ -89,6 +90,7 @@ def brute_force_dp(x, y, g, g0, params):
         raise OracleError(f"brute force limited to {MAX_ORACLE_NODES} nodes, mesh has {N}")
     if x == y:
         raise OracleError("source equals sink")
+    x, y = min(x, y), max(x, y)     # one orientation: see the module docstring
     D = params.D
     if math.isinf(D):
         raise OracleError("brute force needs a finite cap D")

@@ -509,6 +509,7 @@ p = 2
 """
 SPIKE_2D = (SPIKE_1D.replace("n = 1", "n = 2").replace("resolution = 8", "resolution = 4")
             .replace("p = 2", "p = 4"))
+GEN_SPIKE_1D = SPIKE_1D.replace("pairs = 0-4\np = 2\n", "")
 
 
 @pytest.mark.parametrize("kind,body,key", [
@@ -519,18 +520,20 @@ SPIKE_2D = (SPIKE_1D.replace("n = 1", "n = 2").replace("resolution = 8", "resolu
     pytest.param("compute", CONFORMAL_1D.replace("conformal-constant", "scaled")
                  + "scale = -1\n", "scale", id="scale"),
     pytest.param("compute", SPIKE_1D + "profile = cone\n", "profile", id="profile-compute"),
-    pytest.param("gen", SPIKE_1D + "profile = cone\n", "profile", id="profile-gen"),
+    pytest.param("gen", GEN_SPIKE_1D + "profile = cone\n", "profile", id="profile-gen"),
     pytest.param("compute", SPIKE_2D + "profile = tube\n", "profile", id="tube-2d"),
     pytest.param("compute", SPIKE_2D + "center = 0.5, 0.5, 0.5\n", "center", id="center-long"),
     pytest.param("compute", SPIKE_2D + "center = 0.5\n", "center", id="center-short"),
     pytest.param("compute", SPIKE_1D.replace("j = 1", "j = 0"), "j", id="j"),
-    pytest.param("gen", SPIKE_1D + "j_list = 0..2\n", "j_list", id="j_list-gen"),
-    pytest.param("gen", SPIKE_1D.replace("spike", "bogus"), "family", id="family-gen"),
+    pytest.param("gen", GEN_SPIKE_1D.replace("j = 1", "j_list = 0..2"), "j_list",
+                 id="j_list-gen"),
+    pytest.param("gen", GEN_SPIKE_1D.replace("spike", "bogus"), "family", id="family-gen"),
     pytest.param("class-check", CLASS_BODY.replace("q1 = 2", "q1 = 0.5") + "V1 = 6\n",
                  "q1", id="q1"),
     pytest.param("class-check", CLASS_BODY + "V1 = -1\n", "V1", id="V1"),
     pytest.param("compute", CONFORMAL_1D.replace("p = 2", "p = 0"), "p", id="p-zero"),
-    pytest.param("sweep-p", CONFORMAL_1D + "p_list = ,\n", "p_list", id="p_list-empty"),
+    pytest.param("sweep-p", CONFORMAL_1D.replace("p = 2", "p_list = ,"), "p_list",
+                 id="p_list-empty"),
     pytest.param("scaling", CONFORMAL_1D + "lambda_list = ,\n", "lambda_list",
                  id="lambda_list-empty"),
 ])
@@ -559,12 +562,13 @@ SEQUENCE_1D = "family = spike\nn = 1\nresolution = 4\ntorus = true\npairs = corn
                  "pair '3-3' joins a node to itself", id="self-pair"),
     pytest.param("compute", CONFORMAL_1D + "D = 0\n", "D",
                  "must be positive (or auto/inf), got '0'", id="D-zero"),
-    pytest.param("sweep-p", CONFORMAL_1D.replace("0-4", "") + "p_list = 3\n", "pairs",
+    pytest.param("sweep-p", CONFORMAL_1D.replace("0-4", "").replace("p = 2", "p_list = 3"),
+                 "pairs",
                  "sweep-p needs at least one pair (the first is used)", id="sweep-p-no-pairs"),
     pytest.param("scaling", CONFORMAL_1D.replace("0-4", ""), "pairs",
                  "scaling checks need at least one pair (the first is used)",
                  id="scaling-no-pairs"),
-    pytest.param("sweep-p", SPIKE_2D + "p_list = 1.5, 4\n", "p_list",
+    pytest.param("sweep-p", SPIKE_2D.replace("p = 4", "p_list = 1.5, 4"), "p_list",
                  "entries must lie in (n, 128] with n = 2", id="p_list-below-n"),
     pytest.param("sequence", SEQUENCE_1D + "j_list = ,\n", "j_list",
                  "needs at least one index", id="j_list-empty"),
@@ -592,6 +596,45 @@ def test_runner_input_error_message(tmp_path, capsys, kind, body, key, message):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {config}:") and err.count("\n") == 1
     assert err.endswith(f": config key {key!r}: {message}\n")
+
+
+FOUND_BODY = CONFORMAL_1D + "amplitude = 3\nlambda_list = 1, 2\np_list = 3, 4\nj = 5\nq1 = 2\n"
+FLAT_1D = CONFORMAL_1D.replace("conformal-constant", "flat").replace("conformal_c = 2\n", "")
+BOTH = "give either mesh/metric files or a family, not both"
+
+
+@pytest.mark.parametrize("kind,body,key,line,message", [
+    pytest.param("compute", FOUND_BODY, "amplitude", 9, "is not read by this compute run",
+                 id="found"),
+    pytest.param("compute", CONFORMAL_1D + "lambda_list = 1, 2\n", "lambda_list", 9,
+                 "is not read by this compute run", id="lambda_list-compute"),
+    pytest.param("sweep-p", CONFORMAL_1D.replace("p = 2", "p_list = 2, 4") + "p = 3\n", "p", 9,
+                 "is not read by this sweep-p run", id="p-sweep-p"),
+    pytest.param("gen", GEN_SPIKE_1D + "pairs = 0-4\n", "pairs", 7, "is not read by this gen run",
+                 id="pairs-gen"),
+    pytest.param("sequence", SEQUENCE_1D + "j = 2\n", "j", 7, "is not read by this sequence run",
+                 id="j-sequence"),
+    pytest.param("sequence", SEQUENCE_1D.replace("spike", "conformal-constant")
+                 + "conformal_c = 2\namplitude = 2\n", "amplitude", 8,
+                 "is not read by this sequence run", id="amplitude-conformal-constant"),
+    pytest.param("compute", FLAT_1D + "j = 2\n", "j", 8, "is not read by this compute run",
+                 id="j-flat"),
+    pytest.param("compute", "mesh = mesh.txt\nn = 2\npairs = 0-1\np = 2\n", "n", 3, BOTH,
+                 id="n-beside-mesh"),
+    pytest.param("compute", CONFORMAL_1D + "metric0 = metric0.txt\n", "metric0", 9, BOTH,
+                 id="metric0-beside-family"),
+    pytest.param("gen", GEN_SPIKE_1D + "j_list = 1, 2\n", "j", 6, "is not read by this gen run",
+                 id="j-beside-j_list"),
+])
+def test_unread_key_exits_1(tmp_path, capsys, kind, body, key, line, message):
+    # a key the run does not read fails at its line before anything is
+    # written; the config names its kind on line 1
+    body = f"kind = {kind}\n" + "".join(ln + "\n" for ln in body.splitlines()
+                                        if not ln.startswith("kind"))
+    config = cfg_file(tmp_path, body)
+    assert cli.main([kind, "--config", config, "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"error: {config}:{line}: config key {key!r}: {message}\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_corner_pairs_on_the_3d_torus():

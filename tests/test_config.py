@@ -8,6 +8,7 @@ import pytest
 from dpmod import cli, config
 from dpmod.config import KINDS, parse_config
 from dpmod.errors import ParseError
+from dpmod.families import FAMILY_NAMES
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -139,11 +140,47 @@ def test_retired_continuation_keys_rejected(tmp_path, key, capsys):
     assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
-def test_readme_documents_every_key():
-    # the first column of the README's config table names every known key
+def _key_rows():
+    """(keys, used-by cell) per row of the README's config table."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("### Config keys", 1)[1].strip().split("\n\n", 1)[0]
-    rows = table.splitlines()[2:]                  # past the header and the rule
-    documented = {name for row in rows
-                  for name in re.findall(r"`([^`]+)`", row.split("|")[1])}
+    rows = [row.split("|") for row in table.splitlines()[2:]]   # past the header and the rule
+    return [(re.findall(r"`([^`]+)`", row[1]), row[2].strip()) for row in rows]
+
+
+def test_readme_documents_every_key():
+    # the first column of the README's config table names every known key
+    documented = {key for keys, _ in _key_rows() for key in keys}
     assert documented == config._KNOWN_KEYS
+
+
+def _reads(kind, key, family):
+    """Whether a ``kind`` run reads ``key`` beside ``family`` (None: no geometry)."""
+    values = {"family": (family, 1)} if family else {}
+    cfg = config.ExperimentConfig(path="run.cfg", text="", values={key: ("1", 2)} | values)
+    try:
+        cfg.check_reads(kind)
+    except ParseError:
+        return False
+    return True
+
+
+def test_readme_used_by_matches_the_key_table():
+    # the "used by" column names exactly the kinds that read each key, and
+    # for a family value the families that read it: "k1, k2 on f1, f2",
+    # parts joined by "; ", "all" for every kind
+    for keys, used_by in _key_rows():
+        documented = {}
+        for part in used_by.split("; "):
+            kinds, _, families = part.partition(" on ")
+            for kind in KINDS if kinds == "all" else kinds.split(", "):
+                documented[kind] = set(families.split(", ")) if families else None
+        for key in keys:
+            read = {}
+            for kind in KINDS:
+                families = {f for f in FAMILY_NAMES if _reads(kind, key, f)}
+                if families == set(FAMILY_NAMES) or not families and _reads(kind, key, None):
+                    read[kind] = None            # whatever the geometry
+                elif families:
+                    read[kind] = families
+            assert documented == read, key

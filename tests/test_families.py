@@ -78,9 +78,9 @@ GEN_SPIKE = dict(family="spike", n="2", resolution="4", torus="true", j="1")
                  id="resolution"),
     pytest.param("j", dict(j=0), dict(j=0), dict(j="0"), id="j"),
     pytest.param("conformal_c", dict(family="conformal-constant", conformal=-2.0), None,
-                 dict(family="conformal-constant", conformal_c="-2"), id="conformal_c"),
+                 dict(family="conformal-constant", conformal_c="-2", j=None), id="conformal_c"),
     pytest.param("scale", dict(family="scaled", scale=0.0), None,
-                 dict(family="scaled", scale="0"), id="scale"),
+                 dict(family="scaled", scale="0", j=None), id="scale"),
     pytest.param("amplitude", dict(amplitude=-1.0), dict(A_j=-1.0), dict(amplitude="-1"),
                  id="amplitude-negative"),
     pytest.param("amplitude", dict(amplitude=np.inf), dict(A_j=np.inf),
@@ -106,7 +106,9 @@ def test_one_rule_everywhere(tmp_path, capsys, key, spec, spike, config):
             make_spike_sequence(make_flat(2, 4, torus=True), **(dict(j=1) | spike))
         assert err.value.key == key
     path = tmp_path / "run.cfg"
-    path.write_text("".join(f"{k} = {v}\n" for k, v in (GEN_SPIKE | config).items()))
+    # a None in ``config`` drops that key of GEN_SPIKE
+    path.write_text("".join(f"{k} = {v}\n" for k, v in (GEN_SPIKE | config).items()
+                            if v is not None))
     for kind in ("gen", "compute"):
         assert cli.main([kind, "--config", str(path), "--out", str(tmp_path / kind)]) == 1
         assert f"config key {key!r}" in capsys.readouterr().err

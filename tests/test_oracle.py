@@ -171,27 +171,40 @@ def _capped_chain6():
 @pytest.mark.parametrize("build, bits", [
     (_strip6, "0x1.79c7b8d82e81ap+0"),
     (_chain6, "0x1.b14b4950b77edp+1"),
-    (_interior_chain, "0x1.6a00ee08fef99p-1"),
+    (_interior_chain, "0x1.6a05e751076b5p-1"),
     (_strip6_reversed, "0x1.79c7b8d82e81ap+0"),
     (_capped_chain6, "0x1.1c55d763cf3a9p+0"),
 ], ids=["strip6", "chain6", "interior_chain", "strip6_reversed", "capped_chain6"])
 def test_brute_pinned_bits(build, bits):
     # exact values of the dense per-point search this oracle replaced: the
     # separable search keeps each point's arithmetic and the first-max order.
-    # The last two were taken from the full C-order scan, before blocks were
-    # pruned by their f(x) bound: reversed, x sits on the last grid axis and
-    # no block can be pruned; in the capped chain the Holder masks alone
-    # empty the block above the optimum in every refinement round
+    # Both orientations run as (min, max), so the interior chain is the full
+    # C-order scan of (0, 2) and the reversed strip keeps the forward bits;
+    # the capped chain was taken from the full scan, before blocks were
+    # pruned by their f(x) bound: its Holder masks alone empty the block
+    # above the optimum in every refinement round
     assert brute_force_dp(*build()).hex() == bits
 
 
-@pytest.mark.parametrize("build", [_strip6, _chain6, _capped_chain6],
-                         ids=["strip6", "chain6", "capped_chain6"])
+@pytest.mark.parametrize("build", [_strip6, _chain6, _interior_chain, _strip6_reversed,
+                                   _capped_chain6],
+                         ids=["strip6", "chain6", "interior_chain", "strip6_reversed",
+                              "capped_chain6"])
 def test_brute_bits_independent_of_block_size(build, monkeypatch):
     # 10_000 points per block puts axis 0 (x's axis) among the single-index
-    # lead axes; 2^23 points puts every grid of the search in one block
+    # lead axes; 2^23 points puts every grid of the search in one block, so
+    # nothing is pruned and the pinned bits are those of a full scan
     args = build()
     want = brute_force_dp(*args).hex()
     for chunk in (10_000, 1 << 23):
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
         assert brute_force_dp(*args).hex() == want
+
+
+@pytest.mark.parametrize("build", [_strip6, _chain6, _interior_chain, _capped_chain6],
+                         ids=["strip6", "chain6", "interior_chain", "capped_chain6"])
+def test_brute_symmetric_bitwise(build):
+    # the value is symmetric, and the oracle, like the solver, runs one
+    # orientation for both
+    x, y, g, g0, params = build()
+    assert brute_force_dp(x, y, g, g0, params).hex() == brute_force_dp(y, x, g, g0, params).hex()
