@@ -479,7 +479,8 @@ def run_gen(cfg):
     (rescaled for ``scaled``); a spike or oscillation ``j_list`` writes one
     ``metric_j<j>.txt`` per index.
     """
-    spec = _family(cfg, cfg.get_int("j", 1))
+    reads_j = "j" in FAMILY_READS.get(cfg.get_str("family"), ()) and "j_list" not in cfg
+    spec = _family(cfg, _require(cfg, "j", cfg.get_int) if reads_j else None)
     base = make_flat(spec.n, spec.resolution, spec.torus)
     mesh = base[0]
     background = replace(spec, conformal=None) if spec.family == "scaled" \

@@ -43,7 +43,7 @@ class DistanceMatrix:
 
 
 def _check_metric(mesh, metric):
-    if metric.mesh is not mesh and metric.tensors.shape[0] != mesh.num_cells:
+    if metric.mesh is not mesh:
         raise MeshMismatchError("metric was built over a different mesh")
 
 

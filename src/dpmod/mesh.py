@@ -86,10 +86,6 @@ class Mesh:
     def num_cells(self):
         return self.cells.shape[0]
 
-    @property
-    def num_verts(self):
-        return self.verts.shape[0]
-
     @cached_property
     def cells_nodes(self):
         """(C, n+1) node ids per cell."""
@@ -352,61 +348,3 @@ def read_mesh(path):
                           rows["ident"] or None)
     except MeshError as exc:
         raise ParseError(str(exc), path) from exc
-
-
-# -- uniform subdivision ---------------------------------------------------
-
-# tetrahedron -> 4 corner tets + central octahedron split along the
-# m(0,2)-m(1,3) diagonal; indices into (v0..v3, m01, m02, m03, m12, m13, m23)
-_TET_CHILDREN = [
-    (0, 4, 5, 6),
-    (4, 1, 7, 8),
-    (5, 7, 2, 9),
-    (6, 8, 9, 3),
-    (4, 5, 6, 8),
-    (4, 5, 7, 8),
-    (5, 6, 8, 9),
-    (5, 7, 8, 9),
-]
-
-
-def uniform_subdivide(mesh):
-    """One round of uniform refinement (1-D halving, tri->4, tet->8).
-
-    Meshes with identifications are not supported (refine generated tori by
-    regenerating at a higher resolution instead).
-    """
-    if mesh.ident.size:
-        raise MeshError("uniform_subdivide does not support identified meshes")
-    n = mesh.dim
-    verts = [tuple(v) for v in mesh.verts]
-    index = {v: i for i, v in enumerate(verts)}
-
-    def midpoint(a, b):
-        m = tuple((mesh.verts[a] + mesh.verts[b]) / 2.0)
-        if m not in index:
-            index[m] = len(verts)
-            verts.append(m)
-        return index[m]
-
-    new_cells = []
-    for cell in mesh.cells:
-        if n == 1:
-            a, b = cell
-            m = midpoint(a, b)
-            new_cells += [(a, m), (m, b)]
-        elif n == 2:
-            a, b, c = cell
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_cells += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-        else:
-            ids = list(cell) + [
-                midpoint(cell[0], cell[1]),
-                midpoint(cell[0], cell[2]),
-                midpoint(cell[0], cell[3]),
-                midpoint(cell[1], cell[2]),
-                midpoint(cell[1], cell[3]),
-                midpoint(cell[2], cell[3]),
-            ]
-            new_cells += [tuple(ids[k] for k in child) for child in _TET_CHILDREN]
-    return build_mesh(np.array(verts, dtype=float), np.array(new_cells, dtype=np.int64))

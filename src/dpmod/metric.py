@@ -1,4 +1,4 @@
-"""Per-cell metric tensor fields and their norm/eigenvalue functionals.
+"""Per-cell metric fields and the functionals the class and hypothesis checks use.
 
 Metrics are piecewise constant: one SPD matrix per cell, expressed in chart
 coordinates.  All integrals over the mesh are therefore exact finite sums
@@ -7,12 +7,12 @@ the scaling and homogeneity identities exact instead of quadrature-limited.
 
 Conventions
 -----------
-* ``generalized_eigenvalues(g, g0)`` returns, per cell, the ascending
-  eigenvalues lam_i^2 of the pencil (G, G0) — i.e. of G0^-1 G — computed by
-  Cholesky reduction (G0 = L L^T, then eigh on L^-1 G L^-T) so ill-conditioned
-  backgrounds stay stable.
-* norms of SPD fields: |g|_{g0} = sqrt(sum lam_i^4),
-  |g^-1|_{g0} = sqrt(sum lam_i^-4), det(g)_{g0} = prod lam_i^2.
+* ``generalized_eigenvalues(g, g0)`` returns the (C, n) array of per-cell
+  ascending eigenvalues lam_i^2 of the pencil (G, G0) — i.e. of G0^-1 G —
+  computed by Cholesky reduction (G0 = L L^T, then eigh on L^-1 G L^-T) so
+  ill-conditioned backgrounds stay stable.
+* norms of SPD fields, from that array: |g|_{g0} = sqrt(sum lam_i^4) and
+  |g^-1|_{g0} = sqrt(sum lam_i^-4).
 * the difference of inverse metrics is not SPD; its norm is the
   frame-invariant g0-Frobenius norm |T|_{g0} = ||G0^{1/2} T G0^{1/2}||_F.
 * ``lq_norm(field, s, g0)`` = (sum field^s sqrt(det G0) vol)^{1/s}.
@@ -47,8 +47,8 @@ def _check_symmetric(tensors, tol=1e-12):
         raise MetricError(f"cell {bad[0]} tensor is not symmetric (|A-A^T| = {asym[bad[0]]:.3g})")
 
 
-class TensorField:
-    """Symmetric (not necessarily definite) per-cell tensors."""
+class MetricField:
+    """Per-cell SPD metric tensors (smallest eigenvalue > 1e-10)."""
 
     def __init__(self, mesh, tensors):
         tensors = np.asarray(tensors, dtype=float)
@@ -62,13 +62,6 @@ class TensorField:
         _check_symmetric(tensors)
         self.mesh = mesh
         self.tensors = 0.5 * (tensors + tensors.transpose(0, 2, 1))
-
-
-class MetricField(TensorField):
-    """Per-cell SPD metric tensors (smallest eigenvalue > 1e-10)."""
-
-    def __init__(self, mesh, tensors):
-        super().__init__(mesh, tensors)
         ev = np.linalg.eigvalsh(self.tensors)
         if ev[:, 0].min() <= 1e-10:
             bad = int(np.argmin(ev[:, 0]))
@@ -90,14 +83,6 @@ class MetricField(TensorField):
 
     def sqrt_dets(self):
         return np.sqrt(np.linalg.det(self.tensors))
-
-
-@dataclass
-class EigenPencil:
-    """Ascending generalized eigenvalues lam_i^2 of (g, g0), per cell."""
-
-    mesh: object
-    lam2: np.ndarray  # (C, n)
 
 
 @dataclass
@@ -147,7 +132,7 @@ def _same_mesh(a, b):
 
 
 def generalized_eigenvalues(g, g0):
-    """Per-cell ascending eigenvalues lam_i^2 of the pencil (G, G0)."""
+    """(C, n) per-cell ascending eigenvalues lam_i^2 of the pencil (G, G0)."""
     _same_mesh(g, g0)
     L = np.linalg.cholesky(g0.tensors)
     M = np.linalg.solve(L, g.tensors)                                # L^-1 G
@@ -155,33 +140,17 @@ def generalized_eigenvalues(g, g0):
     lam2 = np.linalg.eigvalsh(0.5 * (M + M.transpose(0, 2, 1)))
     if lam2.min() <= 0:
         raise NotSPDError("pencil produced a nonpositive eigenvalue")
-    return EigenPencil(g.mesh, lam2)
+    return lam2
 
 
-def norm_g_wrt_g0(pencil):
-    """Per-cell |g|_{g0} = sqrt(sum lam_i^4)."""
-    return np.sqrt((pencil.lam2 ** 2).sum(axis=1))
+def norm_g_wrt_g0(lam2):
+    """Per-cell |g|_{g0} = sqrt(sum lam_i^4), from the pencil eigenvalues lam2."""
+    return np.sqrt((lam2 ** 2).sum(axis=1))
 
 
-def norm_ginv_wrt_g0(pencil):
-    """Per-cell |g^-1|_{g0} = sqrt(sum lam_i^-4)."""
-    return np.sqrt((pencil.lam2 ** -2).sum(axis=1))
-
-
-def det_wrt_g0(pencil):
-    """Per-cell det(g)_{g0} = prod lam_i^2 = det(G)/det(G0)."""
-    return pencil.lam2.prod(axis=1)
-
-
-def tensor_norm_wrt(omega, g):
-    """Per-cell norm |omega|_g = ||G^{-1/2} Omega G^{-1/2}||_F of a (0,2) field.
-
-    Equals sqrt(tr(G^-1 Omega G^-1 Omega)); for omega = g it gives sqrt(n).
-    """
-    _same_mesh(omega, g)
-    Gi = g.inverses()
-    M = np.einsum("cij,cjk->cik", Gi, omega.tensors)
-    return np.sqrt(np.einsum("cij,cji->c", M, M))
+def norm_ginv_wrt_g0(lam2):
+    """Per-cell |g^-1|_{g0} = sqrt(sum lam_i^-4), from the pencil eigenvalues lam2."""
+    return np.sqrt((lam2 ** -2).sum(axis=1))
 
 
 def inverse_difference_norm(g, g0):
@@ -212,9 +181,9 @@ def integral_wrt(field, g0):
 def check_class_membership(g, g0, params):
     """Measure the class functionals of g over g0 and compare with bounds."""
     _same_mesh(g, g0)
-    pencil = generalized_eigenvalues(g, g0)
-    norm_g = lq_norm(norm_g_wrt_g0(pencil), params.q1 / 2.0, g0)
-    norm_ginv = lq_norm(norm_ginv_wrt_g0(pencil), params.q2 / 2.0, g0)
+    lam2 = generalized_eigenvalues(g, g0)
+    norm_g = lq_norm(norm_g_wrt_g0(lam2), params.q1 / 2.0, g0)
+    norm_ginv = lq_norm(norm_ginv_wrt_g0(lam2), params.q2 / 2.0, g0)
     diam_g = geodesic.all_pairs_distances(g.mesh, g).diameter()
     member = norm_g <= params.V1 and norm_ginv <= params.V2 and diam_g <= params.D
     return ClassReport(member, norm_g, norm_ginv, diam_g)
@@ -226,12 +195,12 @@ def hypothesis_functionals(g_j, g0, p):
     n = g_j.mesh.dim
     if not p > n:
         raise ValueError(f"exponent p must exceed the dimension n = {n}, got p = {p}")
-    pencil = generalized_eigenvalues(g_j, g0)
+    lam2 = generalized_eigenvalues(g_j, g0)
     diff = inverse_difference_norm(g_j, g0)
     eta = _ETA_FACTOR * n
-    I_g = integral_wrt(norm_g_wrt_g0(pencil) ** (n / 2.0), g0)
+    I_g = integral_wrt(norm_g_wrt_g0(lam2) ** (n / 2.0), g0)
     I_inv = integral_wrt(diff ** (n * (p - 1) / 2.0), g0)
-    I_eta = integral_wrt(norm_ginv_wrt_g0(pencil) ** (n * eta / (p - eta)), g0)
+    I_eta = integral_wrt(norm_ginv_wrt_g0(lam2) ** (n * eta / (p - eta)), g0)
     I_33 = integral_wrt(diff ** (p / (2.0 * (p - 1))), g0) ** ((p - 1) / p)
     return HypothesisReport(I_g, I_inv, I_eta, I_33)
 

@@ -135,7 +135,12 @@ class GaugeParams:
         if not D > 0:
             raise SolverError(f"need D > 0 (may be inf), got {D}")
         t = (p - n) / p
-        d0 = dm0.dist if isinstance(dm0, geodesic.DistanceMatrix) else np.asarray(dm0)
+        if isinstance(dm0, geodesic.DistanceMatrix):
+            if dm0.mesh is not mesh:
+                raise MeshMismatchError("distance matrix was built over a different mesh")
+            d0 = dm0.dist
+        else:
+            d0 = np.asarray(dm0)
         N = mesh.num_nodes
         if d0.shape != (N, N):
             raise MeshMismatchError("distance matrix does not match mesh node count")
@@ -396,15 +401,17 @@ class _WorkingSet:
 
 
 def _barrier(gauge, f, t, W, slot):
-    """F_t(f), its free gradient, and its free Hessian as (H0, c2, gE).
+    """The free gradient of F_t at f and its free Hessian as (H0, c2, gE).
 
     F_t(f) = -t f(x) - log(1 - A) - sum_W log((D - z_k)(D + z_k)), and the
-    Hessian is H0 + c2 gE gE^T.  A and E^ are evaluated at f / rho with
-    rho^2 = max_c q_c, where E^ is of order one: A is 1-homogeneous, so
-    dA/df = (E^{1/p-1}/p) gE there and d^2A/df^2 picks up 1/rho.  H0 gets
-    the energy solve's ridge, 1e-12 times the mean diagonal of its energy
-    part (the pair terms, up to 1/slack^2, would swamp the energy
-    curvature), and then the pair terms, both in place.
+    Hessian is H0 + c2 gE gE^T.  F_t itself is never formed: _center's
+    Armijo test takes the difference of two values term by term.  A and E^
+    are evaluated at f / rho with rho^2 = max_c q_c, where E^ is of order
+    one: A is 1-homogeneous, so dA/df = (E^{1/p-1}/p) gE there and
+    d^2A/df^2 picks up 1/rho.  H0 gets the energy solve's ridge, 1e-12
+    times the mean diagonal of its energy part (the pair terms, up to
+    1/slack^2, would swamp the energy curvature), and then the pair terms,
+    both in place.
     """
     D, p = gauge.D, gauge.p
     _, q = _cell_energy(f, gauge.nodes, gauge.forms)
@@ -425,8 +432,7 @@ def _barrier(gauge, f, t, W, slot):
     x = gauge.fixed[0]
     grad[slot[x]] -= t
     np.add.at(H0, (W.rows, W.cols), W.sign * hz[W.src])
-    F = -t * f[x] - math.log(s) - float(np.log(lo * hi).sum())
-    return F, grad, H0, c2, gE
+    return grad, H0, c2, gE
 
 
 def _center(gauge, f, t, W, slot):
@@ -442,7 +448,7 @@ def _center(gauge, f, t, W, slot):
     A, z = gauge.energy(f), W.ratios(f)
     lam2_prev = math.inf
     for step in range(_MAX_CENTER_STEPS):
-        _, grad, H0, c2, gE = _barrier(gauge, f, t, W, slot)
+        grad, H0, c2, gE = _barrier(gauge, f, t, W, slot)
         a, b = _dense_solve(H0, np.column_stack((-grad, gE)), "barrier Newton step").T
         d = a - (c2 * (gE @ a) / (1.0 + c2 * (gE @ b))) * b
         lam2 = -float(grad @ d)

@@ -572,6 +572,9 @@ SEQUENCE_1D = "family = spike\nn = 1\nresolution = 4\ntorus = true\npairs = corn
                  "entries must lie in (n, 128] with n = 2", id="p_list-below-n"),
     pytest.param("sequence", SEQUENCE_1D + "j_list = ,\n", "j_list",
                  "needs at least one index", id="j_list-empty"),
+    # gen needs j on spike and oscillation, as the runners that read its files do
+    pytest.param("gen", GEN_SPIKE_1D.replace("j = 1\n", ""), "j",
+                 "is required for this experiment kind", id="j-missing-gen"),
     pytest.param("scaling", CONFORMAL_1D + "lambda_list = 0.5, -1\n", "lambda_list",
                  "scale factors must be positive", id="lambda_list-negative"),
     # the README's rule n < p <= 128, checked before any solve

@@ -9,9 +9,8 @@ from dpmod.errors import MeshMismatchError
 from dpmod.families import make_flat, make_spike_sequence
 from dpmod.geodesic import all_pairs_distances, edge_lengths
 from dpmod.metric import MetricField, scale_metric
-from dpmod.mesh import uniform_subdivide
 
-from conftest import chain_mesh, random_metric, strip_mesh
+from conftest import chain_mesh, random_metric, strip_mesh, uniform_subdivide
 
 
 def reference_edge_lengths(mesh, metric):
@@ -149,6 +148,18 @@ def test_mesh_mismatch():
     g_other = MetricField.identity(other)
     with pytest.raises(MeshMismatchError):
         edge_lengths(mesh, g_other)
+
+
+def test_metric_of_another_mesh_with_the_same_cell_count():
+    # the 4x4 torus and the 4x4 box both have 32 cells; a cell count is no
+    # proof that a metric belongs to a mesh
+    torus, _ = make_flat(2, 4, torus=True)
+    box, g_box = make_flat(2, 4, torus=False)
+    assert torus.num_cells == box.num_cells
+    with pytest.raises(MeshMismatchError):
+        edge_lengths(torus, g_box)
+    with pytest.raises(MeshMismatchError):
+        all_pairs_distances(torus, g_box)
 
 
 def _bitwise_cases():

@@ -16,11 +16,10 @@ from dpmod.mesh import (
     ensure_function,
     find_node,
     read_mesh,
-    uniform_subdivide,
     write_mesh,
 )
 
-from conftest import chain_mesh, strip_mesh
+from conftest import chain_mesh, strip_mesh, uniform_subdivide
 
 
 def reference_edges(mesh):
@@ -213,7 +212,7 @@ def test_build_rejects_bad_indices_and_dims():
 def test_ident_glues_nodes():
     mesh, _ = make_flat(2, 4, torus=True)
     assert mesh.num_nodes == 16           # 4x4 interior grid
-    assert mesh.num_verts == 25           # chart keeps the duplicated seam
+    assert mesh.verts.shape[0] == 25           # chart keeps the duplicated seam
     # the seam copies resolve to the same node
     assert find_node(mesh, (0.0, 0.0)) == find_node(mesh, (1.0, 0.0))
     assert find_node(mesh, (0.0, 0.25)) == find_node(mesh, (1.0, 0.25))
@@ -398,7 +397,7 @@ def test_subdivision_counts_and_volume(n, resolution, factor):
     assert fine.num_cells == factor * mesh.num_cells
     assert abs(fine.volumes.sum() - mesh.volumes.sum()) < 1e-12
     # original vertices keep their indices
-    assert np.array_equal(fine.verts[: mesh.num_verts], mesh.verts)
+    assert np.array_equal(fine.verts[: mesh.verts.shape[0]], mesh.verts)
 
 
 def test_subdivision_rejects_identified_mesh():

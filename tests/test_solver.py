@@ -77,6 +77,18 @@ def test_build_validation(chain16):
     assert params.iu.size == 17 * 16 // 2               # every node pair
 
 
+def test_build_rejects_distances_of_another_mesh():
+    # a 16-node chain's distances have the shape of the 4x4 torus's; taken
+    # for the torus's they gave pair 0-5 the value 0.13687381066422014
+    torus, g0 = make_flat(2, 4, torus=True)
+    dm_chain = all_pairs_distances(*make_flat(1, 15, torus=False))
+    with pytest.raises(MeshMismatchError):
+        GaugeParams.build(torus, dm_chain, p=7.0, D=0.3)
+    params = GaugeParams.build(torus, all_pairs_distances(torus, g0), p=7.0, D=0.3)
+    assert solve_dp(0, 5, g0, g0, params).value == pytest.approx(0.14275427295159296,
+                                                                  rel=1e-9)
+
+
 def test_solve_input_errors(chain16):
     mesh, g0, dm0 = chain16
     params = GaugeParams.build(mesh, dm0, p=2.0, D=1.0)
@@ -269,16 +281,17 @@ def test_smoothed_gradient_matches_central_differences(spike_instance, cap, beta
     slot, free = _barrier_slots(f.size, y)
     W = solver._WorkingSet(gauge, idx, slot)
     assert W.m == 1 + 2 * idx.size
-    phi, grad = solver._barrier(gauge, f, beta, W, slot)[:2]
-    want = _reference_barrier(mesh, g, dm0.dist, x, y, p, gauge.D, beta, W.u, W.v, f)
-    assert phi == pytest.approx(want, rel=1e-12)
+    grad = solver._barrier(gauge, f, beta, W, slot)[0]
+
+    def F(h):
+        return _reference_barrier(mesh, g, dm0.dist, x, y, p, gauge.D, beta, W.u, W.v, h)
+
     h = 1e-6
     fd = np.empty(free.size)
     for k, node in enumerate(free):
         e = np.zeros_like(f)
         e[node] = h
-        fd[k] = (solver._barrier(gauge, f + e, beta, W, slot)[0]
-                 - solver._barrier(gauge, f - e, beta, W, slot)[0]) / (2.0 * h)
+        fd[k] = (F(f + e) - F(f - e)) / (2.0 * h)
     assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
@@ -304,11 +317,9 @@ def test_barrier_derivatives_match_central_differences(case):
     W = solver._WorkingSet(gauge, idx, slot)
 
     def F(h):
-        return solver._barrier(gauge, h, t, W, slot)[0]
+        return _reference_barrier(mesh, g, dm0.dist, x, y, p, gauge.D, t, W.u, W.v, h)
 
-    val, grad, H0, c2, gE = solver._barrier(gauge, f, t, W, slot)
-    want = _reference_barrier(mesh, g, dm0.dist, x, y, p, gauge.D, t, W.u, W.v, f)
-    assert val == pytest.approx(want, rel=1e-12)
+    grad, H0, c2, gE = solver._barrier(gauge, f, t, W, slot)
     hess = H0 + c2 * np.outer(gE, gE)
     h = 1e-6
     fd_grad = np.empty(free.size)
@@ -317,8 +328,8 @@ def test_barrier_derivatives_match_central_differences(case):
         e = np.zeros_like(f)
         e[node] = h
         fd_grad[k] = (F(f + e) - F(f - e)) / (2.0 * h)
-        fd_hess[:, k] = (solver._barrier(gauge, f + e, t, W, slot)[1]
-                         - solver._barrier(gauge, f - e, t, W, slot)[1]) / (2.0 * h)
+        fd_hess[:, k] = (solver._barrier(gauge, f + e, t, W, slot)[0]
+                         - solver._barrier(gauge, f - e, t, W, slot)[0]) / (2.0 * h)
     assert np.linalg.norm(grad - fd_grad) <= 1e-6 * np.linalg.norm(fd_grad)
     assert np.linalg.norm(hess - fd_hess) <= 1e-6 * np.linalg.norm(fd_hess)
     np.testing.assert_allclose(hess, hess.T, rtol=1e-12, atol=1e-12 * np.abs(hess).max())

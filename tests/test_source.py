@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -136,3 +137,39 @@ def test_readme_python_example_runs():
     assert label == "energy-bound"
     assert float(value) == pytest.approx(0.31204396203595114, rel=1e-9)
     assert float(second) == pytest.approx(float(value), rel=1e-12)   # the extremal attains it
+
+
+def _public_definitions(tree):
+    """Each public top-level function and class, and each public method of
+    those classes, as (qualified name, node)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{node.name}.{item.name}", item) for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_"))
+
+
+def _references(node):
+    """How often each name or attribute name is read under node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
+
+
+def test_every_public_name_is_used_outside_tests():
+    # a public helper that only tests call is surface the package carries for
+    # them; such helpers live in tests/conftest.py.  A definition counts as
+    # used when the package or perfbench/ names it outside its own body.
+    # Exempt: oracle.analytic_1d_dp, the closed-form 1-D reference that the
+    # tests compare the solver against
+    exempt = {"oracle.analytic_1d_dp"}
+    modules = sorted(PACKAGE.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in modules + sorted((ROOT / "perfbench").glob("*.py"))}
+    everywhere = sum(map(_references, trees.values()), Counter())
+    found = [f"{path.stem}.{name}" for path in modules
+             for name, node in _public_definitions(trees[path])
+             if f"{path.stem}.{name}" not in exempt
+             and everywhere[node.name] <= _references(node)[node.name]]
+    assert not found, f"public names that only tests use: {found}"
