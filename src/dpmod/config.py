@@ -35,6 +35,13 @@ _KNOWN_KEYS = {"kind", "out", "seed"}.union(*KEYS.values())
 _VALUES = set().union(*FAMILY_READS.values())
 
 
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _float_list(raw):
+    return [float(tok) for tok in raw.split(",") if tok.strip()]
+
+
 @dataclass
 class ExperimentConfig:
     """Parsed config plus effective seed/output overrides."""
@@ -51,70 +58,51 @@ class ExperimentConfig:
     def _raw(self, key):
         return self.values[key][0]
 
-    def _line(self, key):
-        return self.values[key][1]
-
     def _fail(self, key, msg):
         raise ParseError(f"config key {key!r}: {msg}", path=self.path,
-                         line=self._line(key) if key in self.values else None)
+                         line=self.values[key][1] if key in self.values else None)
+
+    def _parse(self, key, default, parse=str, expected=None):
+        """``parse`` of the key's value, or ``default`` when the key is absent.
+
+        The one value parser: a value ``parse`` rejects fails the key with
+        "expected <expected>, got <value>".
+        """
+        if key not in self.values:
+            return default
+        try:
+            return parse(self._raw(key))
+        except (KeyError, ValueError):
+            self._fail(key, f"expected {expected}, got {self._raw(key)!r}")
 
     def get_str(self, key, default=None):
-        return self._raw(key) if key in self.values else default
+        return self._parse(key, default)
 
     def get_int(self, key, default=None):
-        if key not in self.values:
-            return default
-        try:
-            return int(self._raw(key))
-        except ValueError:
-            self._fail(key, f"expected an integer, got {self._raw(key)!r}")
+        return self._parse(key, default, int, "an integer")
 
     def get_float(self, key, default=None):
-        if key not in self.values:
-            return default
-        try:
-            return float(self._raw(key))
-        except ValueError:
-            self._fail(key, f"expected a number, got {self._raw(key)!r}")
+        return self._parse(key, default, float, "a number")
 
     def get_bool(self, key, default=False):
-        if key not in self.values:
-            return default
-        raw = self._raw(key).lower()
-        if raw in ("true", "yes", "1"):
-            return True
-        if raw in ("false", "no", "0"):
-            return False
-        self._fail(key, f"expected true/false, got {self._raw(key)!r}")
+        return self._parse(key, default, lambda raw: _BOOLS[raw.lower()], "true/false")
 
     def get_float_list(self, key, default=None):
-        if key not in self.values:
-            return default
-        try:
-            return [float(tok) for tok in self._raw(key).split(",") if tok.strip()]
-        except ValueError:
-            self._fail(key, f"expected comma-separated numbers, got {self._raw(key)!r}")
+        return self._parse(key, default, _float_list, "comma-separated numbers")
 
     def get_int_list(self, key, default=None):
         """Comma list of integers; 'a..b' expands to the inclusive range."""
         if key not in self.values:
             return default
         out = []
-        for tok in self._raw(key).split(","):
-            tok = tok.strip()
-            if not tok:
-                continue
+        for tok in filter(None, (tok.strip() for tok in self._raw(key).split(","))):
             try:
-                if ".." in tok:
-                    a, b = tok.split("..")
-                    a, b = int(a), int(b)
-                    if b < a:
-                        self._fail(key, f"empty range {tok!r}")
-                    out.extend(range(a, b + 1))
-                else:
-                    out.append(int(tok))
+                a, b = map(int, tok.split("..")) if ".." in tok else (int(tok),) * 2
             except ValueError:
                 self._fail(key, f"expected integers or a..b ranges, got {tok!r}")
+            if b < a:
+                self._fail(key, f"empty range {tok!r}")
+            out.extend(range(a, b + 1))
         return out
 
     def check_reads(self, kind):

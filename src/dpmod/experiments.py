@@ -313,10 +313,9 @@ def run_p_sweep(cfg):
     if not p_list:
         cfg._fail("p_list", "needs at least one exponent")
     n = mesh.dim
-    for a, b in zip(p_list, p_list[1:]):
-        if not b > a:
-            cfg._fail("p_list", "must be strictly ascending")
-    if p_list[0] <= n or p_list[-1] > P_CAP:
+    if any(not b > a for a, b in zip(p_list, p_list[1:])):
+        cfg._fail("p_list", "must be strictly ascending")
+    if not all(n < p <= P_CAP for p in p_list):
         cfg._fail("p_list", f"entries must lie in (n, {P_CAP:g}] with n = {n}")
     dm_g = all_pairs_distances(mesh, g)
     d_graph = dm_g[x, y]
@@ -405,6 +404,8 @@ def run_scaling_check(cfg):
         cfg._fail("lambda_list", "needs at least one scale factor")
     if any(not lam > 0 for lam in lambdas):
         cfg._fail("lambda_list", "scale factors must be positive")
+    if any(math.isinf(lam) for lam in lambdas):
+        cfg._fail("lambda_list", "scale factors must be finite")
     t = (p - mesh.dim) / p
     D = _resolve_D(cfg, p, mesh, g, dm0)
 

@@ -114,6 +114,8 @@ def _check_values(family, n, resolution=None, j=None, amplitude=None, radius=Non
          f"must lie in (0, 0.5), half the box extent, got {radius}"),
         ("center", center is None or np.shape(center) == (n,),
          f"needs {n} coordinates for n = {n}, got shape {np.shape(center)}"),
+        ("center", center is None or np.isfinite(center).all(),
+         f"coordinates must be finite, got {center}"),
         ("profile", profile in (None, "ball") or (profile == "tube" and n == 3),
          f"must be 'ball', or 'tube' on a 3-D mesh, got {profile!r}"),
     ):
@@ -160,7 +162,7 @@ class FamilySpec:
             return make_spike_sequence(base, self.j, A_j=self.amplitude, r_j=self.radius,
                                        center=self.center, profile=self.profile), g0
         if self.family == "oscillation":
-            return make_oscillation_sequence(base, self.j, self.resolution), g0
+            return make_oscillation_sequence(base, self.j), g0
         g = g0 if self.conformal is None else make_conformal_constant(base, self.conformal)
         return scale_metric(g, self.scale), scale_metric(g0, self.scale)
 
@@ -229,20 +231,23 @@ def make_conformal_constant(base, c):
     return scale_metric(g0, c)
 
 
-def make_oscillation_sequence(base, j, resolution):
+def make_oscillation_sequence(base, j):
     """Checkerboard of 1/4 I and 4 I squares at frequency j (n = 2).
 
-    Blocks of b = resolution // (2j) squares (clamped to divisors, minimum 1)
-    alternate between the two values; both triangles of a square share its
-    value.  The cell-value multiset is the same for every j, so the
+    ``base`` is a flat grid ``make_flat(2, R, torus)``; R is read from its
+    2 R^2 cells.  Blocks of b = R // (2j) squares (clamped to divisors,
+    minimum 1) alternate between the two values; both triangles of a square
+    share its value.  The cell-value multiset is the same for every j, so the
     inverse-difference integral of this family is exactly j-independent —
     the hypothesis it is built to violate.
     """
     mesh, g0 = base
     if mesh.dim != 2:
         raise MeshError("oscillation family is 2-D")
-    _check_values("oscillation", mesh.dim, resolution=resolution, j=j)
-    R = int(resolution)
+    R = math.isqrt(mesh.num_cells // 2)
+    if 2 * R * R != mesh.num_cells:
+        raise MeshError(f"oscillation family needs a flat R x R grid, got {mesh.num_cells} cells")
+    _check_values("oscillation", mesh.dim, resolution=R, j=j)
     b = R // (2 * j)
     if b < 1 or R % b != 0:
         b = 1

@@ -50,7 +50,7 @@ import math
 
 import numpy as np
 
-from .errors import OracleError
+from .errors import MeshMismatchError, OracleError
 
 MAX_ORACLE_NODES = 6
 _POINT_BUDGET = 2_000_000
@@ -85,6 +85,8 @@ def brute_force_dp(x, y, g, g0, params):
     bit for bit, as that of a full C-order scan.
     """
     mesh = params.mesh
+    if g.mesh is not mesh or g0 is not None and g0.mesh is not mesh:
+        raise MeshMismatchError("g or g0 lives on a different mesh than params")
     N = mesh.num_nodes
     if N > MAX_ORACLE_NODES:
         raise OracleError(f"brute force limited to {MAX_ORACLE_NODES} nodes, mesh has {N}")

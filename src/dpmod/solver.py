@@ -22,15 +22,15 @@ Newton energy solve: every solve first minimizes the uncapped energy
 E^(f) = sum_c w_c q_c^{p/2} over the free nodes by a damped Newton method
 (_newton_energy).  The Hessian p sum_c w_c [q^{p/2-1} M_c + (p-2)
 q^{p/2-2} (M_c F_c)(M_c F_c)^T] is scattered by one bincount into the free
-block, with the pinned nodes sent to a dump row and column; a ridge of
-1e-12 tr/N_free is added, the step comes from np.linalg.solve, an Armijo
-backtracking search damps it, and the method stops when the Newton
-decrement lambda^2 falls to 1e-14 E^, or to 1e-10 E^ on a step that
-needed a halving (there the line search is resolving round-off), or at
-once when the free gradient is zero.  Cells with q_c = 0 get zero
-coefficients (the energy is flat there for p > 2 and not twice
-differentiable for p < 2).  A singular dense system, here or in the
-barrier, raises SolverError.
+block, with the pinned nodes sent to a dump row and column (_free_slots;
+the barrier pins y alone); a ridge of 1e-12 tr/N_free is added, the step
+comes from np.linalg.solve, an Armijo backtracking search damps it, and
+the method stops when the Newton decrement lambda^2 falls to 1e-14 E^, or
+to 1e-10 E^ on a step that needed a halving (there the line search is
+resolving round-off), or at once when the free gradient is zero.  Cells
+with q_c = 0 get zero coefficients (the energy is flat there for p > 2 and
+not twice differentiable for p < 2).  A singular dense system, here or in
+the barrier, raises SolverError.
 
 Energy-bound screen: the capped feasible set is a subset of the uncapped
 one, so if the uncapped minimizer f* already satisfies the cap with room,
@@ -76,9 +76,9 @@ overall scale from the optimization, so scaled instances follow identical
 iterate paths.
 
 Orientation: the distance is symmetric in its endpoints (f -> -f maps one
-orientation's feasible set onto the other's), so every solve runs the
-canonical orientation (min(x, y), max(x, y)) and flips the extremal's sign
-for swapped queries.  d(x, y) and d(y, x) are therefore bitwise equal.
+orientation's feasible set onto the other's), so solve_dp solves the
+canonical orientation (min(x, y), max(x, y)) and negates the extremal of a
+swapped query; d(x, y) and d(y, x) are therefore bitwise equal.
 
 Accuracy note: every value is attained by its extremal, rescaled to unit
 exact gauge over all pairs, so it is a valid lower bound.  Energy-bound
@@ -95,7 +95,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import geodesic
 from .errors import (
     MeshMismatchError,
     NonConvergedError,
@@ -112,9 +111,9 @@ P_CAP = 128.0
 class GaugeParams:
     """Exponents, cap and Holder pair set of one instance.
 
-    Build with :meth:`GaugeParams.build`; ``d0`` is the dense background
-    distance matrix, (iu, iv) the constrained node pairs (every pair u < v)
-    and D in (0, +inf] the cap.
+    Build with :meth:`GaugeParams.build` from a ``geodesic.DistanceMatrix``;
+    ``d0`` is its dense array, (iu, iv) the constrained node pairs (every
+    pair u < v, row by row) and D in (0, +inf] the cap.
     """
 
     mesh: object
@@ -135,12 +134,9 @@ class GaugeParams:
         if not D > 0:
             raise SolverError(f"need D > 0 (may be inf), got {D}")
         t = (p - n) / p
-        if isinstance(dm0, geodesic.DistanceMatrix):
-            if dm0.mesh is not mesh:
-                raise MeshMismatchError("distance matrix was built over a different mesh")
-            d0 = dm0.dist
-        else:
-            d0 = np.asarray(dm0)
+        if dm0.mesh is not mesh:
+            raise MeshMismatchError("distance matrix was built over a different mesh")
+        d0 = dm0.dist
         N = mesh.num_nodes
         if d0.shape != (N, N):
             raise MeshMismatchError("distance matrix does not match mesh node count")
@@ -243,9 +239,9 @@ class _Gauge:
         self.w = sqrt_dets * mesh.volumes
         self.nodes = np.ascontiguousarray(mesh.cells_nodes.T)
 
-        # Holder data: normalized distances; xy indexes the pair (x, y)
+        # Holder data: normalized distances; xy indexes the pair (x, y) in (iu, iv)
         self.iu, self.iv = params.iu, params.iv
-        self.xy = int(np.flatnonzero((self.iu == x) & (self.iv == y))[0])
+        self.xy = x * (2 * mesh.num_nodes - x - 1) // 2 + y - x - 1
         self.inv_dt = (params.d0[self.iu, self.iv] / sigma) ** (-params.t)
 
     def energy(self, f):
@@ -274,16 +270,24 @@ _ARMIJO_SLOPE = 0.25
 _ARMIJO_HALVINGS = 60
 
 
+def _free_slots(N, pinned):
+    """Free index per node, in node order; the pinned nodes share the last, dump, index."""
+    free = np.ones(N, dtype=bool)
+    free[pinned] = False
+    return np.where(free, np.cumsum(free) - 1, N - len(pinned))
+
+
 def _energy_hat(f, nodes, forms, w, p, slot=None):
     """E^(f) = sum_c w_c q_c^{p/2}; with ``slot``, also its free gradient and Hessian.
 
-    ``slot`` maps each node to its free index and the pinned nodes to the
-    dump index k - 1 = slot.max(); the gradient and the Hessian are
-    scattered by bincount into length k and k*k, and the dump entries are
-    cut off, so no N x N temporary exists.  With v_c = M_c F_c / sqrt(q_c)
-    the cell Hessian is p w_c q_c^{p/2-1} (M_c + (p-2) v_c v_c^T), which
-    stays finite where q_c is tiny; cells with q_c = 0 get zero
-    coefficients.
+    ``slot`` comes from :func:`_free_slots`, with dump index k - 1.  The
+    gradient and the Hessian are scattered by bincount into length k and
+    k*k, so no N x N temporary exists.  The gradient's dump entry is cut
+    off; the Hessian is returned k x k, and callers cut off its dump row
+    and column (the barrier scatters its pair terms there first).  With
+    v_c = M_c F_c / sqrt(q_c) the cell Hessian is p w_c q_c^{p/2-1} (M_c +
+    (p-2) v_c v_c^T), which stays finite where q_c is tiny; cells with
+    q_c = 0 get zero coefficients.
     """
     MF, q = _cell_energy(f, nodes, forms)
     E = float((w * np.maximum(q, 0.0) ** (0.5 * p)).sum())
@@ -299,7 +303,7 @@ def _energy_hat(f, nodes, forms, w, p, slot=None):
     cell_h = a * (forms + (p - 2.0) * v[:, None] * v[None, :])
     flat = pos[:, None] * k + pos[None, :]
     hess = np.bincount(flat.ravel(), weights=cell_h.ravel(), minlength=k * k)
-    return E, grad, hess.reshape(k, k)[:-1, :-1]
+    return E, grad, hess.reshape(k, k)
 
 
 def _dense_solve(a, b, what):
@@ -326,10 +330,7 @@ def _newton_energy(gauge, f):
     ridge are zero too.  Returns (f*, steps, converged); converged is False
     when the step cap or the line search ran out first.
     """
-    free = np.ones(f.size, dtype=bool)
-    free[gauge.fixed] = False
-    slot = np.full(f.size, f.size - 2)
-    slot[free] = np.arange(f.size - 2)
+    slot = _free_slots(f.size, gauge.fixed)
     _, q = _cell_energy(f, gauge.nodes, gauge.forms)
     forms = gauge.forms / q.max()
     args = (gauge.nodes, forms, gauge.w, gauge.p)
@@ -339,15 +340,16 @@ def _newton_energy(gauge, f):
         E, grad, hess = _energy_hat(f, *args, slot)
         if not grad.any():              # E^ is convex: a minimizer
             return f, step, True
+        hess = hess[:-1, :-1]
         hess[diag] += _NEWTON_RIDGE * np.trace(hess) / max(grad.size, 1)
         d = _dense_solve(hess, -grad, "energy Newton step")
         lam2 = -float(grad @ d)
         if lam2 <= _NEWTON_RTOL * E:
             return f, step, True
+        d = np.append(d, 0.0)[slot]           # node order; x and y, in the dump slot, stay put
         t = 1.0
         for _ in range(_ARMIJO_HALVINGS):
-            trial = f.copy()
-            trial[free] += t * d
+            trial = f + t * d
             if _energy_hat(trial, *args) <= E - _ARMIJO_SLOPE * t * lam2:
                 break
             t *= 0.5
@@ -388,13 +390,9 @@ class _WorkingSet:
         self.c = gauge.inv_dt[idx]
         su, sv = slot[self.u], slot[self.v]
         self.ends = np.concatenate([su, sv])
-        # scatter pattern of the pair Hessian, dump row and column dropped
-        rows = np.concatenate([su, sv, su, sv])
-        cols = np.concatenate([su, sv, sv, su])
-        keep = np.maximum(rows, cols) < slot.max()
-        self.rows, self.cols = rows[keep], cols[keep]
-        self.src = np.tile(np.arange(idx.size), 4)[keep]
-        self.sign = np.repeat([1.0, 1.0, -1.0, -1.0], idx.size)[keep]
+        # scatter pattern of the pair Hessian: +h at (u, u), (v, v), -h at (u, v), (v, u)
+        self.rows = np.concatenate([su, sv, su, sv])
+        self.cols = np.concatenate([su, sv, sv, su])
 
     def ratios(self, f):
         return (f[self.u] - f[self.v]) * self.c
@@ -411,12 +409,13 @@ def _barrier(gauge, f, t, W, slot):
     d^2A/df^2 picks up 1/rho.  H0 gets the energy solve's ridge, 1e-12
     times the mean diagonal of its energy part (the pair terms, up to
     1/slack^2, would swamp the energy curvature), and then the pair terms,
-    both in place.
+    both in place; pair terms of y land in the dump row and column.
     """
     D, p = gauge.D, gauge.p
     _, q = _cell_energy(f, gauge.nodes, gauge.forms)
     rho = math.sqrt(q.max())
-    E, gE, H0 = _energy_hat(f / rho, gauge.nodes, gauge.forms, gauge.w, p, slot)
+    E, gE, H = _energy_hat(f / rho, gauge.nodes, gauge.forms, gauge.w, p, slot)
+    H0 = H[:-1, :-1]
     s = 1.0 - rho * E ** (1.0 / p)
     dA = E ** (1.0 / p - 1.0) / p
     H0 *= dA / (rho * s)
@@ -431,7 +430,7 @@ def _barrier(gauge, f, t, W, slot):
     grad += np.bincount(W.ends, weights=np.concatenate([gz, -gz]), minlength=k)[:-1]
     x = gauge.fixed[0]
     grad[slot[x]] -= t
-    np.add.at(H0, (W.rows, W.cols), W.sign * hz[W.src])
+    np.add.at(H, (W.rows, W.cols), np.concatenate([hz, hz, -hz, -hz]))
     return grad, H0, c2, gE
 
 
@@ -477,19 +476,17 @@ def _center(gauge, f, t, W, slot):
     return f, _MAX_CENTER_STEPS, False
 
 
-def _barrier_rounds(gauge, f):
-    """Barrier rounds from the screen's extremal f (f(x) = 1, f(y) = 0).
+def _barrier_rounds(gauge, f, phi):
+    """Barrier rounds from the screen's extremal f (f(x) = 1, f(y) = 0), of gauge phi.
 
     Returns (f, Newton steps, centerings, converged); f is strictly
     feasible on the last working set.
     """
     x, y = gauge.fixed
-    slot = np.arange(f.size)
-    slot[y:] -= 1
-    slot[y] = f.size - 1                      # y is the dump slot
+    slot = _free_slots(f.size, [y])           # x is free here
     seed = np.argsort(-np.abs(gauge.ratios(f)), kind="stable")[:_SEED_PAIRS]
     idx = np.union1d(seed, [gauge.xy])
-    f = (_INTERIOR / gauge.gauge(f)[0]) * f
+    f = (_INTERIOR / phi) * f
     steps = centerings = 0
     while True:
         W = _WorkingSet(gauge, idx, slot)
@@ -512,18 +509,8 @@ def _barrier_rounds(gauge, f):
         f = (_INTERIOR / gauge.gauge(f)[0]) * f
 
 
-def _solve(x, y, g, params):
-    """Canonical-orientation front end: d is symmetric in (x, y)."""
-    result, failure = _solve_oriented(min(x, y), max(x, y), g, params)
-    if x > y:
-        result = replace(result, x=x, y=y, extremal=-result.extremal)
-    if failure is not None:
-        raise NonConvergedError(f"{failure}: last value {result.value:.6g}", result=result)
-    return result
-
-
 def _solve_oriented(x, y, g, params):
-    """(result, failure text or None) for x <= y."""
+    """The DistanceResult of the canonical orientation x <= y."""
     mesh = params.mesh
     N = mesh.num_nodes
     if not (0 <= x < N and 0 <= y < N):
@@ -547,17 +534,12 @@ def _solve_oriented(x, y, g, params):
         raise SolverError(f"normalized start has invalid gauge {s!r}")
 
     f, steps, newton_ok = _newton_energy(gauge, f0)
-    if math.isinf(params.D) or (
-            newton_ok and _active(*gauge.gauge(f)[1:], params.D) == "energy-bound"):
-        failure = None if newton_ok else (
-            f"Newton energy solve stopped after {steps} steps without "
-            "meeting its decrement test")
-        return _result(gauge, g, params, x, y, f, steps, newton_ok, 0), failure
+    terms = gauge.gauge(f)
+    if math.isinf(params.D) or (newton_ok and _active(*terms[1:], params.D) == "energy-bound"):
+        return _result(gauge, g, params, x, y, f, terms, steps, newton_ok, 0)
 
-    f, used, stages, converged = _barrier_rounds(gauge, f)
-    failure = None if converged else (
-        f"barrier stopped after {stages} centerings without reaching its gap target")
-    return _result(gauge, g, params, x, y, f, steps + used, converged, stages), failure
+    f, used, stages, converged = _barrier_rounds(gauge, f, terms[0])
+    return _result(gauge, g, params, x, y, f, gauge.gauge(f), steps + used, converged, stages)
 
 
 def _active(A, H, D):
@@ -568,9 +550,9 @@ def _active(A, H, D):
     return "energy-bound" if A > cap_term else "holder-bound"
 
 
-def _result(gauge, g, params, x, y, f, iterations, converged, stages):
-    """The solve's answer from candidate f, rescaled to unit exact gauge."""
-    phi, A, H = gauge.gauge(f)
+def _result(gauge, g, params, x, y, f, terms, iterations, converged, stages):
+    """The answer from candidate f with terms = gauge.gauge(f), rescaled to unit gauge."""
+    phi, A, H = terms
     sig_t = gauge.sigma ** params.t
     value = sig_t * ((f[x] - f[y]) / phi)
     extremal = (sig_t / phi) * f
@@ -591,11 +573,20 @@ def solve_dp(x, y, g, g0, params):
     """Capped distance between nodes x and y (see module docstring).
 
     g0 enters through the background distances already precomputed in
-    ``params``; it is accepted here to assert the fields share a mesh.
+    ``params``; it is accepted here to assert the fields share a mesh.  A
+    solve that stops short raises NonConvergedError carrying its result.
     """
     if g0 is not None and g0.mesh is not params.mesh:
         raise MeshMismatchError("g0 lives on a different mesh than params")
-    return _solve(x, y, g, params)
+    result = _solve_oriented(min(x, y), max(x, y), g, params)
+    if x > y:
+        result = replace(result, x=x, y=y, extremal=-result.extremal)
+    if not result.converged:
+        failure = (f"barrier stopped after {result.stages} centerings without reaching its "
+                   "gap target" if result.stages else "Newton energy solve stopped after "
+                   f"{result.iterations} steps without meeting its decrement test")
+        raise NonConvergedError(f"{failure}: last value {result.value:.6g}", result=result)
+    return result
 
 
 @dataclass

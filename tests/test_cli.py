@@ -536,6 +536,12 @@ GEN_SPIKE_1D = SPIKE_1D.replace("pairs = 0-4\np = 2\n", "")
                  id="p_list-empty"),
     pytest.param("scaling", CONFORMAL_1D + "lambda_list = ,\n", "lambda_list",
                  id="lambda_list-empty"),
+    # non-finite values: each used to fail later without naming its key
+    pytest.param("sweep-p", SPIKE_2D.replace("p = 4", "p_list = nan"), "p_list",
+                 id="p_list-nan"),
+    pytest.param("scaling", SPIKE_2D + "lambda_list = inf\n", "lambda_list",
+                 id="lambda_list-inf"),
+    pytest.param("compute", SPIKE_2D + "center = nan, 0.5\n", "center", id="center-nan"),
 ])
 def test_bad_family_or_class_value_exits_1(tmp_path, capsys, kind, body, key):
     # out-of-range values fail at the config boundary, not as a traceback
@@ -577,6 +583,12 @@ SEQUENCE_1D = "family = spike\nn = 1\nresolution = 4\ntorus = true\npairs = corn
                  "is required for this experiment kind", id="j-missing-gen"),
     pytest.param("scaling", CONFORMAL_1D + "lambda_list = 0.5, -1\n", "lambda_list",
                  "scale factors must be positive", id="lambda_list-negative"),
+    pytest.param("scaling", CONFORMAL_1D + "lambda_list = 0.5, inf\n", "lambda_list",
+                 "scale factors must be finite", id="lambda_list-inf"),
+    pytest.param("sweep-p", SPIKE_2D.replace("p = 4", "p_list = nan"), "p_list",
+                 "entries must lie in (n, 128] with n = 2", id="p_list-nan"),
+    pytest.param("compute", SPIKE_2D + "center = nan, 0.5\n", "center",
+                 "coordinates must be finite, got [nan, 0.5]", id="center-nan"),
     # the README's rule n < p <= 128, checked before any solve
     pytest.param("compute", CONFORMAL_1D.replace("p = 2", "p = 200"), "p",
                  "is capped at 128, got 200.0", id="p-above-cap-compute"),

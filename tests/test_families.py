@@ -19,7 +19,9 @@ from dpmod.families import (
     make_spike_sequence,
     spike_schedule,
 )
-from dpmod.metric import hypothesis_functionals
+from dpmod.metric import MetricField, hypothesis_functionals
+
+from conftest import strip_mesh
 
 
 # -- flat bases ---------------------------------------------------------------
@@ -211,7 +213,7 @@ def test_spike_inverse_difference_strictly_decreases(n, res, p, ig_bound):
 def test_oscillation_negative_control():
     base = make_flat(2, 8, torus=True)
     reps = [
-        hypothesis_functionals(make_oscillation_sequence(base, j, 8), base[1], 7.0)
+        hypothesis_functionals(make_oscillation_sequence(base, j), base[1], 7.0)
         for j in (1, 2, 4, 8)
     ]
     ref = reps[0].I_inv
@@ -222,20 +224,25 @@ def test_oscillation_negative_control():
 
 def test_oscillation_cell_values():
     base = make_flat(2, 2, torus=True)
-    g = make_oscillation_sequence(base, 1, 2)
+    g = make_oscillation_sequence(base, 1)
     factors = sorted(g.tensors[:, 0, 0])
     assert factors == [0.25] * 4 + [4.0] * 4
     # multiset of cell tensors is j-independent
-    g2 = make_oscillation_sequence(make_flat(2, 8, torus=True), 3, 8)
+    g2 = make_oscillation_sequence(make_flat(2, 8, torus=True), 3)
     vals, counts = np.unique(g2.tensors[:, 0, 0], return_counts=True)
     assert list(vals) == [0.25, 4.0] and counts[0] == counts[1] == 64
 
 
 def test_oscillation_validation():
     with pytest.raises(MeshError):
-        make_oscillation_sequence(make_flat(1, 8, torus=True), 1, 8)
+        make_oscillation_sequence(make_flat(1, 8, torus=True), 1)
     with pytest.raises(ValueError):
-        make_oscillation_sequence(make_flat(2, 8, torus=True), 0, 8)
+        make_oscillation_sequence(make_flat(2, 8, torus=True), 0)
+    with pytest.raises(ValueError):                  # a 1 x 1 grid: resolution below 2
+        make_oscillation_sequence(make_flat(2, 1, torus=False), 1)
+    strip = strip_mesh(3, 1)                         # 6 cells: no R x R grid
+    with pytest.raises(MeshError):
+        make_oscillation_sequence((strip, MetricField.identity(strip)), 1)
 
 
 # -- conformal ----------------------------------------------------------------

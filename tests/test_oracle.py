@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from dpmod import oracle
-from dpmod.errors import OracleError
-from dpmod.geodesic import all_pairs_distances
+from dpmod.errors import MeshMismatchError, OracleError
+from dpmod.geodesic import DistanceMatrix, all_pairs_distances
 from dpmod.metric import MetricField
 from dpmod.oracle import MAX_ORACLE_NODES, analytic_1d_dp, brute_force_dp
 from dpmod.solver import GaugeParams
@@ -122,9 +122,16 @@ def test_brute_validation():
     _, _, _, g, g0, params = _chain_setup([1.0] * 4, p=2.0, D=1.0)
     with pytest.raises(OracleError):
         brute_force_dp(3, 3, g, g0, params)
-    inf_params = GaugeParams.build(params.mesh, params.d0, p=2.0, D=math.inf)
+    inf_params = GaugeParams.build(params.mesh, DistanceMatrix(params.mesh, params.d0),
+                                   p=2.0, D=math.inf)
     with pytest.raises(OracleError):
         brute_force_dp(4, 0, g, g0, inf_params)
+    # fields of another mesh, as solve_dp rejects them: a g of one used to
+    # be read on params' cells, and a g0 of one was ignored
+    other = _chain_setup([1.0, 2.0, 1.0, 2.0], p=2.0, D=1.0)[3]
+    for fields in ((other, g0), (g, other)):
+        with pytest.raises(MeshMismatchError):
+            brute_force_dp(4, 0, *fields, params)
     big_mesh = chain_mesh(np.linspace(0.0, 1.0, MAX_ORACLE_NODES + 2))
     big_g0 = MetricField.identity(big_mesh)
     big_params = GaugeParams.build(

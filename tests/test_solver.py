@@ -18,7 +18,7 @@ from dpmod.errors import (
 )
 from dpmod import solver
 from dpmod.families import make_conformal_constant, make_flat, make_spike_sequence
-from dpmod.geodesic import all_pairs_distances
+from dpmod.geodesic import DistanceMatrix, all_pairs_distances
 from dpmod.metric import MetricField, scale_metric
 from dpmod.solver import (
     GaugeParams,
@@ -71,7 +71,7 @@ def test_build_validation(chain16):
     with pytest.raises(SolverError):
         GaugeParams.build(mesh, dm0, p=2.0, D=0.0)
     with pytest.raises(MeshMismatchError):
-        GaugeParams.build(mesh, np.zeros((3, 3)), p=2.0, D=1.0)
+        GaugeParams.build(mesh, DistanceMatrix(mesh, np.zeros((3, 3))), p=2.0, D=1.0)
     params = GaugeParams.build(mesh, dm0, p=4.0, D=2.0)
     assert params.t == pytest.approx(0.75)
     assert params.iu.size == 17 * 16 // 2               # every node pair
@@ -87,6 +87,21 @@ def test_build_rejects_distances_of_another_mesh():
     params = GaugeParams.build(torus, all_pairs_distances(torus, g0), p=7.0, D=0.3)
     assert solve_dp(0, 5, g0, g0, params).value == pytest.approx(0.14275427295159296,
                                                                   rel=1e-9)
+
+
+@pytest.mark.parametrize("n, R", [(1, 1), (1, 2), (1, 6), (2, 7), (3, 5)],
+                         ids=["N2", "N3", "N7", "N64", "N216"])
+def test_gauge_xy_indexes_the_pair(n, R):
+    # the closed-form index of (x, y) among the upper-triangle pairs
+    mesh, g0 = make_flat(n, R, torus=False)
+    params = GaugeParams.build(mesh, all_pairs_distances(mesh, g0), p=n + 1.0, D=1.0)
+    N = mesh.num_nodes
+    pairs = list(zip(*np.triu_indices(N, k=1)))
+    if N > 7:
+        pairs = pairs[:N] + pairs[-N:] + pairs[::97]
+    for x, y in pairs:
+        xy = solver._Gauge(g0, params, x, y).xy
+        assert (params.iu[xy], params.iv[xy]) == (x, y)
 
 
 def test_solve_input_errors(chain16):
@@ -113,7 +128,7 @@ def test_zero_distance_pair_rejected():
     dm = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
     dm[0, 2] = dm[2, 0] = 0.0
     with pytest.raises(ZeroDistancePairError):
-        GaugeParams.build(mesh, dm, p=2.0, D=1.0)
+        GaugeParams.build(mesh, DistanceMatrix(mesh, dm), p=2.0, D=1.0)
 
 
 # -- closed-form matches ------------------------------------------------------
@@ -249,14 +264,6 @@ def spike_instance(request):
     return mesh, g, g0, all_pairs_distances(mesh, g0)
 
 
-def _barrier_slots(num_nodes, y):
-    """Free index per node, with y sent to the dump index, as in _barrier_rounds."""
-    slot = np.full(num_nodes, num_nodes - 1)
-    free = np.flatnonzero(np.arange(num_nodes) != y)
-    slot[free] = np.arange(free.size)
-    return slot, free
-
-
 @pytest.mark.parametrize("cap", ["tied", "inf"])
 @pytest.mark.parametrize("beta", [10.0, 640.0])
 @pytest.mark.parametrize("s", [0.37, 1.0, 2.5])
@@ -278,7 +285,8 @@ def test_smoothed_gradient_matches_central_differences(spike_instance, cap, beta
         z = gauge.ratios(f)
         idx = np.union1d(np.argsort(-np.abs(z), kind="stable")[:solver._SEED_PAIRS], [gauge.xy])
         gauge.D = np.abs(z[idx]).max() / gauge.energy(f)
-    slot, free = _barrier_slots(f.size, y)
+    slot = solver._free_slots(f.size, [y])          # x is free in the barrier
+    free = np.flatnonzero(slot < slot.max())         # the free nodes, in slot order
     W = solver._WorkingSet(gauge, idx, slot)
     assert W.m == 1 + 2 * idx.size
     grad = solver._barrier(gauge, f, beta, W, slot)[0]
@@ -313,7 +321,8 @@ def test_barrier_derivatives_match_central_differences(case):
     # W: the 8 largest ratios, (x, y), and every pair through y (dump slot)
     through_y = np.flatnonzero((gauge.iu == y) | (gauge.iv == y))[:5]
     idx = np.union1d(np.argsort(-np.abs(z))[:8], np.append(through_y, gauge.xy))
-    slot, free = _barrier_slots(f.size, y)
+    slot = solver._free_slots(f.size, [y])          # x is free in the barrier
+    free = np.flatnonzero(slot < slot.max())         # the free nodes, in slot order
     W = solver._WorkingSet(gauge, idx, slot)
 
     def F(h):
@@ -337,18 +346,12 @@ def test_barrier_derivatives_match_central_differences(case):
 
 # -- Newton energy solve --------------------------------------------------------
 
-def _free_slots(num_nodes, fixed):
-    """Free index per node, with the pinned nodes sent to the dump index."""
-    slot = np.full(num_nodes, num_nodes - 2)
-    free = np.setdiff1d(np.arange(num_nodes), fixed)
-    slot[free] = np.arange(free.size)
-    return slot, free
-
-
 def _check_energy_derivs(gauge, p, f):
-    slot, free = _free_slots(f.size, gauge.fixed)
+    slot = solver._free_slots(f.size, gauge.fixed)
+    free = np.flatnonzero(slot < slot.max())
     args = (gauge.nodes, gauge.forms, gauge.w, p, slot)
     E, grad, hess = solver._energy_hat(f, *args)
+    hess = hess[:-1, :-1]                            # drop the dump row and column
     assert E == solver._energy_hat(f, *args[:-1])
     assert E == pytest.approx(solver._energy_norm(f, *args[:-1]) ** p, rel=1e-12)
     h = 1e-6
@@ -578,10 +581,20 @@ def test_screened_values_stable_across_blas_threads():
 
 # -- batch driver -------------------------------------------------------------
 
-def test_distance_matrix_records_failures(chain16):
+def test_distance_matrix_records_failures(monkeypatch, chain16):
     mesh, g0, dm0 = chain16
     params = GaugeParams.build(mesh, dm0, p=2.0, D=1.0)
+    # one call per pair to solve_dp, looked up on the module at call time:
+    # the benchmark's tracer counts solves by wrapping that name
+    real, calls = solver.solve_dp, []
+
+    def counting(*args):
+        calls.append(args[:2])
+        return real(*args)
+
+    monkeypatch.setattr(solver, "solve_dp", counting)
     outcomes = distance_matrix([(0, 8), (3, 3), (0, 16)], g0, g0, params)
+    assert calls == [(0, 8), (3, 3), (0, 16)]
     assert [oc.error for oc in outcomes] == [None, "SameVertex", None]
     assert outcomes[0].result.converged
     assert outcomes[1].result is None
