@@ -43,7 +43,8 @@ measured range.
 
 Spike profiles use the chart euclidean distance to the center (``ball``) or
 to the vertical axis through it (``tube``, the 3-D line-supported variant),
-evaluated at cell barycenters.
+evaluated at cell barycenters; on a torus each coordinate difference is
+taken to the nearest image.  The center must lie in the chart.
 
 A :class:`FamilySpec` describes one family member and builds its fields
 with ``FamilySpec.metrics``; it keeps only the values its family reads
@@ -91,8 +92,11 @@ class FamilyValueError(ValueError):
 
 
 def _check_values(family, n, resolution=None, j=None, amplitude=None, radius=None,
-                  scale=None, conformal=None, center=None, profile=None):
+                  scale=None, conformal=None, center=None, profile=None, chart=(0.0, 1.0)):
     """The one check of family values; None means not given.
+
+    ``chart`` bounds every coordinate of ``center``: the unit chart of the
+    family bases unless a spike is built on another mesh.
 
     Raises :class:`FamilyValueError` naming the config key of the first bad
     value.
@@ -116,6 +120,8 @@ def _check_values(family, n, resolution=None, j=None, amplitude=None, radius=Non
          f"needs {n} coordinates for n = {n}, got shape {np.shape(center)}"),
         ("center", center is None or np.isfinite(center).all(),
          f"coordinates must be finite, got {center}"),
+        ("center", center is None or chart[0] <= np.min(center) <= np.max(center) <= chart[1],
+         f"coordinates must lie in the chart [{chart[0]:g}, {chart[1]:g}], got {center}"),
         ("profile", profile in (None, "ball") or (profile == "tube" and n == 3),
          f"must be 'ball', or 'tube' on a 3-D mesh, got {profile!r}"),
     ):
@@ -207,12 +213,17 @@ def make_spike_sequence(base, j, A_j=None, r_j=None, center=None, profile="ball"
 
     d is the chart euclidean distance from the cell barycenter to ``center``
     (profile 'ball') or to the axis through ``center`` along the last
-    coordinate (profile 'tube', n = 3).  Defaults: the documented schedule
-    ``spike_schedule(n, j)`` and center = box midpoint.
+    coordinate (profile 'tube', n = 3).  ``center`` lies in the chart, the
+    range of the vertex coordinates ([0, 1] on a family base); on a unit
+    torus (a base with identified vertices, as ``make_flat`` glues them) d
+    is measured to the nearest image of the center, so a spike near a seam
+    wraps across it.
+    Defaults: the documented schedule ``spike_schedule(n, j)`` and center =
+    box midpoint.
     """
     mesh, g0 = base
     _check_values("spike", mesh.dim, j=j, amplitude=A_j, radius=r_j, center=center,
-                  profile=profile)
+                  profile=profile, chart=(mesh.verts.min(), mesh.verts.max()))
     sched_A, sched_r = spike_schedule(mesh.dim, j)
     A = sched_A if A_j is None else float(A_j)
     r = sched_r if r_j is None else float(r_j)
@@ -220,7 +231,10 @@ def make_spike_sequence(base, j, A_j=None, r_j=None, center=None, profile="ball"
     bary = _barycenters(mesh)
     if profile == "tube":
         bary, center = bary[:, :2], center[:2]
-    d = np.linalg.norm(bary - center, axis=1)
+    gap = np.abs(bary - center)
+    if mesh.ident.size:                 # a torus: the nearest image of the center
+        gap = np.minimum(gap, 1.0 - gap)
+    d = np.linalg.norm(gap, axis=1)
     phi = 1.0 + A * np.maximum(0.0, 1.0 - d / r)
     return MetricField(mesh, g0.tensors * (phi ** 2)[:, None, None])
 

@@ -15,19 +15,22 @@ the same, bit for bit, as a search that evaluates every term at every grid
 point: each point still gets the same per-point formula for each term, and
 the cell terms are still added in cell order starting from 0.
 
-The product grid is cut into blocks that are contiguous runs in C order.
-A point's score is f(x) - tie E with tie > 0 and E >= 0, and rounding is
-monotone, so the largest f(x) in a block bounds every score in it.  Blocks
-are visited by descending bound, and the search stops at the first block
-whose bound is below the best score so far.  The best is kept as a (score,
-C-order index) pair and replaced on a higher score, or on an equal score at
-a smaller index, so the result is the first maximum in C order whatever the
-visit order: the same point a full C-order scan keeps.  Pair masks that do
+The grid's axis 0 is x's; the other free nodes follow in node order.  The
+product grid is cut into blocks that are contiguous runs in C order and
+never span two values of axis 0, so each block lies in one slice of fixed
+f(x).  A point's score is f(x) - tie E with tie > 0 and E >= 0, and
+rounding is monotone, so the slice's f(x) bounds every score in the block.
+Blocks are visited by descending bound, and the search stops at the first
+block whose bound is below the best score so far: usually only the top
+feasible slice is evaluated.  The best is kept as a (score, index) pair,
+with the index in the C order of the grid whose axes follow node order, and
+replaced on a higher score, or on an equal score at a smaller index; within
+a block the smallest index among its equal maxima competes.  So the result
+is the first maximum in node-order C order whatever the axis and visit
+orders: the same point a full scan of that grid keeps.  Pair masks that do
 not vary over the blocked axes are ANDed once per round, and a block whose
-masks leave no point skips its energy sum.  Pruning needs x's axis among
-the blocked axes, or every block has the same bound and all are scanned.
-The value is symmetric, so the search runs as (min(x, y), max(x, y)): x is
-then on axis 0, which is always blocked, whenever min(x, y) = 0.
+masks leave no point skips its energy sum.  The value is symmetric, so the
+search runs as (min(x, y), max(x, y)).
 
 1-D closed form (derivation)
 ----------------------------
@@ -77,12 +80,13 @@ def brute_force_dp(x, y, g, g0, params):
     argmax set and can drift away from the true optimizer.
 
     Each round's search is separable (see the module docstring).  Pair masks
-    and cell terms are computed on their own sub-grids, and the product grid
-    is cut into C-order blocks of at most ``_CHUNK`` points.  Blocks are
-    visited by descending max f(x), which bounds every score in the block,
-    until that bound falls below the best score; the (score, C-order index)
-    tie rule keeps the first maximum in C order, so the value is the same,
-    bit for bit, as that of a full C-order scan.
+    and cell terms are computed on their own sub-grids, and the product grid,
+    x's axis first, is cut into C-order blocks of at most ``_CHUNK`` points
+    within one value of f(x).  Blocks are visited by descending f(x), which
+    bounds every score in the block, until that bound falls below the best
+    score; the (score, node-order C index) tie rule keeps the first maximum
+    in the C order of the node-ordered grid, so the value is the same, bit
+    for bit, as that of a full scan of that grid.
     """
     mesh = params.mesh
     if g.mesh is not mesh or g0 is not None and g0.mesh is not mesh:
@@ -100,7 +104,10 @@ def brute_force_dp(x, y, g, g0, params):
     d0y = params.d0[y, :]
     B = D * (d0y ** t).max()
 
-    free = [v for v in range(N) if v != y]
+    # x's grid axis first, the other free nodes after it in node order;
+    # node_order[i] is the axis of the i-th free node in node order
+    free = [x] + [v for v in range(N) if v not in (x, y)]
+    node_order = np.argsort(free)
     caps = np.array([min(B, D * d0y[v] ** t) for v in free])
 
     # energy and Holder data for vectorized feasibility checks
@@ -118,6 +125,7 @@ def brute_force_dp(x, y, g, g0, params):
         """Best feasible f(x) over the product grid; ``tie`` breaks the
         degenerate argmax toward low energy (must be << one grid step)."""
         sizes = tuple(len(ax) for ax in axes)
+        node_sizes = tuple(sizes[j] for j in node_order)
 
         def subgrid(nodes):
             """Values of ``nodes`` (rows in C order) over the sub-grid of the
@@ -146,11 +154,13 @@ def brute_force_dp(x, y, g, g0, params):
         fx = F[:, 0].reshape(shape)
 
         # blocks of at most _CHUNK points in C order: single indices on the
-        # axes before ``s``, a run of ``rows`` indices on axis ``s``
-        s = 0
+        # axes before ``s``, a run of ``rows`` indices on axis ``s``.  s >= 1
+        # whenever there is a second axis, so a block never spans two values
+        # of x: its bound is the exact f(x) of its slice
+        s = min(1, len(sizes) - 1)
         while math.prod(sizes[s + 1:]) > _CHUNK:
             s += 1
-        rows = _CHUNK // math.prod(sizes[s + 1:])
+        rows = _CHUNK // math.prod(sizes[s + 1:]) if s else 1
 
         def part(a, sel):
             """Block ``sel`` of a broadcast-shaped array (its size-1 axes stay whole)."""
@@ -165,8 +175,8 @@ def brute_force_dp(x, y, g, g0, params):
             else:
                 base &= m
 
-        # visit blocks by descending max f(x), which bounds every score in
-        # the block; the sort is stable, so equal bounds stay in C order
+        # visit blocks by descending f(x), which bounds every score in the
+        # block; the sort is stable, so equal bounds stay in C order
         blocks = []
         for lead in np.ndindex(*sizes[:s]):
             for lo in range(0, sizes[s], rows):
@@ -178,6 +188,7 @@ def brute_force_dp(x, y, g, g0, params):
             if bound < best_score:
                 break
             shape = (1,) * s + (min(rows, sizes[s] - lo),) + sizes[s + 1:]
+            start = lead + (lo,) + (0,) * (len(sizes) - s - 1)
             ok = np.broadcast_to(base, shape).copy()
             for m in varying:
                 ok &= part(m, sel)
@@ -189,21 +200,21 @@ def brute_force_dp(x, y, g, g0, params):
             ok &= E <= 1.0
             if not ok.any():
                 continue
-            score = np.where(ok, part(fx, sel) - tie * E, -np.inf)
+            # the first maximum in the C order of the grid in node order,
+            # whatever the axis order and the order the blocks are visited
+            # in: a block is a box, so its own node-ordered C order agrees
+            score = np.where(ok, part(fx, sel) - tie * E, -np.inf).transpose(node_order)
             k = int(np.argmax(score))
-            at = np.unravel_index(k, shape)
-            at = lead + (lo + at[s],) + at[s + 1:]
-            index = np.ravel_multi_index(at, sizes)
-            # the first maximum in C order over the whole grid, whatever
-            # order the blocks are visited in
+            at = np.add(np.unravel_index(k, score.shape), [start[j] for j in node_order])
+            index = np.ravel_multi_index(at, node_sizes)
             top = float(score.flat[k])
             if top > best_score or (top == best_score and index < best_index):
                 best_score, best_index, best_at = top, index, at
         if best_at is None:
             return -np.inf, None
         best_point = np.zeros(N)
-        for j, v in enumerate(free):
-            best_point[v] = axes[j][best_at[j]]
+        for v, i in zip(sorted(free), best_at):     # best_at is in node order
+            best_point[v] = axes[axis_of[v]][i]
         return float(best_point[x]), best_point
 
     # initial pass: step B/50, halved resolution until within budget

@@ -16,7 +16,8 @@ Phi(f) = max(E_p(f)^{1/p}, H(f)/D) the distance equals
 is the extremal function.  Translation invariance lets us pin f(y) = 0,
 f(x) = 1 and minimize over the remaining node values.
 
-Algorithm: one Newton screen, then barrier rounds where the cap binds.
+Algorithm: one Newton solve and two screens, then barrier rounds where
+neither screen settles the pair.
 
 Newton energy solve: every solve first minimizes the uncapped energy
 E^(f) = sum_c w_c q_c^{p/2} over the free nodes by a damped Newton method
@@ -37,6 +38,16 @@ one, so if the uncapped minimizer f* already satisfies the cap with room,
 H(f*)/D <= A(f*) (1 - 1e-3) with A = E_p^{1/p}, it solves the capped
 problem and is returned as an energy-bound result with stages = 0.  At
 D = +inf the cap term H/D is 0 and f* is always the answer.
+
+Cap-bound screen: the pair (x, y) is itself constrained, so D (in the
+normalized units, where d_{g0}(x, y) = 1) bounds the value from above.  With
+dx = d_{g0}(x, .)^t and dy = d_{g0}(y, .)^t normalized, three candidates
+reach it, each with f(x) - f(y) = D: the envelopes max(0, D - D dx) and
+min(D, D dy), which are D-Holder because d_{g0}^t is a metric, and D f*
+clipped between them.  The one of smallest exact gauge (ties in that order)
+is returned with stages = 0 if its Phi is at most 1 + _GAP_RTOL, whether or
+not the Newton solve converged: Phi is exact and the envelopes do not use
+f*.  Its iterations are the Newton steps alone.
 
 Barrier rounds: every other capped pair is solved as
 
@@ -82,10 +93,12 @@ swapped query; d(x, y) and d(y, x) are therefore bitwise equal.
 
 Accuracy note: every value is attained by its extremal, rescaled to unit
 exact gauge over all pairs, so it is a valid lower bound.  Energy-bound
-pairs are solved to Newton-decrement accuracy; every other pair stops at
-the barrier gap m/t <= _GAP_RTOL f(x) on a working set that no pair
-violates, so it lies within about 1e-10 (relative) of the supremum,
-whichever constraint binds.
+pairs are solved to Newton-decrement accuracy.  A pair the cap-bound screen
+settles has value D d_{g0}(x, y)^t / Phi with Phi <= 1 + _GAP_RTOL, within
+1e-10 (relative) of that upper bound.  Every other pair stops at the
+barrier gap m/t <= _GAP_RTOL f(x) on a working set that no pair violates,
+so it lies within about 1e-10 (relative) of the supremum, whichever
+constraint binds.
 """
 
 from __future__ import annotations
@@ -243,6 +256,25 @@ class _Gauge:
         self.iu, self.iv = params.iu, params.iv
         self.xy = x * (2 * mesh.num_nodes - x - 1) // 2 + y - x - 1
         self.inv_dt = (params.d0[self.iu, self.iv] / sigma) ** (-params.t)
+        # normalized snowflake distances d0(x, .)^t and d0(y, .)^t
+        self.dx, self.dy = (sigma ** -1 * params.d0[[x, y]]) ** params.t
+
+    def start(self):
+        """The background-distance profile, Holder-feasible by the snowflake bound."""
+        f = np.clip(self.dy, 0.0, 1.0)
+        f[self.fixed] = 1.0, 0.0
+        return f
+
+    def cap_candidates(self, f):
+        """The cap-bound screen's three candidates, each with f(x) - f(y) = D.
+
+        The envelopes max(0, D - D dx) and min(D, D dy) are D-Holder because
+        d0^t is a metric; the third is D f clipped between them.
+        """
+        D = self.D
+        lo = np.maximum(0.0, D - D * self.dx)
+        hi = np.minimum(D, D * self.dy)
+        return lo, hi, np.clip(D * f, lo, hi)
 
     def energy(self, f):
         """A(f) = E_p(f)^{1/p} of the normalized instance."""
@@ -523,12 +555,7 @@ def _solve_oriented(x, y, g, params):
         raise ZeroDistancePairError(f"d_g0({x},{y}) = 0")
 
     gauge = _Gauge(g, params, x, y)
-
-    # init: background-distance profile, Holder-feasible by the snowflake bound
-    prof = (gauge.sigma ** -1 * params.d0[y, :]) ** params.t
-    f0 = np.clip(prof, 0.0, 1.0)
-    f0[y], f0[x] = 0.0, 1.0
-
+    f0 = gauge.start()
     s, _, _ = gauge.gauge(f0)
     if not (np.isfinite(s) and s > 0.0):
         raise SolverError(f"normalized start has invalid gauge {s!r}")
@@ -537,6 +564,13 @@ def _solve_oriented(x, y, g, params):
     terms = gauge.gauge(f)
     if math.isinf(params.D) or (newton_ok and _active(*terms[1:], params.D) == "energy-bound"):
         return _result(gauge, g, params, x, y, f, terms, steps, newton_ok, 0)
+
+    # cap-bound screen: f(x) - f(y) = D is the cap of the pair (x, y) itself,
+    # so a candidate of exact gauge 1 attains the supremum
+    cap, cap_terms = min(((c, gauge.gauge(c)) for c in gauge.cap_candidates(f)),
+                         key=lambda c: c[1][0])
+    if cap_terms[0] <= 1.0 + _GAP_RTOL:
+        return _result(gauge, g, params, x, y, cap, cap_terms, steps, True, 0)
 
     f, used, stages, converged = _barrier_rounds(gauge, f, terms[0])
     return _result(gauge, g, params, x, y, f, gauge.gauge(f), steps + used, converged, stages)

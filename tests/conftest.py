@@ -1,12 +1,27 @@
 """Shared helpers: deterministic random geometry, tiny reference meshes,
-uniform refinement, and the tensor functionals that only tests evaluate."""
+uniform refinement, the tensor functionals that only tests evaluate, and
+the solver's barrier rounds run past its cap-bound screen."""
 
 import numpy as np
 import pytest
 
+from dpmod import solver
 from dpmod.errors import MeshError
 from dpmod.mesh import build_mesh
 from dpmod.metric import MetricField
+
+
+def barrier_result(g, params, x, y):
+    """(value, centerings, converged) of the barrier rounds on pair x < y.
+
+    They start from the Newton screen's extremal, as in ``solve_dp`` when
+    neither screen settles the pair, and the value is rescaled as
+    ``solve_dp`` rescales it; the cap-bound screen is skipped.
+    """
+    gauge = solver._Gauge(g, params, x, y)
+    f, _, _ = solver._newton_energy(gauge, gauge.start())
+    f, _, stages, converged = solver._barrier_rounds(gauge, f, gauge.gauge(f)[0])
+    return gauge.sigma ** params.t * ((f[x] - f[y]) / gauge.gauge(f)[0]), stages, converged
 
 
 def random_spd_tensors(rng, num_cells, n, cond_max=100.0, scale_lo=0.5, scale_hi=2.0):

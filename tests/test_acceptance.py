@@ -5,7 +5,8 @@ and a wall-clock budget:
 
 1. scale equivariance of the computed distance,
 2. the cap is never exceeded on randomized instances,
-3. agreement with the brute-force oracle on tiny meshes,
+3. agreement with the brute-force oracle on tiny meshes, and of the
+   closed-form cap-bound screen with the barrier,
 4. agreement with the 1-D closed forms on long chains,
 5. the large-p trend toward the graph distance (1-D and 2-D),
 6. the localized-family discrepancy trend and its negative control,
@@ -21,6 +22,7 @@ import time
 import numpy as np
 
 from conftest import (
+    barrier_result,
     chain_mesh,
     det_wrt_g0,
     random_metric,
@@ -124,15 +126,14 @@ def test_holder_cap_bound():
 
 # -- 3. brute-force oracle agreement ------------------------------------------
 
-def test_solver_matches_brute_force():
-    """Solver vs dense grid search within 1% on 50 tiny random instances.
+def _tiny_draws():
+    """The 50 tiny random instances of the oracle agreement tests.
 
     Meshes have at most 5 free vertices (1-D chains with 4-6 nodes, 2-D
     strips with 4 or 6 nodes), random metrics on both slots, random p and a
-    cap drawn to cover slack, binding, and tied regimes.  Budget: five
-    minutes.
+    cap drawn to cover slack, binding, and tied regimes.  Yields
+    (g, g0, params, x, y).
     """
-    start = time.monotonic()
     rng = np.random.default_rng(20260818)
     for trial in range(50):
         if trial % 5 < 3:
@@ -152,10 +153,44 @@ def test_solver_matches_brute_force():
         x, y = 0, mesh.num_nodes - 1
         t = (p - n) / p
         D = float(10.0 ** rng.uniform(-0.8, 0.8)) / dm0[x, y] ** t * 0.5
-        params = GaugeParams.build(mesh, dm0, p=p, D=D)
+        yield g, g0, GaugeParams.build(mesh, dm0, p=p, D=D), x, y
+
+
+def test_solver_matches_brute_force():
+    """Solver vs dense grid search within 1% on 50 tiny random instances.
+
+    The instances are those of ``_tiny_draws``.  Budget: five minutes.
+    """
+    start = time.monotonic()
+    for g, g0, params, x, y in _tiny_draws():
         value = solve_dp(x, y, g, g0, params).value
         truth = brute_force_dp(x, y, g, g0, params)
         assert abs(value - truth) <= 1e-2 * truth
+    assert time.monotonic() - start <= 300.0
+
+
+def test_cap_screen_matches_barrier():
+    """The closed-form cap-bound screen agrees with the barrier.
+
+    On the instances of ``_tiny_draws``, every pair the screen settles
+    (0 centerings, not energy-bound) is solved again by the barrier rounds
+    from the same start.  The screen's value is the cap D d_g0(x, y)^t of
+    the pair itself, an upper bound, up to its gauge tolerance: it is never
+    above the cap and not below the barrier's value beyond the barrier's
+    1e-10 gap.  Budget: five minutes.
+    """
+    start = time.monotonic()
+    settled = 0
+    for g, g0, params, x, y in _tiny_draws():
+        result = solve_dp(x, y, g, g0, params)
+        if result.stages or result.active_constraint == "energy-bound":
+            continue
+        settled += 1
+        barrier, stages, converged = barrier_result(g, params, x, y)
+        assert converged and stages >= 1
+        assert result.value >= barrier * (1.0 - 1e-10)
+        assert result.value <= params.D * params.d0[x, y] ** params.t
+    assert settled >= 40   # 47 of the 50 draws are cap-bound
     assert time.monotonic() - start <= 300.0
 
 

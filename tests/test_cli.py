@@ -157,10 +157,12 @@ def test_compute_empty_pairs_header_only(tmp_path, capsys):
 
 
 def test_compute_nonconverged_exits_2(tmp_path, capsys, monkeypatch):
-    # D = 0.5 makes the pair holder-bound, so it runs the barrier with its
-    # centering budget (an energy-bound pair is settled by the Newton screen)
+    # pair 0-36 of the 8x8 spike at p = 7, D = 1.35 ends with both terms
+    # tied: neither screen settles it, so it runs the barrier with its
+    # centering budget
     monkeypatch.setattr(solver, "_MAX_CENTERINGS", 1)
-    config = cfg_file(tmp_path, CONFORMAL_1D + "D = 0.5\n")
+    config = cfg_file(tmp_path, "kind = compute\nfamily = spike\nn = 2\nresolution = 8\n"
+                                "torus = true\nj = 1\np = 7\nD = 1.35\npairs = 0-36\n")
     out = tmp_path / "run"
     assert cli.main(["compute", "--config", config, "--out", str(out)]) == 2
     assert "1 non-converged" in capsys.readouterr().out
@@ -589,6 +591,9 @@ SEQUENCE_1D = "family = spike\nn = 1\nresolution = 4\ntorus = true\npairs = corn
                  "entries must lie in (n, 128] with n = 2", id="p_list-nan"),
     pytest.param("compute", SPIKE_2D + "center = nan, 0.5\n", "center",
                  "coordinates must be finite, got [nan, 0.5]", id="center-nan"),
+    pytest.param("compute", SPIKE_2D + "center = 1.45, 0.5\n", "center",
+                 "coordinates must lie in the chart [0, 1], got [1.45, 0.5]",
+                 id="center-outside-chart"),
     # the README's rule n < p <= 128, checked before any solve
     pytest.param("compute", CONFORMAL_1D.replace("p = 2", "p = 200"), "p",
                  "is capped at 128, got 200.0", id="p-above-cap-compute"),

@@ -92,6 +92,8 @@ GEN_SPIKE = dict(family="spike", n="2", resolution="4", torus="true", j="1")
     pytest.param("radius", dict(radius=0.0), dict(r_j=0.0), dict(radius="0"), id="radius-0"),
     pytest.param("center", dict(center=(0.5,)), dict(center=(0.5,)), dict(center="0.5"),
                  id="center"),
+    pytest.param("center", dict(center=(1.45, 0.5)), dict(center=(1.45, 0.5)),
+                 dict(center="1.45, 0.5"), id="center-outside-chart"),
     pytest.param("profile", dict(profile="tube"), dict(profile="tube"),
                  dict(profile="tube"), id="profile-tube-2d"),
     pytest.param("profile", dict(profile="cone"), dict(profile="cone"),
@@ -176,6 +178,25 @@ def test_spike_validation():
         make_spike_sequence(base, 1, profile="tube")   # tube is 3-D only
     with pytest.raises(ValueError):
         make_spike_sequence(base, 1, profile="cone")
+
+
+def test_spike_center_wraps_on_a_torus():
+    # a center near the seam raises as many cells as the midpoint, on both
+    # sides of the seam; on a box the spike is cut there.  A center outside
+    # the unit chart used to raise no cell at all, and is now rejected
+    torus = make_flat(2, 8, torus=True)
+    bary = torus[0].verts[torus[0].cells].mean(axis=1)
+
+    def raised(base, center):
+        return make_spike_sequence(base, 1, center=center).tensors[:, 0, 0] > 1.0
+
+    seam = raised(torus, (0.95, 0.5))
+    assert seam.sum() == raised(torus, (0.5, 0.5)).sum() == 82
+    assert (bary[seam, 0] < 0.25).any() and (bary[seam, 0] > 0.75).any()
+    assert raised(make_flat(2, 8, torus=False), (0.95, 0.5)).sum() == 47
+    with pytest.raises(ValueError) as err:
+        make_spike_sequence(torus, 1, center=(1.45, 0.5))
+    assert err.value.key == "center"
 
 
 def test_spike_tube_profile_is_axis_supported():

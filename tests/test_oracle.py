@@ -169,6 +169,12 @@ def _strip6_reversed():
     return y, x, g, g0, params
 
 
+def _strip6_inner():
+    # min(x, y) > 0: x's grid axis is moved to the front
+    _, _, g, g0, params = _strip6()
+    return 1, 3, g, g0, params
+
+
 def _capped_chain6():
     rng = np.random.default_rng(23)
     mesh = chain_mesh(np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 1.2, size=5))]))
@@ -181,7 +187,9 @@ def _capped_chain6():
     (_interior_chain, "0x1.6a05e751076b5p-1"),
     (_strip6_reversed, "0x1.79c7b8d82e81ap+0"),
     (_capped_chain6, "0x1.1c55d763cf3a9p+0"),
-], ids=["strip6", "chain6", "interior_chain", "strip6_reversed", "capped_chain6"])
+    (_strip6_inner, "0x1.10a35ed26b98ap+0"),
+], ids=["strip6", "chain6", "interior_chain", "strip6_reversed", "capped_chain6",
+        "strip6_inner"])
 def test_brute_pinned_bits(build, bits):
     # exact values of the dense per-point search this oracle replaced: the
     # separable search keeps each point's arithmetic and the first-max order.
@@ -189,18 +197,20 @@ def test_brute_pinned_bits(build, bits):
     # C-order scan of (0, 2) and the reversed strip keeps the forward bits;
     # the capped chain was taken from the full scan, before blocks were
     # pruned by their f(x) bound: its Holder masks alone empty the block
-    # above the optimum in every refinement round
+    # above the optimum in every refinement round; the inner strip pair was
+    # taken before x's axis was put first
     assert brute_force_dp(*build()).hex() == bits
 
 
 @pytest.mark.parametrize("build", [_strip6, _chain6, _interior_chain, _strip6_reversed,
-                                   _capped_chain6],
+                                   _capped_chain6, _strip6_inner],
                          ids=["strip6", "chain6", "interior_chain", "strip6_reversed",
-                              "capped_chain6"])
+                              "capped_chain6", "strip6_inner"])
 def test_brute_bits_independent_of_block_size(build, monkeypatch):
-    # 10_000 points per block puts axis 0 (x's axis) among the single-index
-    # lead axes; 2^23 points puts every grid of the search in one block, so
-    # nothing is pruned and the pinned bits are those of a full scan
+    # a block never spans two values of x (grid axis 0).  10_000 points per
+    # block cuts each x-slice of a five-axis refinement grid into 21 blocks
+    # of one bound, which meet the tie rule across blocks; 2^23 holds every
+    # x-slice in one block, as the default block size does for these grids
     args = build()
     want = brute_force_dp(*args).hex()
     for chunk in (10_000, 1 << 23):
@@ -208,8 +218,10 @@ def test_brute_bits_independent_of_block_size(build, monkeypatch):
         assert brute_force_dp(*args).hex() == want
 
 
-@pytest.mark.parametrize("build", [_strip6, _chain6, _interior_chain, _capped_chain6],
-                         ids=["strip6", "chain6", "interior_chain", "capped_chain6"])
+@pytest.mark.parametrize("build", [_strip6, _chain6, _interior_chain, _capped_chain6,
+                                   _strip6_inner],
+                         ids=["strip6", "chain6", "interior_chain", "capped_chain6",
+                              "strip6_inner"])
 def test_brute_symmetric_bitwise(build):
     # the value is symmetric, and the oracle, like the solver, runs one
     # orientation for both

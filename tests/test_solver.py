@@ -28,7 +28,7 @@ from dpmod.solver import (
     solve_dp,
 )
 
-from conftest import chain_mesh, random_metric, strip_mesh
+from conftest import barrier_result, chain_mesh, random_metric, strip_mesh
 
 
 @pytest.fixture(scope="module")
@@ -514,12 +514,18 @@ def test_capped_value_not_below_fista(case, spike8, spike_t3):
 
 def test_tight_cap_at_p128(spike8):
     # a cap far below the energy bound starts the barrier at A ~ 1e-3, where
-    # E^ = A^128 underflows unless it is evaluated at a rescaled point
+    # E^ = A^128 underflows unless it is evaluated at a rescaled point.  The
+    # cap-bound screen settles the pair in closed form, so the barrier is
+    # run directly from the same start
     mesh, g, g0, dm0 = spike8
     params = GaugeParams.build(mesh, dm0, p=128.0, D=1e-3)
     res = solve_dp(0, 36, g, g0, params)
     assert res.converged and res.active_constraint == "holder-bound"
+    assert res.stages == 0
     assert res.value == pytest.approx(1e-3 * dm0[0, 36] ** params.t, rel=1e-12)
+    value, stages, converged = barrier_result(g, params, 0, 36)
+    assert converged and stages >= 1
+    assert value == pytest.approx(1e-3 * dm0[0, 36] ** params.t, rel=1e-12)
 
 
 def test_newton_stops_at_round_off(spike8):
@@ -600,12 +606,17 @@ def test_distance_matrix_records_failures(monkeypatch, chain16):
     assert outcomes[1].result is None
 
 
+# pair 0-36 of the 8x8 spike (j = 1) at p = 7, D = 1.35 ends with both
+# terms tied: neither screen settles it, so it runs the barrier
+_BARRIER_P, _BARRIER_D, _BARRIER_Y = 7.0, 1.35, 36
+
+
 @pytest.mark.parametrize("ndim", [1, 2], ids=["energy", "barrier"])
-def test_singular_system_is_recorded_per_pair(monkeypatch, chain16, ndim):
+def test_singular_system_is_recorded_per_pair(monkeypatch, spike8, ndim):
     # a singular dense Newton system surfaces as SolverError: the energy step
     # solves for one right-hand side, the barrier step for two
-    mesh, g0, dm0 = chain16
-    params = GaugeParams.build(mesh, dm0, p=2.0, D=1.0)
+    mesh, g, g0, dm0 = spike8
+    params = GaugeParams.build(mesh, dm0, p=_BARRIER_P, D=_BARRIER_D)
     real_solve = np.linalg.solve
 
     def solve(a, b):
@@ -615,17 +626,17 @@ def test_singular_system_is_recorded_per_pair(monkeypatch, chain16, ndim):
 
     monkeypatch.setattr(np.linalg, "solve", solve)
     with pytest.raises(SolverError, match="Singular matrix"):
-        solve_dp(0, 16, g0, g0, params)
-    (oc,) = distance_matrix([(0, 16)], g0, g0, params)
+        solve_dp(0, _BARRIER_Y, g, g0, params)
+    (oc,) = distance_matrix([(0, _BARRIER_Y)], g, g0, params)
     assert oc.result is None and oc.error.startswith("SolverError: ")
 
 
-def test_nonconverged_carries_partial_result(monkeypatch, chain16):
-    mesh, g0, dm0 = chain16
+def test_nonconverged_carries_partial_result(monkeypatch, spike8):
+    mesh, g, g0, dm0 = spike8
     monkeypatch.setattr(solver, "_MAX_CENTERINGS", 1)
-    params = GaugeParams.build(mesh, dm0, p=2.0, D=1.0)
+    params = GaugeParams.build(mesh, dm0, p=_BARRIER_P, D=_BARRIER_D)
     with pytest.raises(NonConvergedError) as err:
-        solve_dp(0, 16, g0, g0, params)
+        solve_dp(0, _BARRIER_Y, g, g0, params)
     partial = err.value.result
     assert partial is not None and not partial.converged
     assert partial.stages == 1                  # one centering, gap still 1e-3
@@ -634,14 +645,14 @@ def test_nonconverged_carries_partial_result(monkeypatch, chain16):
     # the reversed query runs the same canonical solve: same message, x and y
     # swapped, extremal negated
     with pytest.raises(NonConvergedError) as back:
-        solve_dp(16, 0, g0, g0, params)
+        solve_dp(_BARRIER_Y, 0, g, g0, params)
     flipped = back.value.result
     assert str(back.value) == str(err.value)
-    assert (flipped.x, flipped.y, flipped.value) == (16, 0, partial.value)
+    assert (flipped.x, flipped.y, flipped.value) == (_BARRIER_Y, 0, partial.value)
     assert not flipped.converged and flipped.stages == 1
     np.testing.assert_array_equal(flipped.extremal, -partial.extremal)
     # the batch driver downgrades it to a recorded outcome
-    oc = distance_matrix([(0, 16)], g0, g0, params)[0]
+    oc = distance_matrix([(0, _BARRIER_Y)], g, g0, params)[0]
     assert oc.error == "NonConverged" and oc.result is not None
 
 
