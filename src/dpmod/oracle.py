@@ -15,22 +15,18 @@ the same, bit for bit, as a search that evaluates every term at every grid
 point: each point still gets the same per-point formula for each term, and
 the cell terms are still added in cell order starting from 0.
 
-The grid's axis 0 is x's; the other free nodes follow in node order.  The
-product grid is cut into blocks that are contiguous runs in C order and
-never span two values of axis 0, so each block lies in one slice of fixed
-f(x).  A point's score is f(x) - tie E with tie > 0 and E >= 0, and
-rounding is monotone, so the slice's f(x) bounds every score in the block.
-Blocks are visited by descending bound, and the search stops at the first
-block whose bound is below the best score so far: usually only the top
-feasible slice is evaluated.  The best is kept as a (score, index) pair,
-with the index in the C order of the grid whose axes follow node order, and
-replaced on a higher score, or on an equal score at a smaller index; within
-a block the smallest index among its equal maxima competes.  So the result
-is the first maximum in node-order C order whatever the axis and visit
-orders: the same point a full scan of that grid keeps.  Pair masks that do
-not vary over the blocked axes are ANDed once per round, and a block whose
-masks leave no point skips its energy sum.  The value is symmetric, so the
-search runs as (min(x, y), max(x, y)).
+The grid's axis 0 is x's and the other free nodes follow in node order, so
+each index of axis 0 is one slice of fixed f(x).  Axis 0 ascends, and the
+slices are walked from the top.  Per slice the pair masks are ANDed, the
+cell terms added, and every point that fails a mask or has E > 1 gets
+E = +inf; the first slice with a finite least E gives the round's point:
+the point of that least E, the first one in node order on a tie (the
+slice's axes follow node order, so this is ``argmin``'s first minimum).
+Only the slices above the top feasible one, and that one, are evaluated.
+A slice holds at most 21^4 = 194 481 points in a refinement round (at most
+5 free axes), and at most the point budget over the length of x's axis in
+the initial pass.  The value is symmetric, so the search runs as
+(min(x, y), max(x, y)).
 
 1-D closed form (derivation)
 ----------------------------
@@ -57,7 +53,6 @@ from .errors import MeshMismatchError, OracleError
 
 MAX_ORACLE_NODES = 6
 _POINT_BUDGET = 2_000_000
-_CHUNK = 262_144
 
 
 def _free_axis_values(lo, hi, pitch):
@@ -74,19 +69,14 @@ def brute_force_dp(x, y, g, g0, params):
     point budget), then local refinement rounds of 21 points per axis in
     windows of +-3 steps, shrinking the step 0.3x per round until it is
     <= B/50000.  The argmax of f(x) is degenerate in the axes f(x) does not
-    depend on, so a micro tie-break toward the smallest p-energy (far below
-    one grid step) pins each round's best point to the minimum-energy
-    completion; without it the windows recenter on an arbitrary point of the
-    argmax set and can drift away from the true optimizer.
+    depend on, so each round takes the point of least energy in the top
+    feasible slice, the minimum-energy completion of the best f(x) on the
+    grid; the next window centers on it.  Taking an arbitrary point of the
+    argmax set instead lets the windows drift away from the true optimizer.
 
-    Each round's search is separable (see the module docstring).  Pair masks
-    and cell terms are computed on their own sub-grids, and the product grid,
-    x's axis first, is cut into C-order blocks of at most ``_CHUNK`` points
-    within one value of f(x).  Blocks are visited by descending f(x), which
-    bounds every score in the block, until that bound falls below the best
-    score; the (score, node-order C index) tie rule keeps the first maximum
-    in the C order of the node-ordered grid, so the value is the same, bit
-    for bit, as that of a full scan of that grid.
+    Each round's search is separable and walks one slice of f(x) at a time
+    (see the module docstring): pair masks and cell terms are computed on
+    their own sub-grids, and only the top slices are evaluated.
     """
     mesh = params.mesh
     if g.mesh is not mesh or g0 is not None and g0.mesh is not mesh:
@@ -94,6 +84,8 @@ def brute_force_dp(x, y, g, g0, params):
     N = mesh.num_nodes
     if N > MAX_ORACLE_NODES:
         raise OracleError(f"brute force limited to {MAX_ORACLE_NODES} nodes, mesh has {N}")
+    if not (0 <= x < N and 0 <= y < N):
+        raise OracleError(f"node index out of range: {x}, {y}")
     if x == y:
         raise OracleError("source equals sink")
     x, y = min(x, y), max(x, y)     # one orientation: see the module docstring
@@ -104,10 +96,8 @@ def brute_force_dp(x, y, g, g0, params):
     d0y = params.d0[y, :]
     B = D * (d0y ** t).max()
 
-    # x's grid axis first, the other free nodes after it in node order;
-    # node_order[i] is the axis of the i-th free node in node order
+    # x's grid axis first, the other free nodes after it in node order
     free = [x] + [v for v in range(N) if v not in (x, y)]
-    node_order = np.argsort(free)
     caps = np.array([min(B, D * d0y[v] ** t) for v in free])
 
     # energy and Holder data for vectorized feasibility checks
@@ -121,11 +111,10 @@ def brute_force_dp(x, y, g, g0, params):
 
     axis_of = {v: j for j, v in enumerate(free)}
 
-    def evaluate(axes, tie):
-        """Best feasible f(x) over the product grid; ``tie`` breaks the
-        degenerate argmax toward low energy (must be << one grid step)."""
+    def evaluate(axes):
+        """The point of least energy in the top feasible slice of f(x), and
+        its f(x); (-inf, None) when no grid point is feasible."""
         sizes = tuple(len(ax) for ax in axes)
-        node_sizes = tuple(sizes[j] for j in node_order)
 
         def subgrid(nodes):
             """Values of ``nodes`` (rows in C order) over the sub-grid of the
@@ -150,72 +139,29 @@ def brute_force_dp(x, y, g, g0, params):
             df = F @ Binv[c].T
             q = np.einsum("ki,ij,kj->k", df, Ginv[c], df)
             terms.append((w[c] * np.maximum(q, 0.0) ** (p / 2.0)).reshape(shape))
-        F, shape = subgrid([x])
-        fx = F[:, 0].reshape(shape)
 
-        # blocks of at most _CHUNK points in C order: single indices on the
-        # axes before ``s``, a run of ``rows`` indices on axis ``s``.  s >= 1
-        # whenever there is a second axis, so a block never spans two values
-        # of x: its bound is the exact f(x) of its slice
-        s = min(1, len(sizes) - 1)
-        while math.prod(sizes[s + 1:]) > _CHUNK:
-            s += 1
-        rows = _CHUNK // math.prod(sizes[s + 1:]) if s else 1
-
-        def part(a, sel):
-            """Block ``sel`` of a broadcast-shaped array (its size-1 axes stay whole)."""
-            return a[tuple(sl if n > 1 else slice(None) for sl, n in zip(sel, a.shape))]
-
-        # pair masks that do not vary over the blocked axes 0..s: ANDed once
-        base = np.ones((1,) * (s + 1) + sizes[s + 1:], dtype=bool)
-        varying = []
-        for m in masks:
-            if any(n > 1 for n in m.shape[:s + 1]):
-                varying.append(m)
-            else:
-                base &= m
-
-        # visit blocks by descending f(x), which bounds every score in the
-        # block; the sort is stable, so equal bounds stay in C order
-        blocks = []
-        for lead in np.ndindex(*sizes[:s]):
-            for lo in range(0, sizes[s], rows):
-                sel = tuple(slice(i, i + 1) for i in lead) + (slice(lo, lo + rows),)
-                blocks.append((float(part(fx, sel).max()), lead, lo, sel))
-        blocks.sort(key=lambda block: -block[0])
-        best_score, best_index, best_at = -np.inf, math.inf, None
-        for bound, lead, lo, sel in blocks:
-            if bound < best_score:
-                break
-            shape = (1,) * s + (min(rows, sizes[s] - lo),) + sizes[s + 1:]
-            start = lead + (lo,) + (0,) * (len(sizes) - s - 1)
-            ok = np.broadcast_to(base, shape).copy()
-            for m in varying:
-                ok &= part(m, sel)
+        # slices of fixed f(x) from the top: axes[0] ascends
+        slice_shape = sizes[1:]
+        for i in reversed(range(sizes[0])):
+            ok = np.ones(slice_shape, dtype=bool)
+            for m in masks:
+                ok &= m[i if m.shape[0] > 1 else 0]
             if not ok.any():
                 continue
-            E = np.zeros(shape)
+            E = np.zeros(slice_shape)
             for term in terms:          # cell order: E's bits depend on it
-                E += part(term, sel)
-            ok &= E <= 1.0
-            if not ok.any():
+                E += term[i if term.shape[0] > 1 else 0]
+            E[~(ok & (E <= 1.0))] = np.inf
+            # the slice's other axes follow node order, so argmin's first
+            # minimum is the first in node order
+            k = int(np.argmin(E))
+            if E.flat[k] == np.inf:
                 continue
-            # the first maximum in the C order of the grid in node order,
-            # whatever the axis order and the order the blocks are visited
-            # in: a block is a box, so its own node-ordered C order agrees
-            score = np.where(ok, part(fx, sel) - tie * E, -np.inf).transpose(node_order)
-            k = int(np.argmax(score))
-            at = np.add(np.unravel_index(k, score.shape), [start[j] for j in node_order])
-            index = np.ravel_multi_index(at, node_sizes)
-            top = float(score.flat[k])
-            if top > best_score or (top == best_score and index < best_index):
-                best_score, best_index, best_at = top, index, at
-        if best_at is None:
-            return -np.inf, None
-        best_point = np.zeros(N)
-        for v, i in zip(sorted(free), best_at):     # best_at is in node order
-            best_point[v] = axes[axis_of[v]][i]
-        return float(best_point[x]), best_point
+            best_point = np.zeros(N)
+            for v, ax, j in zip(free, axes, (i,) + np.unravel_index(k, slice_shape)):
+                best_point[v] = ax[j]
+            return float(best_point[x]), best_point
+        return -np.inf, None
 
     # initial pass: step B/50, halved resolution until within budget
     step = B / 50.0
@@ -224,7 +170,7 @@ def brute_force_dp(x, y, g, g0, params):
         if np.prod([float(len(ax)) for ax in axes]) <= _POINT_BUDGET:
             break
         step *= 2.0
-    best_val, best_point = evaluate(axes, 1e-3 * step)
+    best_val, best_point = evaluate(axes)
     if best_point is None:
         raise OracleError("no feasible grid point, yet f = 0 is always feasible")
 
@@ -237,7 +183,7 @@ def brute_force_dp(x, y, g, g0, params):
             hi = min(caps[j], best_point[v] + half)
             axes.append(np.linspace(lo, hi, 21))
         step *= 0.3
-        val, point = evaluate(axes, 1e-3 * step)
+        val, point = evaluate(axes)
         if point is not None:
             best_point = point
             best_val = max(best_val, val)

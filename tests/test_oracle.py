@@ -1,11 +1,13 @@
 """Closed-form and grid oracles: agreement, cap behavior, validation."""
 
+import importlib.util
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dpmod import oracle
 from dpmod.errors import MeshMismatchError, OracleError
 from dpmod.geodesic import DistanceMatrix, all_pairs_distances
 from dpmod.metric import MetricField
@@ -14,9 +16,11 @@ from dpmod.solver import GaugeParams
 
 from conftest import chain_mesh, random_metric, strip_mesh
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
 
 def _chain_setup(densities, p, D):
-    """5-node unit chain with per-cell density a (g = a^2), identity g0."""
+    """Unit chain with one cell per density a (g = a^2), identity g0."""
     a = np.asarray(densities, dtype=float)
     pos = np.linspace(0.0, 1.0, a.size + 1)
     mesh = chain_mesh(pos)
@@ -79,20 +83,25 @@ def test_analytic_validation():
 # -- grid oracle --------------------------------------------------------------
 
 def test_brute_matches_analytic_uncapped():
-    mesh, a, lengths, g, g0, params = _chain_setup([1.0, 2.0, 1.0, 2.0], p=3.0, D=5.0)
-    truth, clean = analytic_1d_dp(a, lengths, 3.0, 5.0, a0=np.ones(4))
-    assert clean
-    got = brute_force_dp(4, 0, g, g0, params)
-    assert got == pytest.approx(truth, rel=3e-3)
-    assert got <= truth * (1 + 1e-9)   # grid candidates are feasible: no overshoot
+    # 1, 2 and 4 cells: one free grid axis (each x-slice is a single point),
+    # two, and four
+    for cells in (1, 2, 4):
+        densities = [1.0, 2.0, 1.0, 2.0][:cells]
+        mesh, a, lengths, g, g0, params = _chain_setup(densities, p=3.0, D=5.0)
+        truth, clean = analytic_1d_dp(a, lengths, 3.0, 5.0, a0=np.ones(cells))
+        assert clean
+        got = brute_force_dp(cells, 0, g, g0, params)
+        assert got == pytest.approx(truth, rel=3e-3)
+        assert got <= truth * (1 + 1e-9)   # grid candidates are feasible: no overshoot
 
 
 def test_brute_matches_analytic_capped():
-    mesh, a, lengths, g, g0, params = _chain_setup([2.0, 2.0, 2.0, 2.0], p=2.0, D=0.5)
-    truth, clean = analytic_1d_dp(a, lengths, 2.0, 0.5, a0=np.ones(4))
-    assert clean and truth == pytest.approx(0.5, rel=1e-14)
-    got = brute_force_dp(4, 0, g, g0, params)
-    assert got == pytest.approx(truth, rel=3e-3)
+    for cells in (1, 2, 4):
+        mesh, a, lengths, g, g0, params = _chain_setup([2.0] * cells, p=2.0, D=0.5)
+        truth, clean = analytic_1d_dp(a, lengths, 2.0, 0.5, a0=np.ones(cells))
+        assert clean and truth == pytest.approx(0.5, rel=1e-14)
+        got = brute_force_dp(cells, 0, g, g0, params)
+        assert got == pytest.approx(truth, rel=3e-3)
 
 
 def test_brute_monotone_in_cap():
@@ -122,6 +131,11 @@ def test_brute_validation():
     _, _, _, g, g0, params = _chain_setup([1.0] * 4, p=2.0, D=1.0)
     with pytest.raises(OracleError):
         brute_force_dp(3, 3, g, g0, params)
+    # node indices outside 0..4, as solve_dp rejects them (-1 would put
+    # node 4 on two grid axes)
+    for x, y in ((-1, 0), (0, 5)):
+        with pytest.raises(OracleError):
+            brute_force_dp(x, y, g, g0, params)
     inf_params = GaugeParams.build(params.mesh, DistanceMatrix(params.mesh, params.d0),
                                    p=2.0, D=math.inf)
     with pytest.raises(OracleError):
@@ -181,6 +195,15 @@ def _capped_chain6():
     return (0, 5) + _random_instance(mesh, rng, p=4.0, D=0.3)
 
 
+def _grid_optimum_chain():
+    # uniform 3-cell chain, p = 2, D = 50/3: the first grid step is 1/3, so
+    # the optimum f = (0, 1/3, 2/3, 1) with E = 1 lies on the grid; its cell
+    # terms summed in cell order stay <= 1 (summed in reverse cell order they
+    # exceed 1, and the value drops to 0x1.ffecb0504daeap-1)
+    _, _, _, g, g0, params = _chain_setup([1.0, 1.0, 1.0], p=2.0, D=50.0 / 3.0)
+    return 3, 0, g, g0, params
+
+
 @pytest.mark.parametrize("build, bits", [
     (_strip6, "0x1.79c7b8d82e81ap+0"),
     (_chain6, "0x1.b14b4950b77edp+1"),
@@ -188,42 +211,45 @@ def _capped_chain6():
     (_strip6_reversed, "0x1.79c7b8d82e81ap+0"),
     (_capped_chain6, "0x1.1c55d763cf3a9p+0"),
     (_strip6_inner, "0x1.10a35ed26b98ap+0"),
+    (_grid_optimum_chain, "0x1.0000000000000p+0"),
 ], ids=["strip6", "chain6", "interior_chain", "strip6_reversed", "capped_chain6",
-        "strip6_inner"])
+        "strip6_inner", "grid_optimum_chain"])
 def test_brute_pinned_bits(build, bits):
-    # exact values of the dense per-point search this oracle replaced: the
-    # separable search keeps each point's arithmetic and the first-max order.
-    # Both orientations run as (min, max), so the interior chain is the full
-    # C-order scan of (0, 2) and the reversed strip keeps the forward bits;
-    # the capped chain was taken from the full scan, before blocks were
-    # pruned by their f(x) bound: its Holder masks alone empty the block
-    # above the optimum in every refinement round; the inner strip pair was
-    # taken before x's axis was put first
+    # exact values of the dense per-point search this oracle replaced
+    # (grid_optimum_chain's is the analytic answer 1, which it gave too).
+    # Both orientations run as (min, max), so the interior chain is the scan
+    # of (0, 2) and the reversed strip keeps the forward bits; the capped
+    # chain's Holder masks alone empty the slice above the optimum in every
+    # refinement round.  Taking the first feasible point of the top slice
+    # instead of the least-energy one moves chain6, interior_chain and
+    # strip6_inner
     assert brute_force_dp(*build()).hex() == bits
 
 
-@pytest.mark.parametrize("build", [_strip6, _chain6, _interior_chain, _strip6_reversed,
-                                   _capped_chain6, _strip6_inner],
-                         ids=["strip6", "chain6", "interior_chain", "strip6_reversed",
-                              "capped_chain6", "strip6_inner"])
-def test_brute_bits_independent_of_block_size(build, monkeypatch):
-    # a block never spans two values of x (grid axis 0).  10_000 points per
-    # block cuts each x-slice of a five-axis refinement grid into 21 blocks
-    # of one bound, which meet the tie rule across blocks; 2^23 holds every
-    # x-slice in one block, as the default block size does for these grids
-    args = build()
-    want = brute_force_dp(*args).hex()
-    for chunk in (10_000, 1 << 23):
-        monkeypatch.setattr(oracle, "_CHUNK", chunk)
-        assert brute_force_dp(*args).hex() == want
-
-
 @pytest.mark.parametrize("build", [_strip6, _chain6, _interior_chain, _capped_chain6,
-                                   _strip6_inner],
+                                   _strip6_inner, _grid_optimum_chain],
                          ids=["strip6", "chain6", "interior_chain", "capped_chain6",
-                              "strip6_inner"])
+                              "strip6_inner", "grid_optimum_chain"])
 def test_brute_symmetric_bitwise(build):
     # the value is symmetric, and the oracle, like the solver, runs one
     # orientation for both
     x, y, g, g0, params = build()
     assert brute_force_dp(x, y, g, g0, params).hex() == brute_force_dp(y, x, g, g0, params).hex()
+
+
+def test_brute_matches_benchmark_pool_bitwise():
+    # the 30 oracle_tiny pool instances, built and queried as the benchmark
+    # builds and queries them; its gate only checks each value from below
+    spec = importlib.util.spec_from_file_location("perfbench_work", PERFBENCH / "work.py")
+    work = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(work)
+    pool = json.loads((PERFBENCH / "reference.json").read_text())["oracle_tiny"]["pool"]
+    assert len(pool) == len(work.ORACLE_SHAPES) * work.ORACLE_POOL
+    for key, ref in pool.items():
+        shape, index = key.split("/")
+        mesh, g, g0, p, cap_factor = work.oracle_instance(shape, int(index))
+        dm0 = all_pairs_distances(mesh, g0)
+        x, y = 0, mesh.num_nodes - 1
+        D = cap_factor / dm0[x, y] ** ((p - mesh.dim) / p)
+        params = GaugeParams.build(mesh, dm0, p=p, D=D)
+        assert brute_force_dp(x, y, g, g0, params).hex() == ref["oracle"].hex(), key

@@ -265,11 +265,11 @@ def spike_instance(request):
 
 
 @pytest.mark.parametrize("cap", ["tied", "inf"])
-@pytest.mark.parametrize("beta", [10.0, 640.0])
+@pytest.mark.parametrize("t", [10.0, 640.0])
 @pytest.mark.parametrize("s", [0.37, 1.0, 2.5])
-def test_smoothed_gradient_matches_central_differences(spike_instance, cap, beta, s):
-    # the barrier F_t is the smooth surrogate of the capped problem: beta is
-    # its weight t, s sets the depth A(f) = s/3, "tied" picks D = H/A over W
+def test_barrier_gradient_matches_central_differences(spike_instance, cap, t, s):
+    # the barrier F_t is the smooth surrogate of the capped problem with
+    # weight t; s sets the depth A(f) = s/3, "tied" picks D = H/A over W
     # (both constraints equally slack) and "inf" has D = inf, so W is empty
     mesh, g, g0, dm0 = spike_instance
     p, x, y = 7.0, 0, mesh.num_nodes // 2
@@ -289,10 +289,10 @@ def test_smoothed_gradient_matches_central_differences(spike_instance, cap, beta
     free = np.flatnonzero(slot < slot.max())         # the free nodes, in slot order
     W = solver._WorkingSet(gauge, idx, slot)
     assert W.m == 1 + 2 * idx.size
-    grad = solver._barrier(gauge, f, beta, W, slot)[0]
+    grad = solver._barrier(gauge, f, t, W, slot)[0]
 
     def F(h):
-        return _reference_barrier(mesh, g, dm0.dist, x, y, p, gauge.D, beta, W.u, W.v, h)
+        return _reference_barrier(mesh, g, dm0.dist, x, y, p, gauge.D, t, W.u, W.v, h)
 
     h = 1e-6
     fd = np.empty(free.size)
