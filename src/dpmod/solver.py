@@ -17,21 +17,21 @@ is the extremal function.  Translation invariance lets us pin f(y) = 0,
 f(x) = 1 and minimize over the remaining node values.
 
 Algorithm: one Newton solve and two screens, then barrier rounds where
-neither screen settles the pair.
+neither screen settles the pair.  Every Newton step of either method
+solves its system dense below _CG_MIN_FREE = 200 free nodes and by
+matrix-free preconditioned CG from there on (see Step solver).
 
 Newton energy solve: every solve first minimizes the uncapped energy
 E^(f) = sum_c w_c q_c^{p/2} over the free nodes by a damped Newton method
-(_newton_energy).  The Hessian p sum_c w_c [q^{p/2-1} M_c + (p-2)
-q^{p/2-2} (M_c F_c)(M_c F_c)^T] is scattered by one bincount into the free
-block, with the pinned nodes sent to a dump row and column (_free_slots;
-the barrier pins y alone); a ridge of 1e-12 tr/N_free is added, the step
-comes from np.linalg.solve, an Armijo backtracking search damps it, and
-the method stops when the Newton decrement lambda^2 falls to 1e-14 E^, or
-to 1e-10 E^ on a step that needed a halving (there the line search is
-resolving round-off), or at once when the free gradient is zero.  Cells
-with q_c = 0 get zero coefficients (the energy is flat there for p > 2 and
-not twice differentiable for p < 2).  A singular dense system, here or in
-the barrier, raises SolverError.
+(_newton_energy).  The Hessian is p sum_c w_c [q^{p/2-1} M_c + (p-2)
+q^{p/2-2} (M_c F_c)(M_c F_c)^T] over the free nodes, with a ridge of
+1e-12 tr/N_free; the step solves it (see Step solver), an Armijo
+backtracking search damps it, and the method stops when the Newton
+decrement lambda^2 falls to 1e-14 E^, or to 1e-10 E^ on a step that
+needed a halving (there the line search is resolving round-off), or at
+once when the free gradient is zero.  Cells with q_c = 0 get zero
+coefficients (the energy is flat there for p > 2 and not twice
+differentiable for p < 2).
 
 Energy-bound screen: the capped feasible set is a subset of the uncapped
 one, so if the uncapped minimizer f* already satisfies the cap with room,
@@ -75,10 +75,31 @@ Kernel: one energy kernel (_cell_energy) serves energy_p, the exact gauge
 and both Newton methods.  Each cell's energy density is q_c = F_c^T M_c F_c,
 with F_c the cell's node values and M_c = B_c^T G_c^-1 B_c a node-space
 form built once per solve (B_c maps node values to the chart gradient).
-The barrier Hessian is the energy Hessian scaled by one constant, plus the
-rank-one part c gE gE^T of the A-barrier, plus the pair terms added in
-place; the rank-one part is never formed but applied by Sherman-Morrison
-on a two-column solve.
+Both Newton methods take their Hessian from per-cell (n+1) x (n+1) blocks
+(_energy_cells), formed once per step.  The barrier Hessian is the energy
+Hessian scaled by one constant, plus the rank-one part c gE gE^T of the
+A-barrier, plus the working-set pair terms.
+
+Step solver: the free block of a system with fewer than _CG_MIN_FREE free
+nodes is assembled dense: the cell blocks are scattered by one bincount,
+with the pinned nodes sent to a dump row and column (_free_slots; the
+barrier pins y alone), and np.linalg.solve gives the step; the barrier's
+rank-one part is never formed but applied by Sherman-Morrison on a
+two-column solve, and its pair terms are added in place.  A larger system
+is never assembled: preconditioned conjugate gradients (_pcg) apply it
+cell by cell (take, einsum, one bincount) on node-space vectors whose
+pinned entries stay 0, the barrier adding its rank-one and pair terms
+inside each product.  The energy step is preconditioned by the Hessian's
+diagonal (Jacobi); the barrier step by the energy diagonal plus the pair
+terms, one small dense block on the nodes of W, and the rank-one term
+(_BarrierOperator).  CG starts at 0 and stops at the relative residual
+min(0.5, sqrt(|grad| / E^)) 1e-2 in the energy solve and 1e-6 in a
+centering, or after as many iterations as free nodes, keeping that
+iterate (a descent direction; the Armijo search decides).  On 2-D and
+3-D torus spikes the two take about the same wall time at 140-200 free
+nodes; the dense solve is faster below, CG above, and CG runs on one
+thread where LAPACK takes two.  A singular dense system, or a CG
+direction of non-positive or non-finite curvature, raises SolverError.
 
 Preconditioning: each solve internally rescales the instance by
 sigma = d_{g0}(x,y) (distances by 1/sigma, metrics by 1/sigma^2) and maps
@@ -301,6 +322,15 @@ _NEWTON_FLOOR = 1e-10
 _ARMIJO_SLOPE = 0.25
 _ARMIJO_HALVINGS = 60
 
+# Step solver: systems of at least _CG_MIN_FREE free nodes take
+# matrix-free preconditioned CG steps (below it the dense solve is faster,
+# on 2-D and 3-D torus spikes alike); CG stops at the relative residual
+# min(0.5, sqrt(|grad| / E^)) _CG_ENERGY_RTOL in the energy solve and
+# _CG_BARRIER_RTOL in a centering.
+_CG_MIN_FREE = 200
+_CG_ENERGY_RTOL = 1e-2
+_CG_BARRIER_RTOL = 1e-6
+
 
 def _free_slots(N, pinned):
     """Free index per node, in node order; the pinned nodes share the last, dump, index."""
@@ -309,33 +339,110 @@ def _free_slots(N, pinned):
     return np.where(free, np.cumsum(free) - 1, N - len(pinned))
 
 
-def _energy_hat(f, nodes, forms, w, p, slot=None):
-    """E^(f) = sum_c w_c q_c^{p/2}; with ``slot``, also its free gradient and Hessian.
+def _energy_cells(f, nodes, forms, w, p):
+    """E^(f) = sum_c w_c q_c^{p/2}, its per-cell gradients and Hessian blocks.
 
-    ``slot`` comes from :func:`_free_slots`, with dump index k - 1.  The
-    gradient and the Hessian are scattered by bincount into length k and
-    k*k, so no N x N temporary exists.  The gradient's dump entry is cut
-    off; the Hessian is returned k x k, and callers cut off its dump row
-    and column (the barrier scatters its pair terms there first).  With
-    v_c = M_c F_c / sqrt(q_c) the cell Hessian is p w_c q_c^{p/2-1} (M_c +
-    (p-2) v_c v_c^T), which stays finite where q_c is tiny; cells with
-    q_c = 0 get zero coefficients.
+    With v_c = M_c F_c / sqrt(q_c) and a_c = p w_c q_c^{p/2-1}, cell c adds
+    a_c M_c F_c to the gradient and the block a_c (M_c + (p-2) v_c v_c^T) to
+    the Hessian, which stays finite where q_c is tiny; cells with q_c = 0
+    get zero coefficients.  Both are cell-last, (n+1, C) and (n+1, n+1, C).
     """
     MF, q = _cell_energy(f, nodes, forms)
     E = float((w * np.maximum(q, 0.0) ** (0.5 * p)).sum())
-    if slot is None:
-        return E
     live = q > 0.0
     q = np.where(live, q, 1.0)
     a = np.where(live, p * w * q ** (0.5 * p - 1.0), 0.0)
+    v = MF / np.sqrt(q)
+    return E, a * MF, a * (forms + (p - 2.0) * v[:, None] * v[None, :])
+
+
+def _energy_hat(f, nodes, forms, w, p, slot=None):
+    """E^(f); with ``slot``, also its free gradient and dense Hessian.
+
+    ``slot`` comes from :func:`_free_slots`, with dump index k - 1.  The
+    cell terms of :func:`_energy_cells` are scattered by bincount into
+    length k and k*k, so no N x N temporary exists.  The gradient's dump
+    entry is cut off; the Hessian is returned k x k, and callers cut off its
+    dump row and column (the barrier scatters its pair terms there first).
+    """
+    if slot is None:
+        _, q = _cell_energy(f, nodes, forms)
+        return float((w * np.maximum(q, 0.0) ** (0.5 * p)).sum())
+    E, cell_grad, cell_h = _energy_cells(f, nodes, forms, w, p)
     pos = slot[nodes]
     k = int(slot.max()) + 1
-    grad = np.bincount(pos.ravel(), weights=(a * MF).ravel(), minlength=k)[:-1]
-    v = MF / np.sqrt(q)
-    cell_h = a * (forms + (p - 2.0) * v[:, None] * v[None, :])
+    grad = np.bincount(pos.ravel(), weights=cell_grad.ravel(), minlength=k)[:-1]
     flat = pos[:, None] * k + pos[None, :]
     hess = np.bincount(flat.ravel(), weights=cell_h.ravel(), minlength=k * k)
     return E, grad, hess.reshape(k, k)
+
+
+def _node_sum(nodes, cell_values, N):
+    """Sum cell-last per-node values (n+1, C) into length N by one bincount."""
+    return np.bincount(nodes.ravel(), weights=cell_values.ravel(), minlength=N)
+
+
+class _CellOperator:
+    """A ridged free Hessian sum_c S_c^T h_c S_c + ridge I, never assembled.
+
+    It acts on node-space vectors whose ``pinned`` entries are 0: each
+    product takes the cell values, applies the (n+1) x (n+1) blocks h_c and
+    scatters back by one bincount.  The ridge is 1e-12 times the mean free
+    diagonal, as on the dense path; the ridged diagonal ``diag`` is the
+    Jacobi preconditioner of :func:`_pcg`.
+    """
+
+    def __init__(self, blocks, nodes, pinned, N):
+        self.blocks, self.nodes, self.pinned = blocks, nodes, pinned
+        m = blocks.shape[0]
+        diag = _node_sum(nodes, blocks[range(m), range(m)], N)
+        diag[pinned] = 0.0
+        self.ridge = _NEWTON_RIDGE * diag.sum() / (diag.size - pinned.size)
+        self.diag = diag + self.ridge
+
+    def __call__(self, d):
+        hd = np.einsum("ijc,jc->ic", self.blocks, d[self.nodes])
+        return _node_sum(self.nodes, hd, d.size) + self.ridge * d
+
+    def precondition(self, r):
+        """Jacobi: r / diag."""
+        return r / self.diag
+
+
+def _pcg(op, b, rtol, what):
+    """Preconditioned conjugate gradients for op d = b from d = 0.
+
+    ``op`` is a :class:`_CellOperator`, which also supplies the
+    preconditioner; b and d are node-space vectors with the pinned entries
+    at 0.  The iteration stops once |b - op d| <= rtol |b| (rtol is the
+    inexact-Newton forcing term of Dembo, Eisenstat & Steihaug, 1982) or
+    after as many iterations as there are free entries; the iterate at that
+    cap is kept, since every CG iterate from d = 0 is a descent direction
+    and the Armijo search decides.  A search direction of non-positive or
+    non-finite curvature raises SolverError.
+    """
+    pinned = op.pinned
+    d = np.zeros_like(b)
+    r = b.copy()
+    z = op.precondition(r)
+    s = z
+    rz = float(r @ z)
+    stop = (rtol * np.linalg.norm(b)) ** 2
+    for _ in range(b.size - pinned.size):
+        qs = op(s)
+        qs[pinned] = 0.0
+        curv = float(s @ qs)
+        if not (curv > 0.0 and math.isfinite(curv)):
+            raise SolverError(f"{what}: CG direction of curvature {curv!r}")
+        alpha = rz / curv
+        d += alpha * s
+        r -= alpha * qs
+        if float(r @ r) <= stop:
+            break
+        z = op.precondition(r)
+        rz, rz_prev = float(r @ z), rz
+        s = z + (rz / rz_prev) * s
+    return d
 
 
 def _dense_solve(a, b, what):
@@ -346,39 +453,60 @@ def _dense_solve(a, b, what):
         raise SolverError(f"{what}: {exc}") from exc
 
 
+def _energy_step(f, args, slot, pinned):
+    """E^(f), the decrement lambda^2 and the ridged Newton step in node order.
+
+    A system of fewer than _CG_MIN_FREE free nodes is assembled from the
+    cell blocks and solved dense; a larger one is solved by :func:`_pcg` on
+    a :class:`_CellOperator` to the relative residual
+    min(0.5, sqrt(|grad| / E^)) _CG_ENERGY_RTOL, which tightens as the
+    gradient falls.  The step is None where the free gradient is zero.
+    """
+    if f.size - pinned.size < _CG_MIN_FREE:
+        E, grad, hess = _energy_hat(f, *args, slot)
+        if not grad.any():
+            return E, 0.0, None
+        hess = hess[:-1, :-1]
+        hess[np.diag_indices(grad.size)] += _NEWTON_RIDGE * np.trace(hess) / grad.size
+        d = _dense_solve(hess, -grad, "energy Newton step")
+        return E, -float(grad @ d), np.append(d, 0.0)[slot]   # pinned: dump slot, 0
+    nodes = args[0]
+    E, cell_grad, cell_h = _energy_cells(f, *args)
+    grad = _node_sum(nodes, cell_grad, f.size)
+    grad[pinned] = 0.0
+    if not grad.any():
+        return E, 0.0, None
+    rtol = min(0.5, math.sqrt(np.linalg.norm(grad) / E)) * _CG_ENERGY_RTOL
+    d = _pcg(_CellOperator(cell_h, nodes, pinned, f.size), -grad, rtol, "energy Newton step")
+    return E, -float(grad @ d), d
+
+
 def _newton_energy(gauge, f):
     """Damped Newton minimization of E^ with the pinned values of f kept.
 
     Works on the sigma-normalized forms of ``gauge``, scaled by one constant
     so that the largest q_c at the start is 1 (q^{p/2} stays in range up to
     p = 128; the minimizer does not move).  Each step solves the ridged
-    Newton system, stops once the decrement lambda^2 = -grad . step is at
-    most _NEWTON_RTOL E^, and otherwise backtracks by halving until the
-    Armijo test E^(f + t d) <= E^(f) - _ARMIJO_SLOPE t lambda^2 holds.  A
-    step that needed a halving at lambda^2 <= _NEWTON_FLOOR E^ is the last:
-    there E^ moves by round-off only and the decrement stalls just above
-    _NEWTON_RTOL.  A zero free gradient (every free cell flat, as on a box
-    end cell) is a minimizer and returns at once: there the Hessian and its
-    ridge are zero too.  Returns (f*, steps, converged); converged is False
-    when the step cap or the line search ran out first.
+    Newton system (:func:`_energy_step`), stops once the decrement lambda^2
+    = -grad . step is at most _NEWTON_RTOL E^, and otherwise backtracks by
+    halving until the Armijo test E^(f + t d) <= E^(f) - _ARMIJO_SLOPE t
+    lambda^2 holds.  A step that needed a halving at lambda^2 <=
+    _NEWTON_FLOOR E^ is the last: there E^ moves by round-off only and the
+    decrement stalls just above _NEWTON_RTOL.  A zero free gradient (every
+    free cell flat, as on a box end cell) is a minimizer and returns at
+    once: there the Hessian and its ridge are zero too.  Returns (f*, steps,
+    converged); converged is False when the step cap or the line search ran
+    out first.
     """
     slot = _free_slots(f.size, gauge.fixed)
     _, q = _cell_energy(f, gauge.nodes, gauge.forms)
     forms = gauge.forms / q.max()
     args = (gauge.nodes, forms, gauge.w, gauge.p)
-    diag = np.diag_indices(f.size - 2)
     f = f.copy()
     for step in range(_NEWTON_MAX_STEPS):
-        E, grad, hess = _energy_hat(f, *args, slot)
-        if not grad.any():              # E^ is convex: a minimizer
+        E, lam2, d = _energy_step(f, args, slot, gauge.fixed)
+        if d is None or lam2 <= _NEWTON_RTOL * E:
             return f, step, True
-        hess = hess[:-1, :-1]
-        hess[diag] += _NEWTON_RIDGE * np.trace(hess) / max(grad.size, 1)
-        d = _dense_solve(hess, -grad, "energy Newton step")
-        lam2 = -float(grad @ d)
-        if lam2 <= _NEWTON_RTOL * E:
-            return f, step, True
-        d = np.append(d, 0.0)[slot]           # node order; x and y, in the dump slot, stay put
         t = 1.0
         for _ in range(_ARMIJO_HALVINGS):
             trial = f + t * d
@@ -430,8 +558,26 @@ class _WorkingSet:
         return (f[self.u] - f[self.v]) * self.c
 
 
+def _barrier_weights(gauge, f, W, E, rho):
+    """The scalars and pair weights of F_t at f, for both step solvers.
+
+    From E = E^(f / rho): the energy slack s = 1 - A, dA = E^{1/p-1}/p and
+    the rank-one weight c2 of the A-barrier; on W, the pair terms' gradient
+    and curvature weights gz and hz (per unit f_u - f_v).
+    """
+    D, p = gauge.D, gauge.p
+    s = 1.0 - rho * E ** (1.0 / p)
+    dA = E ** (1.0 / p - 1.0) / p
+    c2 = dA * ((1.0 / p - 1.0) / (E * rho * s) + dA / s ** 2)
+    z = W.ratios(f)
+    lo, hi = D - z, D + z
+    gz = (1.0 / lo - 1.0 / hi) * W.c
+    hz = (1.0 / lo ** 2 + 1.0 / hi ** 2) * W.c ** 2
+    return s, dA, c2, gz, hz
+
+
 def _barrier(gauge, f, t, W, slot):
-    """The free gradient of F_t at f and its free Hessian as (H0, c2, gE).
+    """The free gradient of F_t at f and its dense free Hessian as (H0, c2, gE).
 
     F_t(f) = -t f(x) - log(1 - A) - sum_W log((D - z_k)(D + z_k)), and the
     Hessian is H0 + c2 gE gE^T.  F_t itself is never formed: _center's
@@ -443,20 +589,13 @@ def _barrier(gauge, f, t, W, slot):
     1/slack^2, would swamp the energy curvature), and then the pair terms,
     both in place; pair terms of y land in the dump row and column.
     """
-    D, p = gauge.D, gauge.p
     _, q = _cell_energy(f, gauge.nodes, gauge.forms)
     rho = math.sqrt(q.max())
-    E, gE, H = _energy_hat(f / rho, gauge.nodes, gauge.forms, gauge.w, p, slot)
+    E, gE, H = _energy_hat(f / rho, gauge.nodes, gauge.forms, gauge.w, gauge.p, slot)
+    s, dA, c2, gz, hz = _barrier_weights(gauge, f, W, E, rho)
     H0 = H[:-1, :-1]
-    s = 1.0 - rho * E ** (1.0 / p)
-    dA = E ** (1.0 / p - 1.0) / p
     H0 *= dA / (rho * s)
     H0[np.diag_indices(gE.size)] += _NEWTON_RIDGE * np.trace(H0) / gE.size
-    c2 = dA * ((1.0 / p - 1.0) / (E * rho * s) + dA / s ** 2)
-    z = W.ratios(f)
-    lo, hi = D - z, D + z
-    gz = (1.0 / lo - 1.0 / hi) * W.c
-    hz = (1.0 / lo ** 2 + 1.0 / hi ** 2) * W.c ** 2
     k = gE.size + 1
     grad = (dA / s) * gE
     grad += np.bincount(W.ends, weights=np.concatenate([gz, -gz]), minlength=k)[:-1]
@@ -466,27 +605,106 @@ def _barrier(gauge, f, t, W, slot):
     return grad, H0, c2, gE
 
 
+class _BarrierOperator(_CellOperator):
+    """The free Hessian of F_t, H0 + c2 gE gE^T + L_W, never assembled.
+
+    H0 is the scaled energy blocks with their ridge, and L_W = sum_W hz_k
+    (e_u - e_v)(e_u - e_v)^T the pair terms; each product adds the rank-one
+    A-barrier term and L_W d.  Near the boundary both grow like 1/slack^2
+    and a diagonal preconditioner leaves CG stalling at its iteration cap
+    (p = 128), so the preconditioner keeps them whole: the energy diagonal
+    plus L_W, which couples only the few nodes of W and is inverted there
+    as one dense block, and, where c2 > 0, the rank-one term by
+    Sherman-Morrison.  Where c2 < 0 the term is left out: next to a
+    diagonal that lacks H0's off-diagonal curvature it can make the
+    preconditioner indefinite.
+    """
+
+    def __init__(self, blocks, nodes, pinned, N, c2, gE, W, hz):
+        super().__init__(blocks, nodes, pinned, N)
+        self.c2, self.gE, self.u, self.v, self.hz = c2, gE, W.u, W.v, hz
+        self.ends = np.concatenate([W.u, W.v])
+        # L_W on the nodes of W (a pinned end drops out), plus the diagonal
+        ends, at = np.unique(self.ends, return_inverse=True)
+        m = ends.size
+        a, b = at[:hz.size], at[hz.size:]
+        block = np.bincount(np.concatenate([a * m + a, b * m + b, a * m + b, b * m + a]),
+                            weights=np.concatenate([hz, hz, -hz, -hz]), minlength=m * m)
+        block = block.reshape(m, m) + np.diag(self.diag[ends])
+        keep = ~np.isin(ends, pinned)
+        self.block_nodes = ends[keep]
+        self.block_inv = _dense_solve(block[np.ix_(keep, keep)], np.eye(keep.sum()),
+                                      "barrier Newton step")
+        self.rank_one = None
+        if c2 > 0.0:
+            pg = self._block_solve(gE)
+            self.rank_one = (c2 / (1.0 + c2 * float(gE @ pg)), pg)
+
+    def __call__(self, d):
+        r = self.hz * (d[self.u] - d[self.v])
+        out = super().__call__(d) + (self.c2 * float(self.gE @ d)) * self.gE
+        out += np.bincount(self.ends, weights=np.concatenate([r, -r]), minlength=d.size)
+        return out
+
+    def _block_solve(self, r):
+        z = r / self.diag
+        z[self.block_nodes] = self.block_inv @ r[self.block_nodes]
+        return z
+
+    def precondition(self, r):
+        z = self._block_solve(r)
+        if self.rank_one is not None:
+            c, pg = self.rank_one
+            z -= (c * float(self.gE @ z)) * pg
+        return z
+
+
+def _barrier_step(gauge, f, t, W, slot):
+    """The decrement lambda^2 and the Newton step of F_t at f, in node order.
+
+    Below _CG_MIN_FREE free nodes the step solves (H0 + c2 gE gE^T) d =
+    -grad by Sherman-Morrison on one dense two-column solve of H0 from
+    :func:`_barrier`; a larger system is solved by :func:`_pcg` on a
+    :class:`_BarrierOperator` to the relative residual _CG_BARRIER_RTOL.
+    """
+    if f.size - 1 < _CG_MIN_FREE:
+        grad, H0, c2, gE = _barrier(gauge, f, t, W, slot)
+        a, b = _dense_solve(H0, np.column_stack((-grad, gE)), "barrier Newton step").T
+        d = a - (c2 * (gE @ a) / (1.0 + c2 * (gE @ b))) * b
+        return -float(grad @ d), np.append(d, 0.0)[slot]   # y: dump slot, 0
+    x, y = gauge.fixed
+    N = f.size
+    _, q = _cell_energy(f, gauge.nodes, gauge.forms)
+    rho = math.sqrt(q.max())
+    E, cell_grad, cell_h = _energy_cells(f / rho, gauge.nodes, gauge.forms, gauge.w, gauge.p)
+    s, dA, c2, gz, hz = _barrier_weights(gauge, f, W, E, rho)
+    gE = _node_sum(gauge.nodes, cell_grad, N)
+    gE[y] = 0.0
+    op = _BarrierOperator((dA / (rho * s)) * cell_h, gauge.nodes, gauge.fixed[1:], N,
+                          c2, gE, W, hz)
+    grad = (dA / s) * gE + np.bincount(op.ends, weights=np.concatenate([gz, -gz]), minlength=N)
+    grad[x] -= t
+    grad[y] = 0.0
+    d = _pcg(op, -grad, _CG_BARRIER_RTOL, "barrier Newton step")
+    return -float(grad @ d), d
+
+
 def _center(gauge, f, t, W, slot):
     """Damped Newton minimization of F_t from a strictly feasible f.
 
-    The step solves (H0 + c2 gE gE^T) d = -grad by Sherman-Morrison on one
-    two-column solve of H0.  The Armijo test is written as the
-    difference F_t(f + s d) - F_t(f), term by term, and a trial must stay
-    strictly feasible on W.  Returns (f, steps, centered).
+    Each step comes from :func:`_barrier_step`.  The Armijo test is written
+    as the difference F_t(f + s d) - F_t(f), term by term, and a trial must
+    stay strictly feasible on W.  Returns (f, steps, centered).
     """
     D = gauge.D
     x = gauge.fixed[0]
     A, z = gauge.energy(f), W.ratios(f)
     lam2_prev = math.inf
     for step in range(_MAX_CENTER_STEPS):
-        grad, H0, c2, gE = _barrier(gauge, f, t, W, slot)
-        a, b = _dense_solve(H0, np.column_stack((-grad, gE)), "barrier Newton step").T
-        d = a - (c2 * (gE @ a) / (1.0 + c2 * (gE @ b))) * b
-        lam2 = -float(grad @ d)
+        lam2, d = _barrier_step(gauge, f, t, W, slot)
         if lam2 <= _CENTER_TOL or _CENTER_FLOOR >= lam2 > 0.5 * lam2_prev:
             return f, step, True
         lam2_prev = lam2
-        d = np.append(d, 0.0)[slot]           # node order; y, in the dump slot, stays 0
         dz = W.ratios(d)
         s = 1.0
         for _ in range(_ARMIJO_HALVINGS):
@@ -508,6 +726,19 @@ def _center(gauge, f, t, W, slot):
     return f, _MAX_CENTER_STEPS, False
 
 
+def _largest(a, m):
+    """Indices of the m largest entries of a, ties to the lowest index.
+
+    The set is the first m of a stable argsort of -a, found by one partition
+    and two passes instead of a sort.
+    """
+    if a.size <= m:
+        return np.arange(a.size)
+    kth = np.partition(a, a.size - m)[a.size - m]
+    above = np.flatnonzero(a > kth)
+    return np.concatenate([above, np.flatnonzero(a == kth)[:m - above.size]])
+
+
 def _barrier_rounds(gauge, f, phi):
     """Barrier rounds from the screen's extremal f (f(x) = 1, f(y) = 0), of gauge phi.
 
@@ -516,8 +747,7 @@ def _barrier_rounds(gauge, f, phi):
     """
     x, y = gauge.fixed
     slot = _free_slots(f.size, [y])           # x is free here
-    seed = np.argsort(-np.abs(gauge.ratios(f)), kind="stable")[:_SEED_PAIRS]
-    idx = np.union1d(seed, [gauge.xy])
+    idx = np.union1d(_largest(np.abs(gauge.ratios(f)), _SEED_PAIRS), [gauge.xy])
     f = (_INTERIOR / phi) * f
     steps = centerings = 0
     while True:

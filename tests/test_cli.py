@@ -352,7 +352,7 @@ p = 2
     ("sequence", "family = spike\nn = 1\nresolution = 4\ntorus = true\nj_list = 1, 2\n"
                  "pairs = corner-pairs\n"),
     ("gen", "family = flat\nn = 1\nresolution = 4\n"),
-])
+], ids=["sequence", "gen"])
 @pytest.mark.parametrize("key", ["mesh", "metric", "metric0"])
 def test_family_subcommands_reject_file_keys(tmp_path, capsys, kind, body, key):
     # sequence and gen build their geometry from a family; a file key would

@@ -37,6 +37,29 @@ def chain16():
     return mesh, g0, all_pairs_distances(mesh, g0)
 
 
+@pytest.fixture
+def steps(request, monkeypatch):
+    """The Newton step solver: "auto" picks it by system size, "cg" sends
+    every system through matrix-free CG (used indirectly by parametrize)."""
+    if request.param == "cg":
+        monkeypatch.setattr(solver, "_CG_MIN_FREE", 0)
+    return request.param
+
+
+def _under_cg(cases, case_id, forced):
+    """Each case with the step solver picked by size, then the ``forced``
+    ones again through CG, their ids suffixed -cg."""
+    return ([pytest.param(c, "auto", id=case_id(c)) for c in cases]
+            + [pytest.param(c, "cg", id=case_id(c) + "-cg") for c in cases if forced(c)])
+
+
+def _dense_value(monkeypatch, solve):
+    """The value of ``solve()`` with every system on the dense path."""
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_CG_MIN_FREE", math.inf)
+        return solve().value
+
+
 # -- energy and seminorm ------------------------------------------------------
 
 def test_energy_examples():
@@ -303,6 +326,22 @@ def test_barrier_gradient_matches_central_differences(spike_instance, cap, t, s)
     assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
+def _interior_barrier(gauge, num_nodes):
+    """A seeded f strictly inside the barrier of ``gauge``, with its free slots
+    and working set; gauge.D is reset so that every pair is at most 0.8 D."""
+    y = gauge.fixed[1]
+    f = np.random.default_rng(7).uniform(0.0, 1.0, num_nodes)
+    f[y] = 0.0
+    f *= 0.5 / gauge.energy(f)                      # A = 1/2: strictly inside
+    z = gauge.ratios(f)
+    gauge.D = 1.25 * np.abs(z).max()
+    # W: the 8 largest ratios, (x, y), and every pair through y (dump slot)
+    through_y = np.flatnonzero((gauge.iu == y) | (gauge.iv == y))[:5]
+    idx = np.union1d(np.argsort(-np.abs(z))[:8], np.append(through_y, gauge.xy))
+    slot = solver._free_slots(f.size, [y])          # x is free in the barrier
+    return f, slot, solver._WorkingSet(gauge, idx, slot)
+
+
 @pytest.mark.parametrize("case", [(2, 2.5), (2, 7.0), (2, 128.0), (3, 4.0), (3, 10.0), (3, 128.0)],
                          ids=lambda c: f"torus{c[0]}d-p{c[1]:g}")
 def test_barrier_derivatives_match_central_differences(case):
@@ -312,18 +351,9 @@ def test_barrier_derivatives_match_central_differences(case):
     g = make_spike_sequence(base, 1)
     dm0 = all_pairs_distances(mesh, g0)
     x, y, t = 0, mesh.num_nodes // 2, 10.0
-    f = np.random.default_rng(7).uniform(0.0, 1.0, mesh.num_nodes)
-    f[y] = 0.0
     gauge = solver._Gauge(g, GaugeParams.build(mesh, dm0, p=p, D=1.0), x, y)
-    f *= 0.5 / gauge.energy(f)                      # A = 1/2: strictly inside
-    z = gauge.ratios(f)
-    gauge.D = 1.25 * np.abs(z).max()                # every pair at most 0.8 D
-    # W: the 8 largest ratios, (x, y), and every pair through y (dump slot)
-    through_y = np.flatnonzero((gauge.iu == y) | (gauge.iv == y))[:5]
-    idx = np.union1d(np.argsort(-np.abs(z))[:8], np.append(through_y, gauge.xy))
-    slot = solver._free_slots(f.size, [y])          # x is free in the barrier
+    f, slot, W = _interior_barrier(gauge, mesh.num_nodes)
     free = np.flatnonzero(slot < slot.max())         # the free nodes, in slot order
-    W = solver._WorkingSet(gauge, idx, slot)
 
     def F(h):
         return _reference_barrier(mesh, g, dm0.dist, x, y, p, gauge.D, t, W.u, W.v, h)
@@ -342,6 +372,37 @@ def test_barrier_derivatives_match_central_differences(case):
     assert np.linalg.norm(grad - fd_grad) <= 1e-6 * np.linalg.norm(fd_grad)
     assert np.linalg.norm(hess - fd_hess) <= 1e-6 * np.linalg.norm(fd_hess)
     np.testing.assert_allclose(hess, hess.T, rtol=1e-12, atol=1e-12 * np.abs(hess).max())
+
+
+@pytest.mark.parametrize("stage", ["energy", "barrier"])
+def test_cg_step_matches_dense_step(monkeypatch, spike_instance, stage):
+    # at a tight residual, the matrix-free operator, its gradient and PCG
+    # reproduce the dense Newton step; a wrong operator term would only slow
+    # Newton down, which the solved values alone would not show
+    mesh, g, g0, dm0 = spike_instance
+    x, y = 0, mesh.num_nodes // 2
+    gauge = solver._Gauge(g, GaugeParams.build(mesh, dm0, p=7.0, D=1.0), x, y)
+    if stage == "energy":
+        f = np.random.default_rng(11).uniform(0.0, 1.0, mesh.num_nodes)
+        f[x], f[y] = 1.0, 0.0
+        slot = solver._free_slots(f.size, gauge.fixed)
+        args = (gauge.nodes, gauge.forms, gauge.w, gauge.p)
+        monkeypatch.setattr(solver, "_CG_ENERGY_RTOL", 1e-14)
+
+        def step():
+            return solver._energy_step(f, args, slot, gauge.fixed)[1:]
+    else:
+        f, slot, W = _interior_barrier(gauge, mesh.num_nodes)
+        monkeypatch.setattr(solver, "_CG_BARRIER_RTOL", 1e-14)
+
+        def step():
+            return solver._barrier_step(gauge, f, 10.0, W, slot)
+    lam2, d = step()
+    monkeypatch.setattr(solver, "_CG_MIN_FREE", 0)
+    lam2_cg, d_cg = step()
+    assert lam2_cg == pytest.approx(lam2, rel=1e-10)
+    assert np.linalg.norm(d_cg - d) <= 1e-6 * np.linalg.norm(d)
+    assert d_cg[gauge.fixed[1]] == 0.0 and (stage == "barrier" or d_cg[x] == 0.0)
 
 
 # -- Newton energy solve --------------------------------------------------------
@@ -413,8 +474,11 @@ FISTA_UNMODIFIED = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(FISTA_UNMODIFIED), ids=lambda c: f"{c[0]}-p{c[1]:g}")
-def test_newton_unmodified_not_below_fista(case, chain16, spike8):
+@pytest.mark.parametrize("case, steps", _under_cg(sorted(FISTA_UNMODIFIED),
+                                                   lambda c: f"{c[0]}-p{c[1]:g}",
+                                                   lambda c: c[0] == "spike8"),
+                         indirect=["steps"])
+def test_newton_unmodified_not_below_fista(monkeypatch, case, steps, chain16, spike8):
     name, p = case
     if name == "chain":
         mesh, g0, dm0 = chain16
@@ -422,7 +486,11 @@ def test_newton_unmodified_not_below_fista(case, chain16, spike8):
     else:
         mesh, g, g0, dm0 = spike8
         x, y = 0, 36
-    res = solve_dp(x, y, g, None, GaugeParams.build(mesh, dm0, p=p, D=math.inf))
+    params = GaugeParams.build(mesh, dm0, p=p, D=math.inf)
+    res = solve_dp(x, y, g, None, params)
+    if steps == "cg":
+        dense = _dense_value(monkeypatch, lambda: solve_dp(x, y, g, None, params))
+        assert res.value == pytest.approx(dense, rel=1e-12)
     assert res.converged and res.stages == 0
     assert res.active_constraint == "energy-bound"
     assert 1 <= res.iterations <= 100
@@ -494,20 +562,26 @@ FISTA_CAPPED = {
 }
 
 
-@pytest.mark.parametrize("case", list(FISTA_CAPPED),
-                         ids=lambda c: c if c == "t3" else "j{}-p{:g}-D{:g}-0-{}".format(*c))
-def test_capped_value_not_below_fista(case, spike8, spike_t3):
+@pytest.mark.parametrize("case, steps", _under_cg(
+    list(FISTA_CAPPED), lambda c: c if c == "t3" else "j{}-p{:g}-D{:g}-0-{}".format(*c),
+    lambda c: True), indirect=["steps"])
+def test_capped_value_not_below_fista(monkeypatch, case, steps, spike8, spike_t3):
     if case == "t3":
         # fails the screen (H/D ~ 1.19 A) and ends with both terms tied
         mesh, g, g0, params = spike_t3
-        res = solve_dp(0, 129, g, g0, params)
-        assert res.active_constraint == "both"
-        assert res.value >= 1.65585500
+        y = 129
     else:
         j, p, D, y = case
         mesh, _, g0, dm0 = spike8
         g = make_spike_sequence((mesh, g0), j)
-        res = solve_dp(0, y, g, g0, GaugeParams.build(mesh, dm0, p=p, D=D))
+        params = GaugeParams.build(mesh, dm0, p=p, D=D)
+    res = solve_dp(0, y, g, g0, params)
+    if case == "t3":
+        assert res.active_constraint == "both"
+        assert res.value >= 1.65585500
+    if steps == "cg":
+        dense = _dense_value(monkeypatch, lambda: solve_dp(0, y, g, g0, params))
+        assert res.value == pytest.approx(dense, rel=1e-12)
     assert res.converged
     assert res.value >= float.fromhex(FISTA_CAPPED[case]) * (1.0 - 1e-12)
 
@@ -585,6 +659,21 @@ def test_screened_values_stable_across_blas_threads():
         assert float.fromhex(v2) == pytest.approx(float.fromhex(v1), rel=1e-12)
 
 
+def test_largest_matches_stable_argsort():
+    # the barrier's seed set: the m largest entries, ties to the lowest index,
+    # as a stable argsort of -a takes them; few distinct levels plant ties
+    # across the m-th place, and -0.0 ties with 0.0
+    rng = np.random.default_rng(5)
+    for size in (0, 1, 7, 8, 9, 40, 1000):
+        for levels in (1, 2, 3, 10, 0):
+            a = rng.integers(0, levels, size).astype(float) if levels else rng.uniform(size=size)
+            if levels == 1:
+                a[::2] = -0.0
+            for m in (1, 8):
+                want = np.sort(np.argsort(-a, kind="stable")[:m])
+                np.testing.assert_array_equal(np.sort(solver._largest(a, m)), want)
+
+
 # -- batch driver -------------------------------------------------------------
 
 def test_distance_matrix_records_failures(monkeypatch, chain16):
@@ -611,24 +700,32 @@ def test_distance_matrix_records_failures(monkeypatch, chain16):
 _BARRIER_P, _BARRIER_D, _BARRIER_Y = 7.0, 1.35, 36
 
 
-@pytest.mark.parametrize("ndim", [1, 2], ids=["energy", "barrier"])
-def test_singular_system_is_recorded_per_pair(monkeypatch, spike8, ndim):
-    # a singular dense Newton system surfaces as SolverError: the energy step
-    # solves for one right-hand side, the barrier step for two
+@pytest.mark.parametrize("stage, steps", _under_cg(["energy", "barrier"], str, lambda c: True),
+                         indirect=["steps"])
+def test_singular_system_is_recorded_per_pair(monkeypatch, spike8, stage, steps):
+    # a singular Newton system surfaces as SolverError.  Dense: the energy
+    # step solves for one right-hand side, the barrier step for two.  CG: an
+    # operator with no curvature, in the energy solve or in the barrier only
     mesh, g, g0, dm0 = spike8
     params = GaugeParams.build(mesh, dm0, p=_BARRIER_P, D=_BARRIER_D)
-    real_solve = np.linalg.solve
+    if steps == "cg":
+        op = solver._CellOperator if stage == "energy" else solver._BarrierOperator
+        monkeypatch.setattr(op, "__call__", lambda self, d: np.zeros_like(d))
+        message = "CG direction of curvature 0.0"
+    else:
+        real_solve, ndim = np.linalg.solve, 1 if stage == "energy" else 2
 
-    def solve(a, b):
-        if np.ndim(b) == ndim:
-            raise np.linalg.LinAlgError("Singular matrix")
-        return real_solve(a, b)
+        def solve(a, b):
+            if np.ndim(b) == ndim:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "solve", solve)
-    with pytest.raises(SolverError, match="Singular matrix"):
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        message = "Singular matrix"
+    with pytest.raises(SolverError, match=f"^{stage} Newton step: {message}$"):
         solve_dp(0, _BARRIER_Y, g, g0, params)
     (oc,) = distance_matrix([(0, _BARRIER_Y)], g, g0, params)
-    assert oc.result is None and oc.error.startswith("SolverError: ")
+    assert oc.result is None and oc.error == f"SolverError: {stage} Newton step: {message}"
 
 
 def test_nonconverged_carries_partial_result(monkeypatch, spike8):
