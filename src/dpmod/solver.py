@@ -17,9 +17,10 @@ is the extremal function.  Translation invariance lets us pin f(y) = 0,
 f(x) = 1 and minimize over the remaining node values.
 
 Algorithm: one Newton solve and two screens, then barrier rounds where
-neither screen settles the pair.  Every Newton step of either method
-solves its system dense below _CG_MIN_FREE = 200 free nodes and by
-matrix-free preconditioned CG from there on (see Step solver).
+neither screen settles the pair.  Every Newton step of either method builds
+one system, a free gradient and a Hessian operator, and solves it dense
+below _CG_MIN_FREE = 200 free nodes and by matrix-free preconditioned CG
+from there on (see Step solver).
 
 Newton energy solve: every solve first minimizes the uncapped energy
 E^(f) = sum_c w_c q_c^{p/2} over the free nodes by a damped Newton method
@@ -75,31 +76,34 @@ Kernel: one energy kernel (_cell_energy) serves energy_p, the exact gauge
 and both Newton methods.  Each cell's energy density is q_c = F_c^T M_c F_c,
 with F_c the cell's node values and M_c = B_c^T G_c^-1 B_c a node-space
 form built once per solve (B_c maps node values to the chart gradient).
-Both Newton methods take their Hessian from per-cell (n+1) x (n+1) blocks
-(_energy_cells), formed once per step.  The barrier Hessian is the energy
-Hessian scaled by one constant, plus the rank-one part c gE gE^T of the
-A-barrier, plus the working-set pair terms.
+Both Newton methods take their gradient and Hessian from per-cell
+gradients and (n+1) x (n+1) blocks (_energy_cells), formed once per step.
+The barrier Hessian is the energy Hessian scaled by one constant, plus the
+rank-one part c gE gE^T of the A-barrier, plus the working-set pair terms.
 
-Step solver: the free block of a system with fewer than _CG_MIN_FREE free
-nodes is assembled dense: the cell blocks are scattered by one bincount,
-with the pinned nodes sent to a dump row and column (_free_slots; the
-barrier pins y alone), and np.linalg.solve gives the step; the barrier's
-rank-one part is never formed but applied by Sherman-Morrison on a
-two-column solve, and its pair terms are added in place.  A larger system
-is never assembled: preconditioned conjugate gradients (_pcg) apply it
-cell by cell (take, einsum, one bincount) on node-space vectors whose
-pinned entries stay 0, the barrier adding its rank-one and pair terms
-inside each product.  The energy step is preconditioned by the Hessian's
-diagonal (Jacobi); the barrier step by the energy diagonal plus the pair
-terms, one small dense block on the nodes of W, and the rank-one term
-(_BarrierOperator).  CG starts at 0 and stops at the relative residual
-min(0.5, sqrt(|grad| / E^)) 1e-2 in the energy solve and 1e-6 in a
-centering, or after as many iterations as free nodes, keeping that
-iterate (a descent direction; the Armijo search decides).  On 2-D and
-3-D torus spikes the two take about the same wall time at 140-200 free
-nodes; the dense solve is faster below, CG above, and CG runs on one
-thread where LAPACK takes two.  A singular dense system, or a CG
-direction of non-positive or non-finite curvature, raises SolverError.
+Step solver: a step's system lives in the slot space of _free_slots, one
+entry per free node plus a dump entry that takes the pinned nodes' terms
+and is kept at 0 (the energy solve pins x and y, the barrier y alone).
+The free gradient is scattered there by one bincount, and the Hessian is
+one operator per Newton method (_CellOperator, _BarrierOperator) holding
+the cell blocks; its solve alone compares the free count with
+_CG_MIN_FREE.  Below it, the free block is assembled by one bincount, gets
+its ridge from its trace and the pair terms in place, and np.linalg.solve
+gives the step; the barrier's rank-one part is applied by Sherman-Morrison
+on a two-column solve.  From there on, preconditioned conjugate gradients
+(_pcg) apply the same operator cell by cell (take, einsum, one bincount),
+the barrier adding its rank-one and pair terms inside each product.  The
+energy step is preconditioned by the Hessian's diagonal (Jacobi), the
+barrier step by the energy diagonal plus the pair terms, one small dense
+block on the nodes of W, and the rank-one term; the diagonal, that block
+and the CG tolerance are computed on this path alone.  CG starts at 0 and
+stops at the relative residual min(0.5, sqrt(|grad| / E^)) 1e-2 in the
+energy solve and 1e-6 in a centering, or after as many iterations as free
+nodes, keeping that iterate (a descent direction; the Armijo search
+decides).  On 2-D and 3-D torus spikes the two take about the same wall
+time at 140-200 free nodes; the dense solve is faster below, CG above, and
+CG runs on one thread where LAPACK takes two.  A singular dense system, or
+a CG direction of non-positive or non-finite curvature, raises SolverError.
 
 Preconditioning: each solve internally rescales the instance by
 sigma = d_{g0}(x,y) (distances by 1/sigma, metrics by 1/sigma^2) and maps
@@ -356,84 +360,102 @@ def _energy_cells(f, nodes, forms, w, p):
     return E, a * MF, a * (forms + (p - 2.0) * v[:, None] * v[None, :])
 
 
-def _energy_hat(f, nodes, forms, w, p, slot=None):
-    """E^(f); with ``slot``, also its free gradient and dense Hessian.
-
-    ``slot`` comes from :func:`_free_slots`, with dump index k - 1.  The
-    cell terms of :func:`_energy_cells` are scattered by bincount into
-    length k and k*k, so no N x N temporary exists.  The gradient's dump
-    entry is cut off; the Hessian is returned k x k, and callers cut off its
-    dump row and column (the barrier scatters its pair terms there first).
-    """
-    if slot is None:
-        _, q = _cell_energy(f, nodes, forms)
-        return float((w * np.maximum(q, 0.0) ** (0.5 * p)).sum())
-    E, cell_grad, cell_h = _energy_cells(f, nodes, forms, w, p)
-    pos = slot[nodes]
-    k = int(slot.max()) + 1
-    grad = np.bincount(pos.ravel(), weights=cell_grad.ravel(), minlength=k)[:-1]
-    flat = pos[:, None] * k + pos[None, :]
-    hess = np.bincount(flat.ravel(), weights=cell_h.ravel(), minlength=k * k)
-    return E, grad, hess.reshape(k, k)
+def _energy_hat(f, nodes, forms, w, p):
+    """E^(f) = sum_c w_c q_c^{p/2}."""
+    _, q = _cell_energy(f, nodes, forms)
+    return float((w * np.maximum(q, 0.0) ** (0.5 * p)).sum())
 
 
-def _node_sum(nodes, cell_values, N):
-    """Sum cell-last per-node values (n+1, C) into length N by one bincount."""
-    return np.bincount(nodes.ravel(), weights=cell_values.ravel(), minlength=N)
+def _slot_sum(pos, cell_values, k):
+    """Sum cell-last per-corner values (n+1, C) into k slots by one bincount, dump entry 0."""
+    out = np.bincount(pos.ravel(), weights=cell_values.ravel(), minlength=k)
+    out[-1] = 0.0
+    return out
 
 
 class _CellOperator:
-    """A ridged free Hessian sum_c S_c^T h_c S_c + ridge I, never assembled.
+    """The ridged free Hessian sum_c S_c^T h_c S_c + ridge I of an energy Newton step.
 
-    It acts on node-space vectors whose ``pinned`` entries are 0: each
-    product takes the cell values, applies the (n+1) x (n+1) blocks h_c and
-    scatters back by one bincount.  The ridge is 1e-12 times the mean free
-    diagonal, as on the dense path; the ridged diagonal ``diag`` is the
-    Jacobi preconditioner of :func:`_pcg`.
+    It maps slot vectors to slot vectors (see Step solver in the module
+    docstring); ``pos`` (n+1, C) holds each cell corner's slot and
+    ``blocks`` (n+1, n+1, C) the cell Hessians h_c.  The ridge is 1e-12
+    times the mean free diagonal: the assembled trace on the dense path,
+    the Jacobi diagonal on the CG path.
     """
 
-    def __init__(self, blocks, nodes, pinned, N):
-        self.blocks, self.nodes, self.pinned = blocks, nodes, pinned
-        m = blocks.shape[0]
-        diag = _node_sum(nodes, blocks[range(m), range(m)], N)
-        diag[pinned] = 0.0
-        self.ridge = _NEWTON_RIDGE * diag.sum() / (diag.size - pinned.size)
-        self.diag = diag + self.ridge
+    what = "energy Newton step"
+
+    def __init__(self, blocks, pos, k, E=None):
+        self.blocks, self.pos, self.k, self.E = blocks, pos, k, E
 
     def __call__(self, d):
-        hd = np.einsum("ijc,jc->ic", self.blocks, d[self.nodes])
-        return _node_sum(self.nodes, hd, d.size) + self.ridge * d
+        hd = np.einsum("ijc,jc->ic", self.blocks, d[self.pos])
+        return _slot_sum(self.pos, hd, self.k) + self.ridge * d
+
+    def _assemble(self):
+        """The free block of sum_c S_c^T h_c S_c by one bincount; the pinned
+        nodes' terms land in the dump row and column, which are cut off."""
+        k = self.k
+        flat = self.pos[:, None] * k + self.pos[None, :]
+        hess = np.bincount(flat.ravel(), weights=self.blocks.ravel(), minlength=k * k)
+        return hess.reshape(k, k)[:-1, :-1]
+
+    def matrix(self):
+        """The assembled free block with its ridge, taken from its trace."""
+        hess = self._assemble()
+        hess[np.diag_indices(self.k - 1)] += _NEWTON_RIDGE * np.trace(hess) / (self.k - 1)
+        return hess
+
+    def _dense(self, b):
+        return _dense_solve(self.matrix(), b, self.what)
+
+    def rtol(self, b):
+        """CG's relative residual min(0.5, sqrt(|grad| / E^)) _CG_ENERGY_RTOL,
+        which tightens as the gradient falls."""
+        return min(0.5, math.sqrt(np.linalg.norm(b) / self.E)) * _CG_ENERGY_RTOL
+
+    def prepare(self):
+        """The ridge and the Jacobi preconditioner ``diag`` of the CG path."""
+        m = self.blocks.shape[0]
+        diag = _slot_sum(self.pos, self.blocks[range(m), range(m)], self.k)
+        self.ridge = _NEWTON_RIDGE * diag.sum() / (self.k - 1)
+        self.diag = diag + self.ridge
 
     def precondition(self, r):
         """Jacobi: r / diag."""
         return r / self.diag
 
+    def solve(self, b):
+        """The step d with (this operator) d = b; b and d are slot vectors."""
+        if self.k - 1 < _CG_MIN_FREE:
+            return np.append(self._dense(b[:-1]), 0.0)
+        self.prepare()
+        return _pcg(self, b, self.rtol(b))
 
-def _pcg(op, b, rtol, what):
+
+def _pcg(op, b, rtol):
     """Preconditioned conjugate gradients for op d = b from d = 0.
 
     ``op`` is a :class:`_CellOperator`, which also supplies the
-    preconditioner; b and d are node-space vectors with the pinned entries
-    at 0.  The iteration stops once |b - op d| <= rtol |b| (rtol is the
-    inexact-Newton forcing term of Dembo, Eisenstat & Steihaug, 1982) or
-    after as many iterations as there are free entries; the iterate at that
-    cap is kept, since every CG iterate from d = 0 is a descent direction
-    and the Armijo search decides.  A search direction of non-positive or
-    non-finite curvature raises SolverError.
+    preconditioner; b and d are slot vectors whose dump entry stays 0.  The
+    iteration stops once |b - op d| <= rtol |b| (rtol is the inexact-Newton
+    forcing term of Dembo, Eisenstat & Steihaug, 1982) or after as many
+    iterations as there are free entries; the iterate at that cap is kept,
+    since every CG iterate from d = 0 is a descent direction and the Armijo
+    search decides.  A search direction of non-positive or non-finite
+    curvature raises SolverError.
     """
-    pinned = op.pinned
     d = np.zeros_like(b)
     r = b.copy()
     z = op.precondition(r)
     s = z
     rz = float(r @ z)
     stop = (rtol * np.linalg.norm(b)) ** 2
-    for _ in range(b.size - pinned.size):
+    for _ in range(b.size - 1):
         qs = op(s)
-        qs[pinned] = 0.0
         curv = float(s @ qs)
         if not (curv > 0.0 and math.isfinite(curv)):
-            raise SolverError(f"{what}: CG direction of curvature {curv!r}")
+            raise SolverError(f"{op.what}: CG direction of curvature {curv!r}")
         alpha = rz / curv
         d += alpha * s
         r -= alpha * qs
@@ -453,32 +475,16 @@ def _dense_solve(a, b, what):
         raise SolverError(f"{what}: {exc}") from exc
 
 
-def _energy_step(f, args, slot, pinned):
-    """E^(f), the decrement lambda^2 and the ridged Newton step in node order.
+def _energy_system(f, args, slot):
+    """E^(f), its free gradient in slot space and its Hessian :class:`_CellOperator`.
 
-    A system of fewer than _CG_MIN_FREE free nodes is assembled from the
-    cell blocks and solved dense; a larger one is solved by :func:`_pcg` on
-    a :class:`_CellOperator` to the relative residual
-    min(0.5, sqrt(|grad| / E^)) _CG_ENERGY_RTOL, which tightens as the
-    gradient falls.  The step is None where the free gradient is zero.
+    ``args`` is (nodes, forms, w, p) and ``slot`` comes from
+    :func:`_free_slots`; the cell terms come from :func:`_energy_cells`.
     """
-    if f.size - pinned.size < _CG_MIN_FREE:
-        E, grad, hess = _energy_hat(f, *args, slot)
-        if not grad.any():
-            return E, 0.0, None
-        hess = hess[:-1, :-1]
-        hess[np.diag_indices(grad.size)] += _NEWTON_RIDGE * np.trace(hess) / grad.size
-        d = _dense_solve(hess, -grad, "energy Newton step")
-        return E, -float(grad @ d), np.append(d, 0.0)[slot]   # pinned: dump slot, 0
-    nodes = args[0]
     E, cell_grad, cell_h = _energy_cells(f, *args)
-    grad = _node_sum(nodes, cell_grad, f.size)
-    grad[pinned] = 0.0
-    if not grad.any():
-        return E, 0.0, None
-    rtol = min(0.5, math.sqrt(np.linalg.norm(grad) / E)) * _CG_ENERGY_RTOL
-    d = _pcg(_CellOperator(cell_h, nodes, pinned, f.size), -grad, rtol, "energy Newton step")
-    return E, -float(grad @ d), d
+    pos = slot[args[0]]
+    k = int(slot.max()) + 1
+    return E, _slot_sum(pos, cell_grad, k), _CellOperator(cell_h, pos, k, E)
 
 
 def _newton_energy(gauge, f):
@@ -486,17 +492,18 @@ def _newton_energy(gauge, f):
 
     Works on the sigma-normalized forms of ``gauge``, scaled by one constant
     so that the largest q_c at the start is 1 (q^{p/2} stays in range up to
-    p = 128; the minimizer does not move).  Each step solves the ridged
-    Newton system (:func:`_energy_step`), stops once the decrement lambda^2
-    = -grad . step is at most _NEWTON_RTOL E^, and otherwise backtracks by
-    halving until the Armijo test E^(f + t d) <= E^(f) - _ARMIJO_SLOPE t
-    lambda^2 holds.  A step that needed a halving at lambda^2 <=
-    _NEWTON_FLOOR E^ is the last: there E^ moves by round-off only and the
-    decrement stalls just above _NEWTON_RTOL.  A zero free gradient (every
-    free cell flat, as on a box end cell) is a minimizer and returns at
-    once: there the Hessian and its ridge are zero too.  Returns (f*, steps,
-    converged); converged is False when the step cap or the line search ran
-    out first.
+    p = 128; the minimizer does not move).  Each step builds the free
+    gradient and the Hessian operator once (:func:`_energy_system`) and
+    solves the ridged Newton system with it, dense or by CG as its size
+    decides; it stops once the decrement lambda^2 = -grad . step is at most
+    _NEWTON_RTOL E^, and otherwise backtracks by halving until the Armijo
+    test E^(f + t d) <= E^(f) - _ARMIJO_SLOPE t lambda^2 holds.  A step that
+    needed a halving at lambda^2 <= _NEWTON_FLOOR E^ is the last: there E^
+    moves by round-off only and the decrement stalls just above
+    _NEWTON_RTOL.  A zero free gradient (every free cell flat, as on a box
+    end cell) is a minimizer and returns at once: there the Hessian and its
+    ridge are zero too.  Returns (f*, steps, converged); converged is False
+    when the step cap or the line search ran out first.
     """
     slot = _free_slots(f.size, gauge.fixed)
     _, q = _cell_energy(f, gauge.nodes, gauge.forms)
@@ -504,9 +511,14 @@ def _newton_energy(gauge, f):
     args = (gauge.nodes, forms, gauge.w, gauge.p)
     f = f.copy()
     for step in range(_NEWTON_MAX_STEPS):
-        E, lam2, d = _energy_step(f, args, slot, gauge.fixed)
-        if d is None or lam2 <= _NEWTON_RTOL * E:
+        E, grad, op = _energy_system(f, args, slot)
+        if not grad.any():
             return f, step, True
+        d = op.solve(-grad)
+        lam2 = -float(grad @ d)
+        if lam2 <= _NEWTON_RTOL * E:
+            return f, step, True
+        d = d[slot]
         t = 1.0
         for _ in range(_ARMIJO_HALVINGS):
             trial = f + t * d
@@ -548,107 +560,87 @@ class _WorkingSet:
         self.m = 1 + 2 * idx.size             # barrier terms: A and two per pair
         self.u, self.v = gauge.iu[idx], gauge.iv[idx]
         self.c = gauge.inv_dt[idx]
-        su, sv = slot[self.u], slot[self.v]
+        self.su, self.sv = su, sv = slot[self.u], slot[self.v]
         self.ends = np.concatenate([su, sv])
-        # scatter pattern of the pair Hessian: +h at (u, u), (v, v), -h at (u, v), (v, u)
-        self.rows = np.concatenate([su, sv, su, sv])
-        self.cols = np.concatenate([su, sv, sv, su])
+        # scatter pattern of the pair Hessian on the free block: +h at (u, u),
+        # (v, v), -h at (u, v), (v, u); the entries in y's dump row and column drop
+        rows, cols = np.concatenate([su, sv, su, sv]), np.concatenate([su, sv, sv, su])
+        self.free = np.maximum(rows, cols) < slot.max()
+        self.rows, self.cols = rows[self.free], cols[self.free]
 
     def ratios(self, f):
         return (f[self.u] - f[self.v]) * self.c
 
 
-def _barrier_weights(gauge, f, W, E, rho):
-    """The scalars and pair weights of F_t at f, for both step solvers.
-
-    From E = E^(f / rho): the energy slack s = 1 - A, dA = E^{1/p-1}/p and
-    the rank-one weight c2 of the A-barrier; on W, the pair terms' gradient
-    and curvature weights gz and hz (per unit f_u - f_v).
-    """
-    D, p = gauge.D, gauge.p
-    s = 1.0 - rho * E ** (1.0 / p)
-    dA = E ** (1.0 / p - 1.0) / p
-    c2 = dA * ((1.0 / p - 1.0) / (E * rho * s) + dA / s ** 2)
-    z = W.ratios(f)
-    lo, hi = D - z, D + z
-    gz = (1.0 / lo - 1.0 / hi) * W.c
-    hz = (1.0 / lo ** 2 + 1.0 / hi ** 2) * W.c ** 2
-    return s, dA, c2, gz, hz
-
-
-def _barrier(gauge, f, t, W, slot):
-    """The free gradient of F_t at f and its dense free Hessian as (H0, c2, gE).
-
-    F_t(f) = -t f(x) - log(1 - A) - sum_W log((D - z_k)(D + z_k)), and the
-    Hessian is H0 + c2 gE gE^T.  F_t itself is never formed: _center's
-    Armijo test takes the difference of two values term by term.  A and E^
-    are evaluated at f / rho with rho^2 = max_c q_c, where E^ is of order
-    one: A is 1-homogeneous, so dA/df = (E^{1/p-1}/p) gE there and
-    d^2A/df^2 picks up 1/rho.  H0 gets the energy solve's ridge, 1e-12
-    times the mean diagonal of its energy part (the pair terms, up to
-    1/slack^2, would swamp the energy curvature), and then the pair terms,
-    both in place; pair terms of y land in the dump row and column.
-    """
-    _, q = _cell_energy(f, gauge.nodes, gauge.forms)
-    rho = math.sqrt(q.max())
-    E, gE, H = _energy_hat(f / rho, gauge.nodes, gauge.forms, gauge.w, gauge.p, slot)
-    s, dA, c2, gz, hz = _barrier_weights(gauge, f, W, E, rho)
-    H0 = H[:-1, :-1]
-    H0 *= dA / (rho * s)
-    H0[np.diag_indices(gE.size)] += _NEWTON_RIDGE * np.trace(H0) / gE.size
-    k = gE.size + 1
-    grad = (dA / s) * gE
-    grad += np.bincount(W.ends, weights=np.concatenate([gz, -gz]), minlength=k)[:-1]
-    x = gauge.fixed[0]
-    grad[slot[x]] -= t
-    np.add.at(H, (W.rows, W.cols), np.concatenate([hz, hz, -hz, -hz]))
-    return grad, H0, c2, gE
-
-
 class _BarrierOperator(_CellOperator):
-    """The free Hessian of F_t, H0 + c2 gE gE^T + L_W, never assembled.
+    """The free Hessian of F_t, H0 + c2 gE gE^T + L_W, in slot space.
 
-    H0 is the scaled energy blocks with their ridge, and L_W = sum_W hz_k
-    (e_u - e_v)(e_u - e_v)^T the pair terms; each product adds the rank-one
-    A-barrier term and L_W d.  Near the boundary both grow like 1/slack^2
-    and a diagonal preconditioner leaves CG stalling at its iteration cap
-    (p = 128), so the preconditioner keeps them whole: the energy diagonal
-    plus L_W, which couples only the few nodes of W and is inverted there
-    as one dense block, and, where c2 > 0, the rank-one term by
-    Sherman-Morrison.  Where c2 < 0 the term is left out: next to a
-    diagonal that lacks H0's off-diagonal curvature it can make the
-    preconditioner indefinite.
+    H0 is the energy operator times ``scale``, ridge included, gE the free
+    gradient of E^ and L_W = sum_W hz_k (e_u - e_v)(e_u - e_v)^T the pair
+    terms, whose ends through y land in the dump slot.  :meth:`matrix` is
+    H0 + L_W; the rank-one term is never assembled.
     """
 
-    def __init__(self, blocks, nodes, pinned, N, c2, gE, W, hz):
-        super().__init__(blocks, nodes, pinned, N)
-        self.c2, self.gE, self.u, self.v, self.hz = c2, gE, W.u, W.v, hz
-        self.ends = np.concatenate([W.u, W.v])
-        # L_W on the nodes of W (a pinned end drops out), plus the diagonal
-        ends, at = np.unique(self.ends, return_inverse=True)
+    what = "barrier Newton step"
+
+    def __init__(self, blocks, scale, pos, k, c2, gE, W, hz):
+        super().__init__(blocks, pos, k)
+        self.scale, self.c2, self.gE, self.W, self.hz = scale, c2, gE, W, hz
+
+    def __call__(self, d):
+        W = self.W
+        r = self.hz * (d[W.su] - d[W.sv])
+        out = self.scale * super().__call__(d) + (self.c2 * float(self.gE @ d)) * self.gE
+        out += np.bincount(W.ends, weights=np.concatenate([r, -r]), minlength=d.size)
+        out[-1] = 0.0
+        return out
+
+    def _assemble(self):
+        return self.scale * super()._assemble()
+
+    def matrix(self):
+        hess, hz = super().matrix(), self.hz
+        np.add.at(hess, (self.W.rows, self.W.cols), np.concatenate([hz, hz, -hz, -hz])[self.W.free])
+        return hess
+
+    def _dense(self, b):
+        gE = self.gE[:-1]
+        a, v = _dense_solve(self.matrix(), np.column_stack((b, gE)), self.what).T
+        return a - (self.c2 * (gE @ a) / (1.0 + self.c2 * (gE @ v))) * v
+
+    def rtol(self, b):
+        return _CG_BARRIER_RTOL
+
+    def prepare(self):
+        """CG's preconditioner.  Near the boundary the rank-one and pair terms
+        grow like 1/slack^2 and a diagonal preconditioner leaves CG stalling
+        at its iteration cap (p = 128), so this one keeps them whole: the
+        energy diagonal plus L_W, which couples only the few nodes of W and
+        is inverted there as one dense block, and, where c2 > 0, the
+        rank-one term by Sherman-Morrison.  Where c2 < 0 the term is left
+        out: next to a diagonal that lacks H0's off-diagonal curvature it
+        can make the preconditioner indefinite."""
+        super().prepare()
+        self.diag *= self.scale
+        # L_W on the slots of W (the dump drops out), plus the diagonal
+        hz = self.hz
+        ends, at = np.unique(self.W.ends, return_inverse=True)
         m = ends.size
         a, b = at[:hz.size], at[hz.size:]
         block = np.bincount(np.concatenate([a * m + a, b * m + b, a * m + b, b * m + a]),
                             weights=np.concatenate([hz, hz, -hz, -hz]), minlength=m * m)
         block = block.reshape(m, m) + np.diag(self.diag[ends])
-        keep = ~np.isin(ends, pinned)
-        self.block_nodes = ends[keep]
-        self.block_inv = _dense_solve(block[np.ix_(keep, keep)], np.eye(keep.sum()),
-                                      "barrier Newton step")
+        keep = ends < self.k - 1
+        self.block_slots = ends[keep]
+        self.block_inv = _dense_solve(block[np.ix_(keep, keep)], np.eye(keep.sum()), self.what)
         self.rank_one = None
-        if c2 > 0.0:
-            pg = self._block_solve(gE)
-            self.rank_one = (c2 / (1.0 + c2 * float(gE @ pg)), pg)
-
-    def __call__(self, d):
-        r = self.hz * (d[self.u] - d[self.v])
-        out = super().__call__(d) + (self.c2 * float(self.gE @ d)) * self.gE
-        out += np.bincount(self.ends, weights=np.concatenate([r, -r]), minlength=d.size)
-        return out
+        if self.c2 > 0.0:
+            pg = self._block_solve(self.gE)
+            self.rank_one = (self.c2 / (1.0 + self.c2 * float(self.gE @ pg)), pg)
 
     def _block_solve(self, r):
         z = r / self.diag
-        z[self.block_nodes] = self.block_inv @ r[self.block_nodes]
+        z[self.block_slots] = self.block_inv @ r[self.block_slots]
         return z
 
     def precondition(self, r):
@@ -659,52 +651,59 @@ class _BarrierOperator(_CellOperator):
         return z
 
 
-def _barrier_step(gauge, f, t, W, slot):
-    """The decrement lambda^2 and the Newton step of F_t at f, in node order.
+def _barrier_system(gauge, f, t, W, slot):
+    """The free gradient of F_t at f in slot space and its :class:`_BarrierOperator`.
 
-    Below _CG_MIN_FREE free nodes the step solves (H0 + c2 gE gE^T) d =
-    -grad by Sherman-Morrison on one dense two-column solve of H0 from
-    :func:`_barrier`; a larger system is solved by :func:`_pcg` on a
-    :class:`_BarrierOperator` to the relative residual _CG_BARRIER_RTOL.
+    F_t(f) = -t f(x) - log(1 - A) - sum_W log((D - z_k)(D + z_k)); F_t itself
+    is never formed: _center's Armijo test takes the difference of two
+    values term by term.  A and E^ are evaluated at f / rho with rho^2 =
+    max_c q_c, where E^ is of order one: A is 1-homogeneous, so dA/df =
+    (E^{1/p-1}/p) gE there and d^2A/df^2 picks up 1/rho.  With the energy
+    slack s = 1 - A, the Hessian is H0 + c2 gE gE^T + L_W, H0 the energy
+    blocks scaled by dA / (rho s); its ridge is taken from H0 alone (the
+    pair terms, up to 1/slack^2, would swamp the energy curvature).
     """
-    if f.size - 1 < _CG_MIN_FREE:
-        grad, H0, c2, gE = _barrier(gauge, f, t, W, slot)
-        a, b = _dense_solve(H0, np.column_stack((-grad, gE)), "barrier Newton step").T
-        d = a - (c2 * (gE @ a) / (1.0 + c2 * (gE @ b))) * b
-        return -float(grad @ d), np.append(d, 0.0)[slot]   # y: dump slot, 0
-    x, y = gauge.fixed
-    N = f.size
+    D, p = gauge.D, gauge.p
     _, q = _cell_energy(f, gauge.nodes, gauge.forms)
     rho = math.sqrt(q.max())
-    E, cell_grad, cell_h = _energy_cells(f / rho, gauge.nodes, gauge.forms, gauge.w, gauge.p)
-    s, dA, c2, gz, hz = _barrier_weights(gauge, f, W, E, rho)
-    gE = _node_sum(gauge.nodes, cell_grad, N)
-    gE[y] = 0.0
-    op = _BarrierOperator((dA / (rho * s)) * cell_h, gauge.nodes, gauge.fixed[1:], N,
-                          c2, gE, W, hz)
-    grad = (dA / s) * gE + np.bincount(op.ends, weights=np.concatenate([gz, -gz]), minlength=N)
-    grad[x] -= t
-    grad[y] = 0.0
-    d = _pcg(op, -grad, _CG_BARRIER_RTOL, "barrier Newton step")
-    return -float(grad @ d), d
+    E, cell_grad, cell_h = _energy_cells(f / rho, gauge.nodes, gauge.forms, gauge.w, p)
+    s = 1.0 - rho * E ** (1.0 / p)
+    dA = E ** (1.0 / p - 1.0) / p
+    c2 = dA * ((1.0 / p - 1.0) / (E * rho * s) + dA / s ** 2)
+    z = W.ratios(f)
+    lo, hi = D - z, D + z
+    gz = (1.0 / lo - 1.0 / hi) * W.c
+    hz = (1.0 / lo ** 2 + 1.0 / hi ** 2) * W.c ** 2
+    pos = slot[gauge.nodes]
+    k = int(slot.max()) + 1
+    gE = _slot_sum(pos, cell_grad, k)
+    grad = (dA / s) * gE + np.bincount(W.ends, weights=np.concatenate([gz, -gz]), minlength=k)
+    grad[slot[gauge.fixed[0]]] -= t
+    grad[-1] = 0.0
+    return grad, _BarrierOperator(cell_h, dA / (rho * s), pos, k, c2, gE, W, hz)
 
 
 def _center(gauge, f, t, W, slot):
     """Damped Newton minimization of F_t from a strictly feasible f.
 
-    Each step comes from :func:`_barrier_step`.  The Armijo test is written
-    as the difference F_t(f + s d) - F_t(f), term by term, and a trial must
-    stay strictly feasible on W.  Returns (f, steps, centered).
+    Each step builds the free gradient and the Hessian operator once
+    (:func:`_barrier_system`) and solves the Newton system with it, dense or
+    by CG as its size decides.  The Armijo test is written as the
+    difference F_t(f + s d) - F_t(f), term by term, and a trial must stay
+    strictly feasible on W.  Returns (f, steps, centered).
     """
     D = gauge.D
     x = gauge.fixed[0]
     A, z = gauge.energy(f), W.ratios(f)
     lam2_prev = math.inf
     for step in range(_MAX_CENTER_STEPS):
-        lam2, d = _barrier_step(gauge, f, t, W, slot)
+        grad, op = _barrier_system(gauge, f, t, W, slot)
+        d = op.solve(-grad)
+        lam2 = -float(grad @ d)
         if lam2 <= _CENTER_TOL or _CENTER_FLOOR >= lam2 > 0.5 * lam2_prev:
             return f, step, True
         lam2_prev = lam2
+        d = d[slot]
         dz = W.ratios(d)
         s = 1.0
         for _ in range(_ARMIJO_HALVINGS):

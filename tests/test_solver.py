@@ -312,7 +312,7 @@ def test_barrier_gradient_matches_central_differences(spike_instance, cap, t, s)
     free = np.flatnonzero(slot < slot.max())         # the free nodes, in slot order
     W = solver._WorkingSet(gauge, idx, slot)
     assert W.m == 1 + 2 * idx.size
-    grad = solver._barrier(gauge, f, t, W, slot)[0]
+    grad = solver._barrier_system(gauge, f, t, W, slot)[0][:-1]
 
     def F(h):
         return _reference_barrier(mesh, g, dm0.dist, x, y, p, gauge.D, t, W.u, W.v, h)
@@ -358,8 +358,12 @@ def test_barrier_derivatives_match_central_differences(case):
     def F(h):
         return _reference_barrier(mesh, g, dm0.dist, x, y, p, gauge.D, t, W.u, W.v, h)
 
-    grad, H0, c2, gE = solver._barrier(gauge, f, t, W, slot)
-    hess = H0 + c2 * np.outer(gE, gE)
+    def grad_at(h):
+        return solver._barrier_system(gauge, h, t, W, slot)[0][:-1]
+
+    grad, op = solver._barrier_system(gauge, f, t, W, slot)
+    grad, gE = grad[:-1], op.gE[:-1]
+    hess = op.matrix() + op.c2 * np.outer(gE, gE)
     h = 1e-6
     fd_grad = np.empty(free.size)
     fd_hess = np.empty((free.size, free.size))
@@ -367,42 +371,123 @@ def test_barrier_derivatives_match_central_differences(case):
         e = np.zeros_like(f)
         e[node] = h
         fd_grad[k] = (F(f + e) - F(f - e)) / (2.0 * h)
-        fd_hess[:, k] = (solver._barrier(gauge, f + e, t, W, slot)[0]
-                         - solver._barrier(gauge, f - e, t, W, slot)[0]) / (2.0 * h)
+        fd_hess[:, k] = (grad_at(f + e) - grad_at(f - e)) / (2.0 * h)
     assert np.linalg.norm(grad - fd_grad) <= 1e-6 * np.linalg.norm(fd_grad)
     assert np.linalg.norm(hess - fd_hess) <= 1e-6 * np.linalg.norm(fd_hess)
     np.testing.assert_allclose(hess, hess.T, rtol=1e-12, atol=1e-12 * np.abs(hess).max())
 
 
+def _step_system(gauge, num_nodes, stage):
+    """The free gradient (slot space) and Hessian operator of one Newton step
+    of ``stage``: the energy solve at a seeded f, or the barrier (t = 10) at
+    the seeded interior point of :func:`_interior_barrier`."""
+    if stage == "energy":
+        x, y = gauge.fixed
+        f = np.random.default_rng(11).uniform(0.0, 1.0, num_nodes)
+        f[x], f[y] = 1.0, 0.0
+        slot = solver._free_slots(f.size, gauge.fixed)
+        return solver._energy_system(f, (gauge.nodes, gauge.forms, gauge.w, gauge.p), slot)[1:]
+    f, slot, W = _interior_barrier(gauge, num_nodes)
+    return solver._barrier_system(gauge, f, 10.0, W, slot)
+
+
 @pytest.mark.parametrize("stage", ["energy", "barrier"])
 def test_cg_step_matches_dense_step(monkeypatch, spike_instance, stage):
-    # at a tight residual, the matrix-free operator, its gradient and PCG
-    # reproduce the dense Newton step; a wrong operator term would only slow
-    # Newton down, which the solved values alone would not show
+    # at a tight residual, the matrix-free operator and PCG reproduce the
+    # dense Newton step of the same system; a wrong operator term would only
+    # slow Newton down, which the solved values alone would not show
     mesh, g, g0, dm0 = spike_instance
     x, y = 0, mesh.num_nodes // 2
     gauge = solver._Gauge(g, GaugeParams.build(mesh, dm0, p=7.0, D=1.0), x, y)
-    if stage == "energy":
-        f = np.random.default_rng(11).uniform(0.0, 1.0, mesh.num_nodes)
-        f[x], f[y] = 1.0, 0.0
-        slot = solver._free_slots(f.size, gauge.fixed)
-        args = (gauge.nodes, gauge.forms, gauge.w, gauge.p)
-        monkeypatch.setattr(solver, "_CG_ENERGY_RTOL", 1e-14)
+    monkeypatch.setattr(solver, "_CG_ENERGY_RTOL", 1e-14)
+    monkeypatch.setattr(solver, "_CG_BARRIER_RTOL", 1e-14)
 
-        def step():
-            return solver._energy_step(f, args, slot, gauge.fixed)[1:]
-    else:
-        f, slot, W = _interior_barrier(gauge, mesh.num_nodes)
-        monkeypatch.setattr(solver, "_CG_BARRIER_RTOL", 1e-14)
-
-        def step():
-            return solver._barrier_step(gauge, f, 10.0, W, slot)
+    def step():
+        grad, op = _step_system(gauge, mesh.num_nodes, stage)
+        d = op.solve(-grad)
+        return -float(grad @ d), d
     lam2, d = step()
     monkeypatch.setattr(solver, "_CG_MIN_FREE", 0)
     lam2_cg, d_cg = step()
     assert lam2_cg == pytest.approx(lam2, rel=1e-10)
     assert np.linalg.norm(d_cg - d) <= 1e-6 * np.linalg.norm(d)
-    assert d_cg[gauge.fixed[1]] == 0.0 and (stage == "barrier" or d_cg[x] == 0.0)
+    assert d_cg[-1] == 0.0                           # the dump slot of the pinned nodes
+
+
+@pytest.mark.parametrize("stage", ["energy", "barrier"])
+def test_operator_product_matches_matrix(spike_instance, stage):
+    # the matrix-free product CG applies is the matrix the dense solve
+    # assembles, plus the barrier's rank-one term; W has pairs through y,
+    # whose terms land in the dump slot, and the dump entry stays 0
+    mesh, g, g0, dm0 = spike_instance
+    x, y = 0, mesh.num_nodes // 2
+    gauge = solver._Gauge(g, GaugeParams.build(mesh, dm0, p=7.0, D=1.0), x, y)
+    _, op = _step_system(gauge, mesh.num_nodes, stage)
+    if stage == "barrier":
+        assert (op.W.ends == op.k - 1).any()
+        rank_one = op.c2 * np.outer(op.gE[:-1], op.gE[:-1])
+    else:
+        rank_one = 0.0
+    op.prepare()
+    matrix = op.matrix() + rank_one
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        d = rng.standard_normal(op.k)
+        d[-1] = 0.0
+        out = op(d)
+        want = matrix @ d[:-1]
+        assert np.linalg.norm(out[:-1] - want) <= 1e-12 * np.linalg.norm(want)
+        assert out[-1] == 0.0
+
+
+def _step_solvers(monkeypatch, gauge, num_nodes):
+    """{stage: (free nodes, the solvers that ran on the whole free system)}.
+
+    The CG barrier step also solves its small block preconditioner dense;
+    that call is not on the whole system and is left out."""
+    calls = []
+    real_pcg, real_dense = solver._pcg, solver._dense_solve
+
+    def pcg(op, b, rtol):
+        calls.append(("cg", b.size - 1))
+        return real_pcg(op, b, rtol)
+
+    def dense(a, b, what):
+        calls.append(("dense", a.shape[0]))
+        return real_dense(a, b, what)
+
+    monkeypatch.setattr(solver, "_pcg", pcg)
+    monkeypatch.setattr(solver, "_dense_solve", dense)
+    used = {}
+    for stage in ("energy", "barrier"):
+        calls.clear()
+        grad, op = _step_system(gauge, num_nodes, stage)
+        op.solve(-grad)
+        used[stage] = (op.k - 1, [kind for kind, size in calls if size == op.k - 1])
+    return used
+
+
+@pytest.mark.parametrize("shape", ["chain201", "spike8", "spike_t3"])
+def test_step_solver_size_rule(monkeypatch, shape, spike8, spike_t3):
+    # one comparison with _CG_MIN_FREE picks the step solver; the energy
+    # step pins x and y, the barrier step y alone
+    if shape == "chain201":
+        mesh, g = make_flat(1, solver._CG_MIN_FREE, torus=False)
+        assert mesh.num_nodes == solver._CG_MIN_FREE + 1
+        params = GaugeParams.build(mesh, all_pairs_distances(mesh, g), p=4.0, D=1.0)
+        x, y = 0, mesh.num_nodes - 1
+        want = {"energy": (199, ["dense"]), "barrier": (200, ["cg"])}
+    elif shape == "spike8":                         # as in the README sequence study
+        mesh, g, g0, dm0 = spike8
+        params = GaugeParams.build(mesh, dm0, p=7.0, D=2.0)
+        x, y = 0, 36
+        want = {"energy": (62, ["dense"]), "barrier": (63, ["dense"])}
+    else:                                           # as in the 6^3 compute study
+        mesh, g, g0, params = spike_t3
+        x, y = 0, 129
+        want = {"energy": (214, ["cg"]), "barrier": (215, ["cg"])}
+    gauge = solver._Gauge(g, params, x, y)
+    assert _step_solvers(monkeypatch, gauge, mesh.num_nodes) == want
 
 
 # -- Newton energy solve --------------------------------------------------------
@@ -410,21 +495,21 @@ def test_cg_step_matches_dense_step(monkeypatch, spike_instance, stage):
 def _check_energy_derivs(gauge, p, f):
     slot = solver._free_slots(f.size, gauge.fixed)
     free = np.flatnonzero(slot < slot.max())
-    args = (gauge.nodes, gauge.forms, gauge.w, p, slot)
-    E, grad, hess = solver._energy_hat(f, *args)
-    hess = hess[:-1, :-1]                            # drop the dump row and column
-    assert E == solver._energy_hat(f, *args[:-1])
-    assert E == pytest.approx(solver._energy_norm(f, *args[:-1]) ** p, rel=1e-12)
+    args = (gauge.nodes, gauge.forms, gauge.w, p)
+    E, grad, op = solver._energy_system(f, args, slot)
+    grad, hess = grad[:-1], op.matrix()              # drop the dump entry
+    assert E == solver._energy_hat(f, *args)
+    assert E == pytest.approx(solver._energy_norm(f, *args) ** p, rel=1e-12)
     h = 1e-6
     fd_grad = np.empty(free.size)
     fd_hess = np.empty((free.size, free.size))
     for k, node in enumerate(free):
         e = np.zeros_like(f)
         e[node] = h
-        Ep, gp, _ = solver._energy_hat(f + e, *args)
-        Em, gm, _ = solver._energy_hat(f - e, *args)
+        Ep, gp, _ = solver._energy_system(f + e, args, slot)
+        Em, gm, _ = solver._energy_system(f - e, args, slot)
         fd_grad[k] = (Ep - Em) / (2.0 * h)
-        fd_hess[:, k] = (gp - gm) / (2.0 * h)
+        fd_hess[:, k] = (gp[:-1] - gm[:-1]) / (2.0 * h)
     assert np.linalg.norm(grad - fd_grad) <= 1e-6 * np.linalg.norm(fd_grad)
     assert np.linalg.norm(hess - fd_hess) <= 1e-6 * np.linalg.norm(fd_hess)
     np.testing.assert_allclose(hess, hess.T, rtol=1e-12, atol=1e-12 * np.abs(hess).max())
