@@ -12,11 +12,11 @@ and, by construction of the runners, byte-identical outputs.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 from .errors import ParseError
 from .families import FAMILY_READS
-from .util import config_hash
 
 # the keys each kind reads besides kind, out and seed; ``check_reads`` narrows them
 _FILES = ("mesh", "metric", "metric0")
@@ -36,6 +36,12 @@ _VALUES = set().union(*FAMILY_READS.values())
 
 
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def config_hash(text):
+    """Short stable hash of a config file's canonicalized text."""
+    lines = (ln.strip() for ln in text.splitlines() if ln.split("#", 1)[0].strip())
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
 
 
 def _float_list(raw):

@@ -111,6 +111,11 @@ the value back with the exact homogeneity d -> sigma^t d.  This removes the
 overall scale from the optimization, so scaled instances follow identical
 iterate paths.
 
+Pair coefficients: GaugeParams.build powers the pair distances once,
+dt = d0(iu, iv)^t, and holder_seminorm divides by that array.  A solve's
+normalized coefficients are inv_dt = dt[xy] / dt, xy the index of (x, y) in
+(iu, iv), so that pair's own coefficient is exactly 1.
+
 Orientation: the distance is symmetric in its endpoints (f -> -f maps one
 orientation's feasible set onto the other's), so solve_dp solves the
 canonical orientation (min(x, y), max(x, y)) and negates the extremal of a
@@ -151,7 +156,9 @@ class GaugeParams:
 
     Build with :meth:`GaugeParams.build` from a ``geodesic.DistanceMatrix``;
     ``d0`` is its dense array, (iu, iv) the constrained node pairs (every
-    pair u < v, row by row) and D in (0, +inf] the cap.
+    pair u < v, row by row), ``dt`` = d0(iu, iv)^t, powered once here (a
+    solve divides dt[xy] by it, so the pair (x, y) gets coefficient exactly
+    1), and D in (0, +inf] the cap.
     """
 
     mesh: object
@@ -161,6 +168,7 @@ class GaugeParams:
     d0: np.ndarray
     iu: np.ndarray
     iv: np.ndarray
+    dt: np.ndarray
 
     @classmethod
     def build(cls, mesh, dm0, p, D):
@@ -179,9 +187,10 @@ class GaugeParams:
         if d0.shape != (N, N):
             raise MeshMismatchError("distance matrix does not match mesh node count")
         iu, iv = np.triu_indices(N, k=1)
-        if np.any(d0[iu, iv] <= 0.0):
+        pair_d0 = d0[iu, iv]
+        if np.any(pair_d0 <= 0.0):
             raise ZeroDistancePairError("constrained pair with zero background distance")
-        return cls(mesh, float(p), float(D), t, d0, iu, iv)
+        return cls(mesh, float(p), float(D), t, d0, iu, iv, pair_d0 ** t)
 
 
 @dataclass
@@ -257,8 +266,7 @@ def holder_seminorm(f, params):
     if params.iu.size == 0:
         raise SolverError("Holder pair set is empty")
     f = ensure_function(params.mesh, f)
-    dt = params.d0[params.iu, params.iv] ** params.t
-    return float((np.abs(f[params.iu] - f[params.iv]) / dt).max())
+    return float((np.abs(f[params.iu] - f[params.iv]) / params.dt).max())
 
 
 class _Gauge:
@@ -277,10 +285,10 @@ class _Gauge:
         self.w = sqrt_dets * mesh.volumes
         self.nodes = np.ascontiguousarray(mesh.cells_nodes.T)
 
-        # Holder data: normalized distances; xy indexes the pair (x, y) in (iu, iv)
+        # Holder data: sigma^t / d0^t as dt[xy] / dt, exactly 1 at xy, the pair (x, y)
         self.iu, self.iv = params.iu, params.iv
         self.xy = x * (2 * mesh.num_nodes - x - 1) // 2 + y - x - 1
-        self.inv_dt = (params.d0[self.iu, self.iv] / sigma) ** (-params.t)
+        self.inv_dt = params.dt[self.xy] / params.dt
         # normalized snowflake distances d0(x, .)^t and d0(y, .)^t
         self.dx, self.dy = (sigma ** -1 * params.d0[[x, y]]) ** params.t
 
@@ -820,10 +828,7 @@ def _result(gauge, g, params, x, y, f, terms, iterations, converged, stages):
     value = sig_t * ((f[x] - f[y]) / phi)
     extremal = (sig_t / phi) * f
     e_res = max(0.0, energy_p(extremal, g, params.p) ** (1.0 / params.p) - 1.0)
-    if math.isinf(params.D):     # H/D = 0: no pass over the pairs needed
-        h_res = 0.0
-    else:
-        h_res = max(0.0, holder_seminorm(extremal, params) / params.D - 1.0)
+    h_res = max(0.0, holder_seminorm(extremal, params) / params.D - 1.0)
     return DistanceResult(
         x=x, y=y, p=params.p, D=params.D,
         value=value, extremal=extremal, active_constraint=_active(A, H, params.D),

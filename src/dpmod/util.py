@@ -1,19 +1,8 @@
-"""Small shared helpers: the CPU count and config hashing."""
+"""The CPU count that perfbench records in its environment line; no dpmod code reads it."""
 
-from __future__ import annotations
-
-import hashlib
 import os
 
 
 def worker_count():
-    """min(4, cpus); perfbench records it in its environment line."""
+    """min(4, cpus); perfbench/work.py records it in its environment line."""
     return min(4, os.cpu_count() or 1)
-
-
-def config_hash(text):
-    """Short stable hash of a config file's canonicalized text."""
-    canon = "\n".join(
-        line.strip() for line in text.splitlines() if line.split("#", 1)[0].strip()
-    )
-    return hashlib.sha256(canon.encode()).hexdigest()[:12]

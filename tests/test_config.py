@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from dpmod import cli, config
-from dpmod.config import KINDS, parse_config
+from dpmod.config import KINDS, config_hash, parse_config
 from dpmod.errors import ParseError
 from dpmod.families import FAMILY_NAMES
 
@@ -123,6 +123,13 @@ def test_hash_semantics(tmp_path):
     e = parse_config(write(tmp_path, "kind = compute\np = 3\n", "e.cfg"))
     assert e.hash() != a.hash()
     assert len(a.hash()) == 12
+
+
+def test_config_hash_canonicalization():
+    a = config_hash("kind = gen\nn = 2\n")
+    assert a == config_hash("  kind = gen\n\n# note\nn = 2")
+    assert a != config_hash("kind = gen\nn = 3\n")
+    assert len(a) == 12 and all(c in "0123456789abcdef" for c in a)
 
 
 @pytest.mark.parametrize(

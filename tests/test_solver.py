@@ -83,6 +83,23 @@ def test_holder_seminorm_hand_value(chain16):
     assert holder_seminorm(f, params) == pytest.approx(4.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("which", ["t2", "t3"])
+def test_pair_powers_kept_bitwise(spike8, spike_t3, which):
+    # params.dt is d0(u, v)^t bitwise in the order of (iu, iv), and
+    # holder_seminorm's division by it gives the bits of powering the gathered pairs
+    if which == "t2":
+        params = GaugeParams.build(spike8[0], spike8[3], p=7.0, D=2.0)
+    else:
+        params = spike_t3[3]
+    dt = params.d0[params.iu, params.iv] ** params.t
+    assert params.dt.shape == params.iu.shape == params.iv.shape
+    assert params.dt.tobytes() == dt.tobytes()
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        f = rng.standard_normal(params.mesh.num_nodes)
+        assert holder_seminorm(f, params) == float((np.abs(f[params.iu] - f[params.iv]) / dt).max())
+
+
 # -- parameter validation -----------------------------------------------------
 
 def test_build_validation(chain16):
@@ -122,9 +139,14 @@ def test_gauge_xy_indexes_the_pair(n, R):
     pairs = list(zip(*np.triu_indices(N, k=1)))
     if N > 7:
         pairs = pairs[:N] + pairs[-N:] + pairs[::97]
+    f = np.random.default_rng(N).standard_normal(N)
     for x, y in pairs:
-        xy = solver._Gauge(g0, params, x, y).xy
+        gauge = solver._Gauge(g0, params, x, y)
+        xy = gauge.xy
         assert (params.iu[xy], params.iv[xy]) == (x, y)
+        # the pair's own coefficient is exactly 1, so its ratio is f(x) - f(y)
+        assert gauge.inv_dt[xy] == 1.0
+        assert gauge.ratios(f)[xy] == f[x] - f[y]
 
 
 def test_solve_input_errors(chain16):
