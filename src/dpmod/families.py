@@ -43,8 +43,8 @@ measured range.
 
 Spike profiles use the chart euclidean distance to the center (``ball``) or
 to the vertical axis through it (``tube``, the 3-D line-supported variant),
-evaluated at cell barycenters; on a torus each coordinate difference is
-taken to the nearest image.  The center must lie in the chart.
+evaluated at cell barycenters; along each glued axis the coordinate
+difference is taken to the nearest image.  The center must lie in the chart.
 
 A :class:`FamilySpec` describes one family member and builds its fields
 with ``FamilySpec.metrics``; it keeps only the values its family reads
@@ -105,6 +105,7 @@ def _check_values(family, n, resolution=None, j=None, amplitude=None, radius=Non
         ("family", family in FAMILY_NAMES,
          f"must be one of {', '.join(FAMILY_NAMES)}, got {family!r}"),
         ("n", n in (1, 2, 3), f"dimension must be 1..3, got {n}"),
+        ("n", family != "oscillation" or n == 2, f"must be 2 for the oscillation family, got {n}"),
         ("resolution", resolution is None or resolution >= 2,
          "must be at least 2 cells per axis"),
         ("j", j is None or j >= 1, f"sequence index must be >= 1, got {j}"),
@@ -214,10 +215,9 @@ def make_spike_sequence(base, j, A_j=None, r_j=None, center=None, profile="ball"
     d is the chart euclidean distance from the cell barycenter to ``center``
     (profile 'ball') or to the axis through ``center`` along the last
     coordinate (profile 'tube', n = 3).  ``center`` lies in the chart, the
-    range of the vertex coordinates ([0, 1] on a family base); on a unit
-    torus (a base with identified vertices, as ``make_flat`` glues them) d
-    is measured to the nearest image of the center, so a spike near a seam
-    wraps across it.
+    range of the vertex coordinates ([0, 1] on a family base); along each
+    glued axis (all of a ``make_flat`` torus) d is measured to the nearest
+    image of the center, so a spike near a seam wraps across it.
     Defaults: the documented schedule ``spike_schedule(n, j)`` and center =
     box midpoint.
     """
@@ -229,11 +229,12 @@ def make_spike_sequence(base, j, A_j=None, r_j=None, center=None, profile="ball"
     r = sched_r if r_j is None else float(r_j)
     center = np.full(mesh.dim, 0.5) if center is None else np.asarray(center, dtype=float)
     bary = _barycenters(mesh)
+    # each axis wraps with period its glue displacement, 0 (no wrap) if not glued
+    period = np.abs(np.diff(mesh.verts[mesh.ident], axis=1)).max(axis=(0, 1), initial=0.0)
     if profile == "tube":
-        bary, center = bary[:, :2], center[:2]
+        bary, center, period = bary[:, :2], center[:2], period[:2]
     gap = np.abs(bary - center)
-    if mesh.ident.size:                 # a torus: the nearest image of the center
-        gap = np.minimum(gap, 1.0 - gap)
+    gap = np.where(period > 0.0, np.minimum(gap, period - gap), gap)   # the nearest image
     d = np.linalg.norm(gap, axis=1)
     phi = 1.0 + A * np.maximum(0.0, 1.0 - d / r)
     return MetricField(mesh, g0.tensors * (phi ** 2)[:, None, None])

@@ -160,15 +160,13 @@ def _collect_edges(mesh):
     heads = order[new]                          # first face of each group
     first = np.sort(heads)
     edge = np.searchsorted(first, heads)[np.cumsum(new) - 1]
-    cid = order // a.size
-    keep = new.copy()
-    keep[1:] |= cid[1:] != cid[:-1]             # a cell counts once per edge
-    edge, cid = edge[keep], cid[keep]
+    # a cell counts once per edge: two of its faces on one node pair would
+    # need two glued vertices of the cell, which the check above rejects
     counts = np.bincount(edge, minlength=first.size)
     return (
         np.column_stack([lo[first], hi[first]]),
         vec[first],
-        cid[np.argsort(edge, kind="stable")],
+        (order // a.size)[np.argsort(edge, kind="stable")],
         np.concatenate([[0], np.cumsum(counts)]),
     )
 

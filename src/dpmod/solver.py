@@ -63,13 +63,14 @@ Newton with an Armijo search that keeps the point strictly feasible; the
 barrier sits on A = E^{1/p}, not on E, which keeps it well conditioned up
 to p = 128.  A round starts at t = m / (1e-3 f(x)), m = 1 + 2|W|, and t
 grows 20x per centering until the gap m/t is at most _GAP_RTOL = 1e-10
-times f(x).  After every centering one pass over all pairs looks for
-violated pairs; if there are any, they join W and the next round starts
-from f scaled back to 0.99 of the feasible boundary.  A centering at the
-gap target with no violated pair ends the solve.  _MAX_CENTERINGS = 26
-caps the centerings of one solve and _MAX_CENTER_STEPS = 4000 the Newton
-steps of one centering; running out of either raises NonConverged with the
-partial result attached.
+times f(x).  One loop runs the centerings of every round: after each,
+one pass over all pairs looks for violated pairs; if there are any, they
+join W and a new round starts in place, from f scaled back to 0.99 of the
+feasible boundary and t reset.  A centering at the gap target with no
+violated pair ends the solve.  _MAX_CENTERINGS = 26 caps the centerings
+of one solve and _MAX_CENTER_STEPS = 4000 the Newton steps of one
+centering; running out of either raises NonConverged with the partial
+result attached.
 ``iterations`` counts the screen's Newton steps plus the barrier's.
 
 Kernel: one energy kernel (_cell_energy) serves energy_p, the exact gauge
@@ -86,7 +87,8 @@ entry per free node plus a dump entry that takes the pinned nodes' terms
 and is kept at 0 (the energy solve pins x and y, the barrier y alone).
 The free gradient is scattered there by one bincount, and the Hessian is
 one operator per Newton method (_CellOperator, _BarrierOperator) holding
-the cell blocks; its solve alone compares the free count with
+the cell blocks.  The method hands its solve the right-hand side and CG's
+tolerance, and that solve alone compares the free count with
 _CG_MIN_FREE.  Below it, the free block is assembled by one bincount, gets
 its ridge from its trace and the pair terms in place, and np.linalg.solve
 gives the step; the barrier's rank-one part is applied by Sherman-Morrison
@@ -95,15 +97,18 @@ on a two-column solve.  From there on, preconditioned conjugate gradients
 the barrier adding its rank-one and pair terms inside each product.  The
 energy step is preconditioned by the Hessian's diagonal (Jacobi), the
 barrier step by the energy diagonal plus the pair terms, one small dense
-block on the nodes of W, and the rank-one term; the diagonal, that block
-and the CG tolerance are computed on this path alone.  CG starts at 0 and
-stops at the relative residual min(0.5, sqrt(|grad| / E^)) 1e-2 in the
-energy solve and 1e-6 in a centering, or after as many iterations as free
-nodes, keeping that iterate (a descent direction; the Armijo search
-decides).  On 2-D and 3-D torus spikes the two take about the same wall
-time at 140-200 free nodes; the dense solve is faster below, CG above, and
-CG runs on one thread where LAPACK takes two.  A singular dense system, or
-a CG direction of non-positive or non-finite curvature, raises SolverError.
+block on the nodes of W, and the rank-one term; the diagonal and that
+block are computed on this path alone.  The pair terms' layout, the free
+slots of W's nodes and each term's place among them, is built once per
+round (_WorkingSet): the dense path scatters the terms into the free
+block, CG sums them into its W block.  CG starts at 0 and stops at the
+relative residual min(0.5, sqrt(|grad| / E^)) 1e-2 in the energy solve
+and 1e-6 in a centering, or after as many iterations as free nodes,
+keeping that iterate (a descent direction; the Armijo search decides).
+On 2-D and 3-D torus spikes the two take about the same wall time at
+140-200 free nodes; the dense solve is faster below, CG above, and CG
+runs on one thread where LAPACK takes two.  A singular dense system, or a
+CG direction of non-positive or non-finite curvature, raises SolverError.
 
 Preconditioning: each solve internally rescales the instance by
 sigma = d_{g0}(x,y) (distances by 1/sigma, metrics by 1/sigma^2) and maps
@@ -393,8 +398,8 @@ class _CellOperator:
 
     what = "energy Newton step"
 
-    def __init__(self, blocks, pos, k, E=None):
-        self.blocks, self.pos, self.k, self.E = blocks, pos, k, E
+    def __init__(self, blocks, pos, k):
+        self.blocks, self.pos, self.k = blocks, pos, k
 
     def __call__(self, d):
         hd = np.einsum("ijc,jc->ic", self.blocks, d[self.pos])
@@ -417,11 +422,6 @@ class _CellOperator:
     def _dense(self, b):
         return _dense_solve(self.matrix(), b, self.what)
 
-    def rtol(self, b):
-        """CG's relative residual min(0.5, sqrt(|grad| / E^)) _CG_ENERGY_RTOL,
-        which tightens as the gradient falls."""
-        return min(0.5, math.sqrt(np.linalg.norm(b) / self.E)) * _CG_ENERGY_RTOL
-
     def prepare(self):
         """The ridge and the Jacobi preconditioner ``diag`` of the CG path."""
         m = self.blocks.shape[0]
@@ -433,12 +433,13 @@ class _CellOperator:
         """Jacobi: r / diag."""
         return r / self.diag
 
-    def solve(self, b):
-        """The step d with (this operator) d = b; b and d are slot vectors."""
+    def solve(self, b, rtol):
+        """The step d with (this operator) d = b; b and d are slot vectors and
+        rtol is CG's relative residual target."""
         if self.k - 1 < _CG_MIN_FREE:
             return np.append(self._dense(b[:-1]), 0.0)
         self.prepare()
-        return _pcg(self, b, self.rtol(b))
+        return _pcg(self, b, rtol)
 
 
 def _pcg(op, b, rtol):
@@ -492,7 +493,7 @@ def _energy_system(f, args, slot):
     E, cell_grad, cell_h = _energy_cells(f, *args)
     pos = slot[args[0]]
     k = int(slot.max()) + 1
-    return E, _slot_sum(pos, cell_grad, k), _CellOperator(cell_h, pos, k, E)
+    return E, _slot_sum(pos, cell_grad, k), _CellOperator(cell_h, pos, k)
 
 
 def _newton_energy(gauge, f):
@@ -522,7 +523,8 @@ def _newton_energy(gauge, f):
         E, grad, op = _energy_system(f, args, slot)
         if not grad.any():
             return f, step, True
-        d = op.solve(-grad)
+        # CG's forcing term tightens as the gradient falls
+        d = op.solve(-grad, min(0.5, math.sqrt(np.linalg.norm(grad) / E)) * _CG_ENERGY_RTOL)
         lam2 = -float(grad @ d)
         if lam2 <= _NEWTON_RTOL * E:
             return f, step, True
@@ -562,7 +564,10 @@ _CENTER_FLOOR = 1e-4
 
 
 class _WorkingSet:
-    """The Holder pairs W of one barrier round and their free slots."""
+    """The Holder pairs W of one barrier round and the layout of their Hessian terms:
+    +h at (u, u), (v, v), -h at (u, v), (v, u), in that order over W, indexed
+    (``rows``, ``cols``) into ``slots``, the free slots of W's nodes; the
+    terms in y's dump row and column drop (``terms`` marks the others)."""
 
     def __init__(self, gauge, idx, slot):
         self.m = 1 + 2 * idx.size             # barrier terms: A and two per pair
@@ -570,11 +575,12 @@ class _WorkingSet:
         self.c = gauge.inv_dt[idx]
         self.su, self.sv = su, sv = slot[self.u], slot[self.v]
         self.ends = np.concatenate([su, sv])
-        # scatter pattern of the pair Hessian on the free block: +h at (u, u),
-        # (v, v), -h at (u, v), (v, u); the entries in y's dump row and column drop
+        dump = slot.max()
+        self.slots = np.unique(self.ends[self.ends < dump])
         rows, cols = np.concatenate([su, sv, su, sv]), np.concatenate([su, sv, sv, su])
-        self.free = np.maximum(rows, cols) < slot.max()
-        self.rows, self.cols = rows[self.free], cols[self.free]
+        self.terms = np.maximum(rows, cols) < dump
+        self.rows = np.searchsorted(self.slots, rows[self.terms])
+        self.cols = np.searchsorted(self.slots, cols[self.terms])
 
     def ratios(self, f):
         return (f[self.u] - f[self.v]) * self.c
@@ -594,6 +600,7 @@ class _BarrierOperator(_CellOperator):
     def __init__(self, blocks, scale, pos, k, c2, gE, W, hz):
         super().__init__(blocks, pos, k)
         self.scale, self.c2, self.gE, self.W, self.hz = scale, c2, gE, W, hz
+        self.pair_terms = np.concatenate([hz, hz, -hz, -hz])[W.terms]   # in W's layout
 
     def __call__(self, d):
         W = self.W
@@ -607,17 +614,14 @@ class _BarrierOperator(_CellOperator):
         return self.scale * super()._assemble()
 
     def matrix(self):
-        hess, hz = super().matrix(), self.hz
-        np.add.at(hess, (self.W.rows, self.W.cols), np.concatenate([hz, hz, -hz, -hz])[self.W.free])
+        hess, W = super().matrix(), self.W
+        np.add.at(hess, (W.slots[W.rows], W.slots[W.cols]), self.pair_terms)
         return hess
 
     def _dense(self, b):
         gE = self.gE[:-1]
         a, v = _dense_solve(self.matrix(), np.column_stack((b, gE)), self.what).T
         return a - (self.c2 * (gE @ a) / (1.0 + self.c2 * (gE @ v))) * v
-
-    def rtol(self, b):
-        return _CG_BARRIER_RTOL
 
     def prepare(self):
         """CG's preconditioner.  Near the boundary the rank-one and pair terms
@@ -630,17 +634,11 @@ class _BarrierOperator(_CellOperator):
         can make the preconditioner indefinite."""
         super().prepare()
         self.diag *= self.scale
-        # L_W on the slots of W (the dump drops out), plus the diagonal
-        hz = self.hz
-        ends, at = np.unique(self.W.ends, return_inverse=True)
-        m = ends.size
-        a, b = at[:hz.size], at[hz.size:]
-        block = np.bincount(np.concatenate([a * m + a, b * m + b, a * m + b, b * m + a]),
-                            weights=np.concatenate([hz, hz, -hz, -hz]), minlength=m * m)
-        block = block.reshape(m, m) + np.diag(self.diag[ends])
-        keep = ends < self.k - 1
-        self.block_slots = ends[keep]
-        self.block_inv = _dense_solve(block[np.ix_(keep, keep)], np.eye(keep.sum()), self.what)
+        W = self.W
+        m = W.slots.size
+        block = np.bincount(W.rows * m + W.cols, weights=self.pair_terms, minlength=m * m)
+        block = block.reshape(m, m) + np.diag(self.diag[W.slots])
+        self.block_inv = _dense_solve(block, np.eye(m), self.what)
         self.rank_one = None
         if self.c2 > 0.0:
             pg = self._block_solve(self.gE)
@@ -648,7 +646,7 @@ class _BarrierOperator(_CellOperator):
 
     def _block_solve(self, r):
         z = r / self.diag
-        z[self.block_slots] = self.block_inv @ r[self.block_slots]
+        z[self.W.slots] = self.block_inv @ r[self.W.slots]
         return z
 
     def precondition(self, r):
@@ -706,7 +704,7 @@ def _center(gauge, f, t, W, slot):
     lam2_prev = math.inf
     for step in range(_MAX_CENTER_STEPS):
         grad, op = _barrier_system(gauge, f, t, W, slot)
-        d = op.solve(-grad)
+        d = op.solve(-grad, _CG_BARRIER_RTOL)
         lam2 = -float(grad @ d)
         if lam2 <= _CENTER_TOL or _CENTER_FLOOR >= lam2 > 0.5 * lam2_prev:
             return f, step, True
@@ -756,26 +754,25 @@ def _barrier_rounds(gauge, f, phi):
     slot = _free_slots(f.size, [y])           # x is free here
     idx = np.union1d(_largest(np.abs(gauge.ratios(f)), _SEED_PAIRS), [gauge.xy])
     f = (_INTERIOR / phi) * f
-    steps = centerings = 0
-    while True:
-        W = _WorkingSet(gauge, idx, slot)
-        t = W.m / (_BARRIER_GAP0 * f[x])
-        while True:
-            if centerings == _MAX_CENTERINGS:
-                return f, steps, centerings, False
-            centerings += 1
-            f, used, centered = _center(gauge, f, t, W, slot)
-            steps += used
-            if not centered:
-                return f, steps, centerings, False
-            violated = np.flatnonzero(np.abs(gauge.ratios(f)) > gauge.D)
-            if violated.size:
-                break
-            if W.m / t <= _GAP_RTOL * f[x]:
-                return f, steps, centerings, True
+    W = _WorkingSet(gauge, idx, slot)
+    t = W.m / (_BARRIER_GAP0 * f[x])
+    steps = 0
+    for centerings in range(1, _MAX_CENTERINGS + 1):
+        f, used, centered = _center(gauge, f, t, W, slot)
+        steps += used
+        if not centered:
+            return f, steps, centerings, False
+        violated = np.flatnonzero(np.abs(gauge.ratios(f)) > gauge.D)
+        if violated.size:                     # a new round: W grows, f moves back inside
+            idx = np.union1d(idx, violated)
+            f = (_INTERIOR / gauge.gauge(f)[0]) * f
+            W = _WorkingSet(gauge, idx, slot)
+            t = W.m / (_BARRIER_GAP0 * f[x])
+        elif W.m / t <= _GAP_RTOL * f[x]:
+            return f, steps, centerings, True
+        else:
             t = min(_BARRIER_GROWTH * t, W.m / (_GAP_RTOL * f[x]))
-        idx = np.union1d(idx, violated)
-        f = (_INTERIOR / gauge.gauge(f)[0]) * f
+    return f, steps, _MAX_CENTERINGS, False
 
 
 def _solve_oriented(x, y, g, params):
@@ -788,16 +785,9 @@ def _solve_oriented(x, y, g, params):
         raise SameVertexError(f"source and sink coincide at node {x}")
     if g.mesh is not mesh:
         raise MeshMismatchError("metric and params live on different meshes")
-    if params.d0[x, y] <= 0.0:
-        raise ZeroDistancePairError(f"d_g0({x},{y}) = 0")
 
     gauge = _Gauge(g, params, x, y)
-    f0 = gauge.start()
-    s, _, _ = gauge.gauge(f0)
-    if not (np.isfinite(s) and s > 0.0):
-        raise SolverError(f"normalized start has invalid gauge {s!r}")
-
-    f, steps, newton_ok = _newton_energy(gauge, f0)
+    f, steps, newton_ok = _newton_energy(gauge, gauge.start())
     terms = gauge.gauge(f)
     if math.isinf(params.D) or (newton_ok and _active(*terms[1:], params.D) == "energy-bound"):
         return _result(gauge, g, params, x, y, f, terms, steps, newton_ok, 0)

@@ -607,6 +607,11 @@ SEQUENCE_1D = "family = spike\nn = 1\nresolution = 4\ntorus = true\npairs = corn
                  .replace("0-4", "corner-pairs"), "pairs",
                  "corner-pairs needs a vertex at (0.0, 0.5): no vertex at [0.0, 0.5] "
                  "(closest is 0.1 away)", id="corner-pairs-odd-resolution"),
+    # the oscillation family is 2-D; its n used to fail without path or key
+    pytest.param("gen", GEN_SPIKE_1D.replace("spike", "oscillation").replace("n = 1", "n = 3"),
+                 "n", "must be 2 for the oscillation family, got 3", id="oscillation-3d-gen"),
+    pytest.param("sequence", SEQUENCE_1D.replace("spike", "oscillation") + "p = 4\n", "n",
+                 "must be 2 for the oscillation family, got 1", id="oscillation-1d-sequence"),
 ])
 def test_runner_input_error_message(tmp_path, capsys, kind, body, key, message):
     # each runner's input errors name the config key and keep their text

@@ -19,6 +19,7 @@ from dpmod.families import (
     make_spike_sequence,
     spike_schedule,
 )
+from dpmod.mesh import build_mesh
 from dpmod.metric import MetricField, hypothesis_functionals
 
 from conftest import strip_mesh
@@ -197,6 +198,41 @@ def test_spike_center_wraps_on_a_torus():
     with pytest.raises(ValueError) as err:
         make_spike_sequence(torus, 1, center=(1.45, 0.5))
     assert err.value.key == "center"
+
+
+def _raised_and_distance(mesh, center, r, wrap):
+    """The cells a spike of radius r at ``center`` raises, and the ones whose
+    barycenters lie within r, wrapping the axes in ``wrap`` by their extent."""
+    raised = make_spike_sequence((mesh, MetricField.identity(mesh)), 1, r_j=r,
+                                 center=center).tensors[:, 0, 0] > 1.0
+    bary = mesh.verts[mesh.cells].mean(axis=1)
+    gap = np.abs(bary - center)
+    extent = mesh.verts.max(axis=0) - mesh.verts.min(axis=0)
+    gap[:, wrap] = np.minimum(gap[:, wrap], extent[wrap] - gap[:, wrap])
+    return raised, np.linalg.norm(gap, axis=1) < r
+
+
+def test_spike_wraps_only_glued_axes():
+    # an 8x8 cylinder glues x alone: a spike at the lower edge is cut there,
+    # not wrapped to the upper edge (7 cells above y = 0.5 used to be raised)
+    box, _ = make_flat(2, 8, torus=False)
+    v = box.verts
+    ends = [np.flatnonzero((v[:, 0] == x) & (v[:, 1] == y))[0]
+            for y in np.unique(v[:, 1]) for x in (1.0, 0.0)]
+    cylinder = build_mesh(v, box.cells, np.reshape(ends, (-1, 2)))
+    raised, near = _raised_and_distance(cylinder, (0.5, 0.02), 0.45, [0])
+    assert not raised[cylinder.verts[cylinder.cells].mean(axis=1)[:, 1] > 0.5].any()
+    assert near.sum() > 0 and np.array_equal(raised, near)
+
+
+def test_spike_wraps_by_the_glue_period():
+    # a torus of period 2 wraps at 2, not 1: r = 0.3 at its centre raises
+    # the 8 cells within r (32 used to be raised)
+    torus, _ = make_flat(2, 8, torus=True)
+    doubled = build_mesh(2.0 * torus.verts, torus.cells, torus.ident)
+    raised, near = _raised_and_distance(doubled, (1.0, 1.0), 0.3, [0, 1])
+    assert raised.sum() == near.sum() == 8
+    assert np.array_equal(raised, near)
 
 
 def test_spike_tube_profile_is_axis_supported():

@@ -421,12 +421,10 @@ def test_cg_step_matches_dense_step(monkeypatch, spike_instance, stage):
     mesh, g, g0, dm0 = spike_instance
     x, y = 0, mesh.num_nodes // 2
     gauge = solver._Gauge(g, GaugeParams.build(mesh, dm0, p=7.0, D=1.0), x, y)
-    monkeypatch.setattr(solver, "_CG_ENERGY_RTOL", 1e-14)
-    monkeypatch.setattr(solver, "_CG_BARRIER_RTOL", 1e-14)
 
     def step():
         grad, op = _step_system(gauge, mesh.num_nodes, stage)
-        d = op.solve(-grad)
+        d = op.solve(-grad, 1e-14)
         return -float(grad @ d), d
     lam2, d = step()
     monkeypatch.setattr(solver, "_CG_MIN_FREE", 0)
@@ -484,7 +482,7 @@ def _step_solvers(monkeypatch, gauge, num_nodes):
     for stage in ("energy", "barrier"):
         calls.clear()
         grad, op = _step_system(gauge, num_nodes, stage)
-        op.solve(-grad)
+        op.solve(-grad, 1e-6)                       # the tolerance does not pick the solver
         used[stage] = (op.k - 1, [kind for kind, size in calls if size == op.k - 1])
     return used
 
@@ -625,6 +623,22 @@ def test_screened_solve_ignores_stage_budget(monkeypatch, chain16):
     assert res.active_constraint == "energy-bound"
     assert res.converged and res.stages == 0
     assert res.value == pytest.approx(2.0 ** 0.5, rel=1e-12)
+
+
+def test_energy_bound_solve_takes_one_pair_pass(monkeypatch, spike8):
+    # the screen's gauge is the one pass over all pairs of an energy-bound
+    # solve: the start needs no gauge check, (x, y) having coefficient 1
+    mesh, g, g0, dm0 = spike8
+    calls = []
+    real = solver._Gauge.ratios
+
+    def ratios(self, f):
+        calls.append(f.size)
+        return real(self, f)
+    monkeypatch.setattr(solver._Gauge, "ratios", ratios)
+    res = solve_dp(0, 36, g, g0, GaugeParams.build(mesh, dm0, p=7.0, D=2.0))
+    assert res.active_constraint == "energy-bound" and res.stages == 0
+    assert len(calls) == 1
 
 
 def test_newton_step_cap(monkeypatch, chain16):
