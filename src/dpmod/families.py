@@ -95,12 +95,18 @@ def _check_values(family, n, resolution=None, j=None, amplitude=None, radius=Non
                   scale=None, conformal=None, center=None, profile=None, chart=(0.0, 1.0)):
     """The one check of family values; None means not given.
 
-    ``chart`` bounds every coordinate of ``center``: the unit chart of the
-    family bases unless a spike is built on another mesh.
+    ``chart`` = (lo, hi) bounds the coordinates of ``center``, per axis or
+    for all axes alike: the unit chart of the family bases unless a spike is
+    built on another mesh.  ``radius`` lies below half the chart's smallest
+    extent (of its first two axes for a tube).
 
     Raises :class:`FamilyValueError` naming the config key of the first bad
     value.
     """
+    lo, hi = np.ravel(chart[0]), np.ravel(chart[1])
+    half = 0.5 * (hi - lo)[:2 if profile == "tube" else None].min()
+    spans = [f"[{a:g}, {b:g}]" for a, b in np.broadcast(lo, hi)]
+    box = spans[0] if len(set(spans)) == 1 else " x ".join(spans)
     for key, ok, message in (
         ("family", family in FAMILY_NAMES,
          f"must be one of {', '.join(FAMILY_NAMES)}, got {family!r}"),
@@ -115,14 +121,17 @@ def _check_values(family, n, resolution=None, j=None, amplitude=None, radius=Non
          f"must be positive and finite, got {scale}"),
         ("amplitude", amplitude is None or 0 <= amplitude < math.inf,
          f"must be >= 0 and finite, got {amplitude}"),
-        ("radius", radius is None or 0 < radius < 0.5,
-         f"must lie in (0, 0.5), half the box extent, got {radius}"),
+        ("radius", radius is None or 0 < radius < half,
+         f"must lie in (0, {half:g}), half the box extent, got {radius}"),
         ("center", center is None or np.shape(center) == (n,),
          f"needs {n} coordinates for n = {n}, got shape {np.shape(center)}"),
         ("center", center is None or np.isfinite(center).all(),
          f"coordinates must be finite, got {center}"),
-        ("center", center is None or chart[0] <= np.min(center) <= np.max(center) <= chart[1],
-         f"coordinates must lie in the chart [{chart[0]:g}, {chart[1]:g}], got {center}"),
+        # every row is evaluated first: a center of the wrong shape skips
+        # this one and fails the shape row above
+        ("center", center is None or np.shape(center) != (n,)
+         or bool(((lo <= np.asarray(center)) & (np.asarray(center) <= hi)).all()),
+         f"coordinates must lie in the chart {box}, got {center}"),
         ("profile", profile in (None, "ball") or (profile == "tube" and n == 3),
          f"must be 'ball', or 'tube' on a 3-D mesh, got {profile!r}"),
     ):
@@ -214,20 +223,22 @@ def make_spike_sequence(base, j, A_j=None, r_j=None, center=None, profile="ball"
 
     d is the chart euclidean distance from the cell barycenter to ``center``
     (profile 'ball') or to the axis through ``center`` along the last
-    coordinate (profile 'tube', n = 3).  ``center`` lies in the chart, the
-    range of the vertex coordinates ([0, 1] on a family base); along each
-    glued axis (all of a ``make_flat`` torus) d is measured to the nearest
-    image of the center, so a spike near a seam wraps across it.
+    coordinate (profile 'tube', n = 3).  Each coordinate of ``center`` lies
+    in its axis's range of vertex coordinates ([0, 1] on a family base), and
+    r_j below half the smallest extent (of the first two axes for a tube);
+    along each glued axis (all of a ``make_flat`` torus) d is measured to
+    the nearest image of the center, so a spike near a seam wraps across it.
     Defaults: the documented schedule ``spike_schedule(n, j)`` and center =
-    box midpoint.
+    the per-axis midpoint of the chart.
     """
     mesh, g0 = base
+    chart = mesh.verts.min(axis=0), mesh.verts.max(axis=0)
     _check_values("spike", mesh.dim, j=j, amplitude=A_j, radius=r_j, center=center,
-                  profile=profile, chart=(mesh.verts.min(), mesh.verts.max()))
+                  profile=profile, chart=chart)
     sched_A, sched_r = spike_schedule(mesh.dim, j)
     A = sched_A if A_j is None else float(A_j)
     r = sched_r if r_j is None else float(r_j)
-    center = np.full(mesh.dim, 0.5) if center is None else np.asarray(center, dtype=float)
+    center = 0.5 * (chart[0] + chart[1]) if center is None else np.asarray(center, dtype=float)
     bary = _barycenters(mesh)
     # each axis wraps with period its glue displacement, 0 (no wrap) if not glued
     period = np.abs(np.diff(mesh.verts[mesh.ident], axis=1)).max(axis=(0, 1), initial=0.0)

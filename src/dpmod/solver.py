@@ -55,32 +55,33 @@ Barrier rounds: every other capped pair is solved as
     max f(x)  s.t.  f(y) = 0,  A(f) <= 1,  |f_u - f_v| inv_dt <= D on W,
 
 by a log-barrier method (Boyd & Vandenberghe, Convex Optimization, ch. 11)
-over a working set W of Holder pairs.  The start is f* scaled to
-0.99 / Phi(f*), strictly feasible for every pair, and W is seeded with the
-8 largest cap ratios under f* plus (x, y).  Each centering minimizes
-F_t(f) = -t f(x) - log(1 - A) - sum_W log((D - z_k)(D + z_k)) by damped
-Newton with an Armijo search that keeps the point strictly feasible; the
-barrier sits on A = E^{1/p}, not on E, which keeps it well conditioned up
-to p = 128.  A round starts at t = m / (1e-3 f(x)), m = 1 + 2|W|, and t
-grows 20x per centering until the gap m/t is at most _GAP_RTOL = 1e-10
-times f(x).  One loop runs the centerings of every round: after each,
-one pass over all pairs looks for violated pairs; if there are any, they
-join W and a new round starts in place, from f scaled back to 0.99 of the
-feasible boundary and t reset.  A centering at the gap target with no
-violated pair ends the solve.  _MAX_CENTERINGS = 26 caps the centerings
-of one solve and _MAX_CENTER_STEPS = 4000 the Newton steps of one
-centering; running out of either raises NonConverged with the partial
-result attached.
-``iterations`` counts the screen's Newton steps plus the barrier's.
+over a working set W of Holder pairs, seeded with the 8 largest cap ratios
+under f* plus (x, y).  Each centering minimizes F_t(f) = -t f(x) -
+log(1 - A) - sum_W log((D - z_k)(D + z_k)) by damped Newton with an Armijo
+search that keeps the point strictly feasible; the barrier sits on
+A = E^{1/p}, not on E, which keeps it well conditioned up to p = 128.
+Every round starts in one place: f is scaled to 0.99 / Phi(f), strictly
+feasible for every pair, and t = m / (1e-3 f(x)), m = 1 + 2|W|; t grows
+20x per centering until the gap m/t is at most _GAP_RTOL = 1e-10 times
+f(x).  After each centering one pass over all pairs looks for violated
+pairs; any join W and start the next round, and a centering at the gap
+target with none ends the solve.  _MAX_CENTERINGS = 26 caps the
+centerings of one solve and _MAX_CENTER_STEPS = 4000 the Newton steps of
+one centering; running out of either raises NonConverged with the partial
+result attached.  ``iterations`` counts the screen's Newton steps plus the
+barrier's.
 
 Kernel: one energy kernel (_cell_energy) serves energy_p, the exact gauge
 and both Newton methods.  Each cell's energy density is q_c = F_c^T M_c F_c,
 with F_c the cell's node values and M_c = B_c^T G_c^-1 B_c a node-space
 form built once per solve (B_c maps node values to the chart gradient).
-Both Newton methods take their gradient and Hessian from per-cell
-gradients and (n+1) x (n+1) blocks (_energy_cells), formed once per step.
-The barrier Hessian is the energy Hessian scaled by one constant, plus the
-rank-one part c gE gE^T of the A-barrier, plus the working-set pair terms.
+A has one formula, m E^(f/m)^{1/p} with m^2 = max_c q_c (_norm_terms), for
+the gauge, a centering's line search and its barrier system.  A Newton
+step makes one cell pass and takes its gradient and Hessian from that
+pass's per-cell gradients and (n+1) x (n+1) blocks (_cell_derivatives),
+the barrier's at f/m by homogeneity.  The barrier Hessian is the energy
+Hessian scaled by one constant, plus the rank-one part c gE gE^T of the
+A-barrier, plus the working-set pair terms.
 
 Step solver: a step's system lives in the slot space of _free_slots, one
 entry per free node plus a dump entry that takes the pinned nodes' terms
@@ -105,10 +106,9 @@ block, CG sums them into its W block.  CG starts at 0 and stops at the
 relative residual min(0.5, sqrt(|grad| / E^)) 1e-2 in the energy solve
 and 1e-6 in a centering, or after as many iterations as free nodes,
 keeping that iterate (a descent direction; the Armijo search decides).
-On 2-D and 3-D torus spikes the two take about the same wall time at
-140-200 free nodes; the dense solve is faster below, CG above, and CG
-runs on one thread where LAPACK takes two.  A singular dense system, or a
-CG direction of non-positive or non-finite curvature, raises SolverError.
+On 2-D and 3-D torus spikes the two break even at 140-200 free nodes, and
+CG runs on one thread where LAPACK takes two.  A singular dense system, or
+a CG direction of non-positive or non-finite curvature, raises SolverError.
 
 Preconditioning: each solve internally rescales the instance by
 sigma = d_{g0}(x,y) (distances by 1/sigma, metrics by 1/sigma^2) and maps
@@ -236,23 +236,24 @@ def _cell_forms(mesh, tensors):
 
 
 def _cell_energy(f, nodes, forms):
-    """Per-cell M_c F_c and q_c = F_c^T M_c F_c, with F = f[nodes].
-
-    ``nodes`` (n+1, C) and ``forms`` (n+1, n+1, C) are cell-last.
-    """
+    """Per-cell M_c F_c and q_c = F_c^T M_c F_c, F = f[nodes]; all cell-last."""
     F = f[nodes]
     MF = np.einsum("ijc,jc->ic", forms, F)
     return MF, np.einsum("ic,ic->c", F, MF)
 
 
-def _energy_norm(f, nodes, forms, w, p):
-    """A(f) = E_p(f)^{1/p} as a stable weighted p-norm (no overflow at p = 128)."""
-    _, q = _cell_energy(f, nodes, forms)
+def _norm_terms(q, w, p):
+    """(m, E^(f/m), A) from f's cell densities q, m^2 = max_c q_c: A = E_p^{1/p} =
+    m E^(f/m)^{1/p}, a stable weighted p-norm (no overflow at p = 128)."""
     u = np.sqrt(np.maximum(q, 0.0))
     m = u.max()
-    if m == 0.0:
-        return 0.0
-    return m * float((w * (u / m) ** p).sum()) ** (1.0 / p)
+    E = float((w * (u / m) ** p).sum()) if m > 0.0 else 0.0
+    return m, E, m * E ** (1.0 / p)
+
+
+def _energy_norm(f, nodes, forms, w, p):
+    """A(f) = E_p(f)^{1/p} (see :func:`_norm_terms`)."""
+    return _norm_terms(_cell_energy(f, nodes, forms)[1], w, p)[2]
 
 
 def energy_p(f, g, p):
@@ -356,27 +357,25 @@ def _free_slots(N, pinned):
     return np.where(free, np.cumsum(free) - 1, N - len(pinned))
 
 
-def _energy_cells(f, nodes, forms, w, p):
-    """E^(f) = sum_c w_c q_c^{p/2}, its per-cell gradients and Hessian blocks.
+def _energy_hat(f, nodes, forms, w, p):
+    """E^(f) = sum_c w_c q_c^{p/2}, and the cell pass (M_c F_c, q_c) it was taken from."""
+    MF, q = _cell_energy(f, nodes, forms)
+    return float((w * np.maximum(q, 0.0) ** (0.5 * p)).sum()), MF, q
+
+
+def _cell_derivatives(MF, q, forms, w, p):
+    """Per-cell gradients and Hessian blocks of E^ from its cell pass (M_c F_c, q_c).
 
     With v_c = M_c F_c / sqrt(q_c) and a_c = p w_c q_c^{p/2-1}, cell c adds
     a_c M_c F_c to the gradient and the block a_c (M_c + (p-2) v_c v_c^T) to
     the Hessian, which stays finite where q_c is tiny; cells with q_c = 0
     get zero coefficients.  Both are cell-last, (n+1, C) and (n+1, n+1, C).
     """
-    MF, q = _cell_energy(f, nodes, forms)
-    E = float((w * np.maximum(q, 0.0) ** (0.5 * p)).sum())
     live = q > 0.0
     q = np.where(live, q, 1.0)
     a = np.where(live, p * w * q ** (0.5 * p - 1.0), 0.0)
     v = MF / np.sqrt(q)
-    return E, a * MF, a * (forms + (p - 2.0) * v[:, None] * v[None, :])
-
-
-def _energy_hat(f, nodes, forms, w, p):
-    """E^(f) = sum_c w_c q_c^{p/2}."""
-    _, q = _cell_energy(f, nodes, forms)
-    return float((w * np.maximum(q, 0.0) ** (0.5 * p)).sum())
+    return a * MF, a * (forms + (p - 2.0) * v[:, None] * v[None, :])
 
 
 def _slot_sum(pos, cell_values, k):
@@ -488,9 +487,10 @@ def _energy_system(f, args, slot):
     """E^(f), its free gradient in slot space and its Hessian :class:`_CellOperator`.
 
     ``args`` is (nodes, forms, w, p) and ``slot`` comes from
-    :func:`_free_slots`; the cell terms come from :func:`_energy_cells`.
+    :func:`_free_slots`; the cell terms come from :func:`_cell_derivatives`.
     """
-    E, cell_grad, cell_h = _energy_cells(f, *args)
+    E, MF, q = _energy_hat(f, *args)
+    cell_grad, cell_h = _cell_derivatives(MF, q, *args[1:])
     pos = slot[args[0]]
     k = int(slot.max()) + 1
     return E, _slot_sum(pos, cell_grad, k), _CellOperator(cell_h, pos, k)
@@ -515,8 +515,7 @@ def _newton_energy(gauge, f):
     when the step cap or the line search ran out first.
     """
     slot = _free_slots(f.size, gauge.fixed)
-    _, q = _cell_energy(f, gauge.nodes, gauge.forms)
-    forms = gauge.forms / q.max()
+    forms = gauge.forms / _cell_energy(f, gauge.nodes, gauge.forms)[1].max()
     args = (gauge.nodes, forms, gauge.w, gauge.p)
     f = f.copy()
     for step in range(_NEWTON_MAX_STEPS):
@@ -532,7 +531,7 @@ def _newton_energy(gauge, f):
         t = 1.0
         for _ in range(_ARMIJO_HALVINGS):
             trial = f + t * d
-            if _energy_hat(trial, *args) <= E - _ARMIJO_SLOPE * t * lam2:
+            if _energy_hat(trial, *args)[0] <= E - _ARMIJO_SLOPE * t * lam2:
                 break
             t *= 0.5
         else:
@@ -658,24 +657,25 @@ class _BarrierOperator(_CellOperator):
 
 
 def _barrier_system(gauge, f, t, W, slot):
-    """The free gradient of F_t at f in slot space and its :class:`_BarrierOperator`.
+    """F_t's free gradient at f in slot space, its :class:`_BarrierOperator`, A(f) and W.ratios(f).
 
-    F_t(f) = -t f(x) - log(1 - A) - sum_W log((D - z_k)(D + z_k)); F_t itself
-    is never formed: _center's Armijo test takes the difference of two
-    values term by term.  A and E^ are evaluated at f / rho with rho^2 =
-    max_c q_c, where E^ is of order one: A is 1-homogeneous, so dA/df =
-    (E^{1/p-1}/p) gE there and d^2A/df^2 picks up 1/rho.  With the energy
+    F_t(f) = -t f(x) - log(1 - A) - sum_W log((D - z_k)(D + z_k)) is never
+    formed: _center's Armijo test takes the difference of two values term by
+    term.  One cell pass at f gives A by the gauge's formula (_norm_terms),
+    bitwise gauge.energy(f), and E^'s cell terms at f/m, where E^ is of
+    order one, by homogeneity (M_c F_c / m, q_c / m^2).  A is 1-homogeneous,
+    so dA/df = (E^{1/p-1}/p) gE there and d^2A/df^2 picks up 1/m.  With the
     slack s = 1 - A, the Hessian is H0 + c2 gE gE^T + L_W, H0 the energy
-    blocks scaled by dA / (rho s); its ridge is taken from H0 alone (the
-    pair terms, up to 1/slack^2, would swamp the energy curvature).
+    blocks scaled by dA / (m s); its ridge is H0's alone (the pair terms, up
+    to 1/slack^2, would swamp the energy curvature).
     """
     D, p = gauge.D, gauge.p
-    _, q = _cell_energy(f, gauge.nodes, gauge.forms)
-    rho = math.sqrt(q.max())
-    E, cell_grad, cell_h = _energy_cells(f / rho, gauge.nodes, gauge.forms, gauge.w, p)
-    s = 1.0 - rho * E ** (1.0 / p)
+    MF, q = _cell_energy(f, gauge.nodes, gauge.forms)
+    m, E, A = _norm_terms(q, gauge.w, p)
+    cell_grad, cell_h = _cell_derivatives(MF / m, q / m ** 2, gauge.forms, gauge.w, p)
+    s = 1.0 - A
     dA = E ** (1.0 / p - 1.0) / p
-    c2 = dA * ((1.0 / p - 1.0) / (E * rho * s) + dA / s ** 2)
+    c2 = dA * ((1.0 / p - 1.0) / (E * m * s) + dA / s ** 2)
     z = W.ratios(f)
     lo, hi = D - z, D + z
     gz = (1.0 / lo - 1.0 / hi) * W.c
@@ -686,13 +686,13 @@ def _barrier_system(gauge, f, t, W, slot):
     grad = (dA / s) * gE + np.bincount(W.ends, weights=np.concatenate([gz, -gz]), minlength=k)
     grad[slot[gauge.fixed[0]]] -= t
     grad[-1] = 0.0
-    return grad, _BarrierOperator(cell_h, dA / (rho * s), pos, k, c2, gE, W, hz)
+    return grad, _BarrierOperator(cell_h, dA / (m * s), pos, k, c2, gE, W, hz), A, z
 
 
 def _center(gauge, f, t, W, slot):
     """Damped Newton minimization of F_t from a strictly feasible f.
 
-    Each step builds the free gradient and the Hessian operator once
+    Each step builds the free gradient, the Hessian operator, A and z once
     (:func:`_barrier_system`) and solves the Newton system with it, dense or
     by CG as its size decides.  The Armijo test is written as the
     difference F_t(f + s d) - F_t(f), term by term, and a trial must stay
@@ -700,10 +700,9 @@ def _center(gauge, f, t, W, slot):
     """
     D = gauge.D
     x = gauge.fixed[0]
-    A, z = gauge.energy(f), W.ratios(f)
     lam2_prev = math.inf
     for step in range(_MAX_CENTER_STEPS):
-        grad, op = _barrier_system(gauge, f, t, W, slot)
+        grad, op, A, z = _barrier_system(gauge, f, t, W, slot)
         d = op.solve(-grad, _CG_BARRIER_RTOL)
         lam2 = -float(grad @ d)
         if lam2 <= _CENTER_TOL or _CENTER_FLOOR >= lam2 > 0.5 * lam2_prev:
@@ -714,8 +713,9 @@ def _center(gauge, f, t, W, slot):
         s = 1.0
         for _ in range(_ARMIJO_HALVINGS):
             trial = f + s * d
-            z1 = W.ratios(trial)
-            A1 = gauge.energy(trial) if np.abs(z1).max() < D else math.inf
+            # accepted only at A1 < 1, and the next step's _barrier_system
+            # reads bitwise this A1 (one formula): its slack 1 - A is > 0
+            A1 = gauge.energy(trial) if np.abs(W.ratios(trial)).max() < D else math.inf
             if A1 < 1.0:
                 dF = (-t * s * d[x] - math.log1p((A - A1) / (1.0 - A))
                       - float(np.log1p(-s * dz / (D - z)).sum())
@@ -725,7 +725,7 @@ def _center(gauge, f, t, W, slot):
             s *= 0.5
         else:
             return f, step, lam2 <= _CENTER_FLOOR
-        f, A, z = trial, A1, z1
+        f = trial
         if s < 1.0 and lam2 <= _CENTER_FLOOR:
             return f, step + 1, True
     return f, _MAX_CENTER_STEPS, False
@@ -747,27 +747,26 @@ def _largest(a, m):
 def _barrier_rounds(gauge, f, phi):
     """Barrier rounds from the screen's extremal f (f(x) = 1, f(y) = 0), of gauge phi.
 
-    Returns (f, Newton steps, centerings, converged); f is strictly
-    feasible on the last working set.
+    Each round starts in one place, from f and its gauge phi.  Returns (f,
+    Newton steps, centerings, converged), f strictly feasible on the last W.
     """
     x, y = gauge.fixed
     slot = _free_slots(f.size, [y])           # x is free here
     idx = np.union1d(_largest(np.abs(gauge.ratios(f)), _SEED_PAIRS), [gauge.xy])
-    f = (_INTERIOR / phi) * f
-    W = _WorkingSet(gauge, idx, slot)
-    t = W.m / (_BARRIER_GAP0 * f[x])
     steps = 0
     for centerings in range(1, _MAX_CENTERINGS + 1):
+        if phi is not None:                   # a round starts: f moves inside, W and t are set
+            f, phi = (_INTERIOR / phi) * f, None
+            W = _WorkingSet(gauge, idx, slot)
+            t = W.m / (_BARRIER_GAP0 * f[x])
         f, used, centered = _center(gauge, f, t, W, slot)
         steps += used
         if not centered:
             return f, steps, centerings, False
         violated = np.flatnonzero(np.abs(gauge.ratios(f)) > gauge.D)
-        if violated.size:                     # a new round: W grows, f moves back inside
+        if violated.size:                     # the next round: W grows
             idx = np.union1d(idx, violated)
-            f = (_INTERIOR / gauge.gauge(f)[0]) * f
-            W = _WorkingSet(gauge, idx, slot)
-            t = W.m / (_BARRIER_GAP0 * f[x])
+            phi = gauge.gauge(f)[0]
         elif W.m / t <= _GAP_RTOL * f[x]:
             return f, steps, centerings, True
         else:

@@ -235,6 +235,28 @@ def test_spike_wraps_by_the_glue_period():
     assert np.array_equal(raised, near)
 
 
+def test_spike_center_is_checked_per_axis():
+    # on a [0, 2] x [0, 1] torus y = 1.8 lies outside the chart (15 cells
+    # used to be raised); the default center is the per-axis midpoint
+    torus, _ = make_flat(2, 8, torus=True)
+    wide = build_mesh(torus.verts * [2.0, 1.0], torus.cells, torus.ident)
+    base = (wide, MetricField.identity(wide))
+    with pytest.raises(ValueError) as err:
+        make_spike_sequence(base, 1, center=(1.0, 1.8))
+    assert err.value.key == "center" and "the chart [0, 2] x [0, 1]" in str(err.value)
+    assert np.array_equal(make_spike_sequence(base, 1).tensors,
+                          make_spike_sequence(base, 1, center=(1.0, 0.5)).tensors)
+
+
+def test_spike_radius_is_checked_per_axis():
+    # on a [0, 2]^2 torus r = 0.7 lies below half of every extent (it used
+    # to be rejected as beyond half the unit box) and raises the cells within r
+    torus, _ = make_flat(2, 8, torus=True)
+    doubled = build_mesh(2.0 * torus.verts, torus.cells, torus.ident)
+    raised, near = _raised_and_distance(doubled, (1.0, 1.0), 0.7, [0, 1])
+    assert near.sum() > 8 and np.array_equal(raised, near)
+
+
 def test_spike_tube_profile_is_axis_supported():
     base = make_flat(3, 4, torus=True)
     mesh, g0 = base

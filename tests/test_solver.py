@@ -364,16 +364,27 @@ def _interior_barrier(gauge, num_nodes):
     return f, slot, solver._WorkingSet(gauge, idx, slot)
 
 
-@pytest.mark.parametrize("case", [(2, 2.5), (2, 7.0), (2, 128.0), (3, 4.0), (3, 10.0), (3, 128.0)],
-                         ids=lambda c: f"torus{c[0]}d-p{c[1]:g}")
-def test_barrier_derivatives_match_central_differences(case):
+BARRIER_CASES = pytest.mark.parametrize(
+    "case", [(2, 2.5), (2, 7.0), (2, 128.0), (3, 4.0), (3, 10.0), (3, 128.0)],
+    ids=lambda c: f"torus{c[0]}d-p{c[1]:g}")
+
+
+def _barrier_case(case):
+    """(mesh, g, dm0, gauge) of a spike torus of dimension n at exponent p, pair 0-N/2."""
     n, p = case
     base = make_flat(n, 6 if n == 2 else 3, torus=True)
     mesh, g0 = base
     g = make_spike_sequence(base, 1)
     dm0 = all_pairs_distances(mesh, g0)
+    gauge = solver._Gauge(g, GaugeParams.build(mesh, dm0, p=p, D=1.0), 0, mesh.num_nodes // 2)
+    return mesh, g, dm0, gauge
+
+
+@BARRIER_CASES
+def test_barrier_derivatives_match_central_differences(case):
+    mesh, g, dm0, gauge = _barrier_case(case)
+    p = case[1]
     x, y, t = 0, mesh.num_nodes // 2, 10.0
-    gauge = solver._Gauge(g, GaugeParams.build(mesh, dm0, p=p, D=1.0), x, y)
     f, slot, W = _interior_barrier(gauge, mesh.num_nodes)
     free = np.flatnonzero(slot < slot.max())         # the free nodes, in slot order
 
@@ -383,7 +394,7 @@ def test_barrier_derivatives_match_central_differences(case):
     def grad_at(h):
         return solver._barrier_system(gauge, h, t, W, slot)[0][:-1]
 
-    grad, op = solver._barrier_system(gauge, f, t, W, slot)
+    grad, op, _, _ = solver._barrier_system(gauge, f, t, W, slot)
     grad, gE = grad[:-1], op.gE[:-1]
     hess = op.matrix() + op.c2 * np.outer(gE, gE)
     h = 1e-6
@@ -399,6 +410,45 @@ def test_barrier_derivatives_match_central_differences(case):
     np.testing.assert_allclose(hess, hess.T, rtol=1e-12, atol=1e-12 * np.abs(hess).max())
 
 
+@BARRIER_CASES
+def test_barrier_slack_is_the_gauge_slack(case):
+    # the barrier's A is bitwise the gauge's, which the line search accepts
+    # only below 1, so every step's slack 1 - A is positive; a second
+    # formula for A differs from the gauge's in the last bits
+    mesh, g, dm0, gauge = _barrier_case(case)
+    _, slot, W = _interior_barrier(gauge, mesh.num_nodes)
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        f = rng.uniform(0.0, 1.0, mesh.num_nodes)
+        f[gauge.fixed[1]] = 0.0
+        f *= rng.uniform(0.5, 1.0) / max(gauge.energy(f), np.abs(W.ratios(f)).max() / gauge.D)
+        _, _, A, z = solver._barrier_system(gauge, f, 10.0, W, slot)
+        assert A == gauge.energy(f) < 1.0
+        assert np.array_equal(z, W.ratios(f))
+
+
+def test_barrier_step_takes_one_cell_pass(monkeypatch, spike8):
+    # a centering evaluates each point once: a step's system takes A, z and
+    # its cell terms from one _cell_energy pass, and every other pass is a
+    # line-search trial's gauge.energy
+    mesh, g, g0, dm0 = spike8
+    gauge = solver._Gauge(g, GaugeParams.build(mesh, dm0, p=7.0, D=1.0), 0, 36)
+    f, slot, W = _interior_barrier(gauge, mesh.num_nodes)
+    calls = {"cells": 0, "systems": 0, "trials": 0}
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+    monkeypatch.setattr(solver, "_cell_energy", counted("cells", solver._cell_energy))
+    monkeypatch.setattr(solver, "_barrier_system", counted("systems", solver._barrier_system))
+    monkeypatch.setattr(solver._Gauge, "energy", counted("trials", solver._Gauge.energy))
+    _, steps, centered = solver._center(gauge, f, 10.0, W, slot)
+    assert centered and steps >= 2 and calls["systems"] in (steps, steps + 1)
+    assert calls["cells"] == calls["systems"] + calls["trials"]
+
+
 def _step_system(gauge, num_nodes, stage):
     """The free gradient (slot space) and Hessian operator of one Newton step
     of ``stage``: the energy solve at a seeded f, or the barrier (t = 10) at
@@ -410,7 +460,7 @@ def _step_system(gauge, num_nodes, stage):
         slot = solver._free_slots(f.size, gauge.fixed)
         return solver._energy_system(f, (gauge.nodes, gauge.forms, gauge.w, gauge.p), slot)[1:]
     f, slot, W = _interior_barrier(gauge, num_nodes)
-    return solver._barrier_system(gauge, f, 10.0, W, slot)
+    return solver._barrier_system(gauge, f, 10.0, W, slot)[:2]
 
 
 @pytest.mark.parametrize("stage", ["energy", "barrier"])
@@ -518,7 +568,7 @@ def _check_energy_derivs(gauge, p, f):
     args = (gauge.nodes, gauge.forms, gauge.w, p)
     E, grad, op = solver._energy_system(f, args, slot)
     grad, hess = grad[:-1], op.matrix()              # drop the dump entry
-    assert E == solver._energy_hat(f, *args)
+    assert E == solver._energy_hat(f, *args)[0]
     assert E == pytest.approx(solver._energy_norm(f, *args) ** p, rel=1e-12)
     h = 1e-6
     fd_grad = np.empty(free.size)
