@@ -263,7 +263,8 @@ def make_oscillation_sequence(base, j):
     ``base`` is a flat grid ``make_flat(2, R, torus)``; R is read from its
     2 R^2 cells.  Blocks of b = R // (2j) squares (clamped to divisors,
     minimum 1) alternate between the two values; both triangles of a square
-    share its value.  The cell-value multiset is the same for every j, so the
+    share its value.  Squares are counted over each axis's range of vertex
+    coordinates ([0, 1] on a family base).  The cell-value multiset is the same for every j, so the
     inverse-difference integral of this family is exactly j-independent —
     the hypothesis it is built to violate.
     """
@@ -277,9 +278,8 @@ def make_oscillation_sequence(base, j):
     b = R // (2 * j)
     if b < 1 or R % b != 0:
         b = 1
-    bary = _barycenters(mesh)
-    ix = np.floor(bary[:, 0] * R).astype(int)
-    iy = np.floor(bary[:, 1] * R).astype(int)
+    lo, hi = mesh.verts.min(axis=0), mesh.verts.max(axis=0)
+    ix, iy = np.floor((_barycenters(mesh) - lo) / (hi - lo) * R).astype(int).T
     parity = ((ix // b) + (iy // b)) % 2
     factor = np.where(parity == 0, 0.25, 4.0)
     return MetricField(mesh, g0.tensors * factor[:, None, None])

@@ -56,20 +56,21 @@ Barrier rounds: every other capped pair is solved as
 
 by a log-barrier method (Boyd & Vandenberghe, Convex Optimization, ch. 11)
 over a working set W of Holder pairs, seeded with the 8 largest cap ratios
-under f* plus (x, y).  Each centering minimizes F_t(f) = -t f(x) -
-log(1 - A) - sum_W log((D - z_k)(D + z_k)) by damped Newton with an Armijo
-search that keeps the point strictly feasible; the barrier sits on
-A = E^{1/p}, not on E, which keeps it well conditioned up to p = 128.
-Every round starts in one place: f is scaled to 0.99 / Phi(f), strictly
-feasible for every pair, and t = m / (1e-3 f(x)), m = 1 + 2|W|; t grows
-20x per centering until the gap m/t is at most _GAP_RTOL = 1e-10 times
-f(x).  After each centering one pass over all pairs looks for violated
-pairs; any join W and start the next round, and a centering at the gap
-target with none ends the solve.  _MAX_CENTERINGS = 26 caps the
-centerings of one solve and _MAX_CENTER_STEPS = 4000 the Newton steps of
-one centering; running out of either raises NonConverged with the partial
-result attached.  ``iterations`` counts the screen's Newton steps plus the
-barrier's.
+of the screen's pair pass at f*, plus (x, y).  Each centering minimizes
+F_t(f) = -t f(x) - log(1 - A) - sum_W log((D - z_k)(D + z_k)) by damped
+Newton with an Armijo search that keeps the point strictly feasible; the
+barrier sits on A = E^{1/p}, not on E, which keeps it well conditioned up
+to p = 128.  Every round starts in one place: f is scaled to 0.99 / Phi(f),
+strictly feasible for every pair, and t = m / (1e-3 f(x)), m = 1 + 2|W|; t
+grows 20x per centering until the gap m/t is at most _GAP_RTOL = 1e-10
+times f(x).  After each centering one pass over all pairs looks for
+violated pairs; any join W and start the next round, and a centering at
+the gap target with none ends the solve.  That pass and the centering's
+last A give Phi(f), for a new round or the result.  _MAX_CENTERINGS = 26
+caps the centerings of one solve and _MAX_CENTER_STEPS = 4000 the Newton
+steps of one centering; running out of either raises NonConverged with
+the partial result attached.  ``iterations`` counts the screen's Newton
+steps plus the barrier's.
 
 Kernel: one energy kernel (_cell_energy) serves energy_p, the exact gauge
 and both Newton methods.  Each cell's energy density is q_c = F_c^T M_c F_c,
@@ -77,34 +78,34 @@ with F_c the cell's node values and M_c = B_c^T G_c^-1 B_c a node-space
 form built once per solve (B_c maps node values to the chart gradient).
 A has one formula, m E^(f/m)^{1/p} with m^2 = max_c q_c (_norm_terms), for
 the gauge, a centering's line search and its barrier system.  A Newton
-step makes one cell pass and takes its gradient and Hessian from that
-pass's per-cell gradients and (n+1) x (n+1) blocks (_cell_derivatives),
-the barrier's at f/m by homogeneity.  The barrier Hessian is the energy
-Hessian scaled by one constant, plus the rank-one part c gE gE^T of the
-A-barrier, plus the working-set pair terms.
+method makes one cell pass per point, at its start and at each line-search
+trial (a centering's only inside W's bounds), and a step takes its gradient
+and Hessian from its point's pass: per-cell gradients and (n+1) x (n+1)
+blocks (_cell_derivatives), the barrier's at f/m by homogeneity and scaled
+by one constant, plus the A-barrier's rank-one c gE gE^T and pair terms.
 
 Step solver: a step's system lives in the slot space of _free_slots, one
 entry per free node plus a dump entry that takes the pinned nodes' terms
 and is kept at 0 (the energy solve pins x and y, the barrier y alone).
 The free gradient is scattered there by one bincount, and the Hessian is
 one operator per Newton method (_CellOperator, _BarrierOperator) holding
-the cell blocks.  The method hands its solve the right-hand side and CG's
-tolerance, and that solve alone compares the free count with
-_CG_MIN_FREE.  Below it, the free block is assembled by one bincount, gets
-its ridge from its trace and the pair terms in place, and np.linalg.solve
-gives the step; the barrier's rank-one part is applied by Sherman-Morrison
-on a two-column solve.  From there on, preconditioned conjugate gradients
-(_pcg) apply the same operator cell by cell (take, einsum, one bincount),
-the barrier adding its rank-one and pair terms inside each product.  The
-energy step is preconditioned by the Hessian's diagonal (Jacobi), the
-barrier step by the energy diagonal plus the pair terms, one small dense
-block on the nodes of W, and the rank-one term; the diagonal and that
-block are computed on this path alone.  The pair terms' layout, the free
-slots of W's nodes and each term's place among them, is built once per
-round (_WorkingSet): the dense path scatters the terms into the free
-block, CG sums them into its W block.  CG starts at 0 and stops at the
-relative residual min(0.5, sqrt(|grad| / E^)) 1e-2 in the energy solve
-and 1e-6 in a centering, or after as many iterations as free nodes,
+the cell blocks of its point's one pass.  The method hands its solve the
+right-hand side and CG's tolerance, and that solve alone compares the free
+count with _CG_MIN_FREE.  Below it, the free block is assembled by one
+bincount, gets its ridge from its trace and the pair terms in place, and
+np.linalg.solve gives the step; the barrier's rank-one part is applied by
+Sherman-Morrison on a two-column solve.  From there on, preconditioned
+conjugate gradients (_pcg) apply the same operator cell by cell (take,
+einsum, one bincount), the barrier adding its rank-one and pair terms
+inside each product.  The energy step is preconditioned by the Hessian's
+diagonal (Jacobi), the barrier step by the energy diagonal plus the pair
+terms, one small dense block on the nodes of W, and the rank-one term; the
+diagonal and that block are computed on this path alone.  The pair terms'
+layout, the free slots of W's nodes and each term's place among them, is
+built once per round (_WorkingSet): the dense path scatters the terms into
+the free block, CG sums them into its W block.  CG starts at 0 and stops
+at the relative residual min(0.5, sqrt(|grad| / E^)) 1e-2 in the energy
+solve and 1e-6 in a centering, or after as many iterations as free nodes,
 keeping that iterate (a descent direction; the Armijo search decides).
 On 2-D and 3-D torus spikes the two break even at 140-200 free nodes, and
 CG runs on one thread where LAPACK takes two.  A singular dense system, or
@@ -208,7 +209,7 @@ class DistanceResult:
     extremal: np.ndarray
     active_constraint: str   # energy-bound | holder-bound | both
     iterations: int          # Newton steps of the screen and the barrier
-    energy_residual: float   # max(0, E_p(extremal) - 1)
+    energy_residual: float   # max(0, E_p(extremal)^{1/p} - 1)
     holder_residual: float   # max(0, H(extremal)/D - 1)
     converged: bool
     stages: int = 0          # barrier centerings (0 for a screened pair)
@@ -251,11 +252,6 @@ def _norm_terms(q, w, p):
     return m, E, m * E ** (1.0 / p)
 
 
-def _energy_norm(f, nodes, forms, w, p):
-    """A(f) = E_p(f)^{1/p} (see :func:`_norm_terms`)."""
-    return _norm_terms(_cell_energy(f, nodes, forms)[1], w, p)[2]
-
-
 def energy_p(f, g, p):
     """sum_cells (df^T G^-1 df)^{p/2} sqrt(det G) vol_euclid(cell)."""
     if not p > 1:
@@ -264,7 +260,7 @@ def energy_p(f, g, p):
     f = ensure_function(mesh, f)
     forms, sqrt_dets = _cell_forms(mesh, g.tensors)
     nodes = np.ascontiguousarray(mesh.cells_nodes.T)
-    return _energy_norm(f, nodes, forms, sqrt_dets * mesh.volumes, p) ** p
+    return _norm_terms(_cell_energy(f, nodes, forms)[1], sqrt_dets * mesh.volumes, p)[2] ** p
 
 
 def holder_seminorm(f, params):
@@ -315,18 +311,22 @@ class _Gauge:
         hi = np.minimum(D, D * self.dy)
         return lo, hi, np.clip(D * f, lo, hi)
 
+    def cells(self, f):
+        """f's cell pass (M_c F_c, q_c) and its (m, E^(f/m), A) (:func:`_norm_terms`)."""
+        MF, q = _cell_energy(f, self.nodes, self.forms)
+        return (MF, q, *_norm_terms(q, self.w, self.p))
+
     def energy(self, f):
         """A(f) = E_p(f)^{1/p} of the normalized instance."""
-        return _energy_norm(f, self.nodes, self.forms, self.w, self.p)
+        return self.cells(f)[-1]
 
     def ratios(self, f):
         """(f_u - f_v) * inv_dt over all pairs."""
         return (f[self.iu] - f[self.iv]) * self.inv_dt
 
-    def gauge(self, f):
-        """Exact Phi(f) = max(A, H/D) and the two terms."""
-        A = self.energy(f)
-        H = float(np.abs(self.ratios(f)).max())
+    def terms(self, A, r):
+        """Exact Phi = max(A, H/D) and the two terms, from A and the pair ratios r."""
+        H = float(np.abs(r).max())
         return max(A, H / self.D), A, H
 
 
@@ -483,17 +483,17 @@ def _dense_solve(a, b, what):
         raise SolverError(f"{what}: {exc}") from exc
 
 
-def _energy_system(f, args, slot):
-    """E^(f), its free gradient in slot space and its Hessian :class:`_CellOperator`.
+def _energy_system(cells, args, slot):
+    """E^'s free gradient in slot space and Hessian :class:`_CellOperator` at f.
 
-    ``args`` is (nodes, forms, w, p) and ``slot`` comes from
-    :func:`_free_slots`; the cell terms come from :func:`_cell_derivatives`.
+    ``cells`` = :func:`_energy_hat` (f, *args) is f's one cell pass, and f is
+    not evaluated again.  ``args`` is (nodes, forms, w, p) and ``slot`` comes
+    from :func:`_free_slots`; the cell terms come from :func:`_cell_derivatives`.
     """
-    E, MF, q = _energy_hat(f, *args)
-    cell_grad, cell_h = _cell_derivatives(MF, q, *args[1:])
+    cell_grad, cell_h = _cell_derivatives(*cells[1:], *args[1:])
     pos = slot[args[0]]
     k = int(slot.max()) + 1
-    return E, _slot_sum(pos, cell_grad, k), _CellOperator(cell_h, pos, k)
+    return _slot_sum(pos, cell_grad, k), _CellOperator(cell_h, pos, k)
 
 
 def _newton_energy(gauge, f):
@@ -501,9 +501,10 @@ def _newton_energy(gauge, f):
 
     Works on the sigma-normalized forms of ``gauge``, scaled by one constant
     so that the largest q_c at the start is 1 (q^{p/2} stays in range up to
-    p = 128; the minimizer does not move).  Each step builds the free
-    gradient and the Hessian operator once (:func:`_energy_system`) and
-    solves the ridged Newton system with it, dense or by CG as its size
+    p = 128; the minimizer does not move).  The start and each line-search
+    trial get one cell pass (:func:`_energy_hat`); each step builds the free
+    gradient and the Hessian operator from its point's (:func:`_energy_system`)
+    and solves the ridged Newton system with it, dense or by CG as its size
     decides; it stops once the decrement lambda^2 = -grad . step is at most
     _NEWTON_RTOL E^, and otherwise backtracks by halving until the Armijo
     test E^(f + t d) <= E^(f) - _ARMIJO_SLOPE t lambda^2 holds.  A step that
@@ -518,8 +519,10 @@ def _newton_energy(gauge, f):
     forms = gauge.forms / _cell_energy(f, gauge.nodes, gauge.forms)[1].max()
     args = (gauge.nodes, forms, gauge.w, gauge.p)
     f = f.copy()
+    cells = _energy_hat(f, *args)
     for step in range(_NEWTON_MAX_STEPS):
-        E, grad, op = _energy_system(f, args, slot)
+        E = cells[0]
+        grad, op = _energy_system(cells, args, slot)
         if not grad.any():
             return f, step, True
         # CG's forcing term tightens as the gradient falls
@@ -531,7 +534,8 @@ def _newton_energy(gauge, f):
         t = 1.0
         for _ in range(_ARMIJO_HALVINGS):
             trial = f + t * d
-            if _energy_hat(trial, *args)[0] <= E - _ARMIJO_SLOPE * t * lam2:
+            cells = _energy_hat(trial, *args)
+            if cells[0] <= E - _ARMIJO_SLOPE * t * lam2:
                 break
             t *= 0.5
         else:
@@ -588,29 +592,26 @@ class _WorkingSet:
 class _BarrierOperator(_CellOperator):
     """The free Hessian of F_t, H0 + c2 gE gE^T + L_W, in slot space.
 
-    H0 is the energy operator times ``scale``, ridge included, gE the free
-    gradient of E^ and L_W = sum_W hz_k (e_u - e_v)(e_u - e_v)^T the pair
-    terms, whose ends through y land in the dump slot.  :meth:`matrix` is
+    H0 is the energy operator, ridge included, of blocks scaled by dA/(m s),
+    gE the free gradient of E^ and L_W = sum_W hz_k (e_u - e_v)(e_u - e_v)^T
+    the pair terms, whose ends through y land in the dump slot.  :meth:`matrix` is
     H0 + L_W; the rank-one term is never assembled.
     """
 
     what = "barrier Newton step"
 
-    def __init__(self, blocks, scale, pos, k, c2, gE, W, hz):
+    def __init__(self, blocks, pos, k, c2, gE, W, hz):
         super().__init__(blocks, pos, k)
-        self.scale, self.c2, self.gE, self.W, self.hz = scale, c2, gE, W, hz
+        self.c2, self.gE, self.W, self.hz = c2, gE, W, hz
         self.pair_terms = np.concatenate([hz, hz, -hz, -hz])[W.terms]   # in W's layout
 
     def __call__(self, d):
         W = self.W
         r = self.hz * (d[W.su] - d[W.sv])
-        out = self.scale * super().__call__(d) + (self.c2 * float(self.gE @ d)) * self.gE
+        out = super().__call__(d) + (self.c2 * float(self.gE @ d)) * self.gE
         out += np.bincount(W.ends, weights=np.concatenate([r, -r]), minlength=d.size)
         out[-1] = 0.0
         return out
-
-    def _assemble(self):
-        return self.scale * super()._assemble()
 
     def matrix(self):
         hess, W = super().matrix(), self.W
@@ -625,14 +626,13 @@ class _BarrierOperator(_CellOperator):
     def prepare(self):
         """CG's preconditioner.  Near the boundary the rank-one and pair terms
         grow like 1/slack^2 and a diagonal preconditioner leaves CG stalling
-        at its iteration cap (p = 128), so this one keeps them whole: the
-        energy diagonal plus L_W, which couples only the few nodes of W and
-        is inverted there as one dense block, and, where c2 > 0, the
+        at its iteration cap (p = 128), so this one keeps them whole: H0's
+        diagonal plus L_W, which couples only the few nodes of W and is
+        inverted there as one dense block, and, where c2 > 0, the
         rank-one term by Sherman-Morrison.  Where c2 < 0 the term is left
         out: next to a diagonal that lacks H0's off-diagonal curvature it
         can make the preconditioner indefinite."""
         super().prepare()
-        self.diag *= self.scale
         W = self.W
         m = W.slots.size
         block = np.bincount(W.rows * m + W.cols, weights=self.pair_terms, minlength=m * m)
@@ -656,27 +656,26 @@ class _BarrierOperator(_CellOperator):
         return z
 
 
-def _barrier_system(gauge, f, t, W, slot):
-    """F_t's free gradient at f in slot space, its :class:`_BarrierOperator`, A(f) and W.ratios(f).
+def _barrier_system(gauge, at, t, W, slot):
+    """F_t's free gradient at f in slot space and its :class:`_BarrierOperator`.
 
     F_t(f) = -t f(x) - log(1 - A) - sum_W log((D - z_k)(D + z_k)) is never
     formed: _center's Armijo test takes the difference of two values term by
-    term.  One cell pass at f gives A by the gauge's formula (_norm_terms),
-    bitwise gauge.energy(f), and E^'s cell terms at f/m, where E^ is of
-    order one, by homogeneity (M_c F_c / m, q_c / m^2).  A is 1-homogeneous,
-    so dA/df = (E^{1/p-1}/p) gE there and d^2A/df^2 picks up 1/m.  With the
-    slack s = 1 - A, the Hessian is H0 + c2 gE gE^T + L_W, H0 the energy
-    blocks scaled by dA / (m s); its ridge is H0's alone (the pair terms, up
-    to 1/slack^2, would swamp the energy curvature).
+    term.  ``at`` = (*gauge.cells(f), W.ratios(f)) is f's one evaluation,
+    its cell pass, A by the gauge's formula and z; f is not evaluated again.
+    E^'s cell terms are taken at f/m, where E^ is of order one, by
+    homogeneity (M_c F_c / m, q_c / m^2).  A is 1-homogeneous, so dA/df =
+    (E^{1/p-1}/p) gE there and d^2A/df^2 picks up 1/m.  With the slack
+    s = 1 - A, the Hessian is H0 + c2 gE gE^T + L_W, H0 of the energy blocks
+    scaled in place by dA / (m s); its ridge is H0's alone (the pair terms,
+    up to 1/slack^2, would swamp the energy curvature).
     """
     D, p = gauge.D, gauge.p
-    MF, q = _cell_energy(f, gauge.nodes, gauge.forms)
-    m, E, A = _norm_terms(q, gauge.w, p)
+    MF, q, m, E, A, z = at
     cell_grad, cell_h = _cell_derivatives(MF / m, q / m ** 2, gauge.forms, gauge.w, p)
     s = 1.0 - A
     dA = E ** (1.0 / p - 1.0) / p
     c2 = dA * ((1.0 / p - 1.0) / (E * m * s) + dA / s ** 2)
-    z = W.ratios(f)
     lo, hi = D - z, D + z
     gz = (1.0 / lo - 1.0 / hi) * W.c
     hz = (1.0 / lo ** 2 + 1.0 / hi ** 2) * W.c ** 2
@@ -686,49 +685,55 @@ def _barrier_system(gauge, f, t, W, slot):
     grad = (dA / s) * gE + np.bincount(W.ends, weights=np.concatenate([gz, -gz]), minlength=k)
     grad[slot[gauge.fixed[0]]] -= t
     grad[-1] = 0.0
-    return grad, _BarrierOperator(cell_h, dA / (m * s), pos, k, c2, gE, W, hz), A, z
+    cell_h *= dA / (m * s)
+    return grad, _BarrierOperator(cell_h, pos, k, c2, gE, W, hz)
 
 
 def _center(gauge, f, t, W, slot):
     """Damped Newton minimization of F_t from a strictly feasible f.
 
-    Each step builds the free gradient, the Hessian operator, A and z once
-    (:func:`_barrier_system`) and solves the Newton system with it, dense or
-    by CG as its size decides.  The Armijo test is written as the
-    difference F_t(f + s d) - F_t(f), term by term, and a trial must stay
-    strictly feasible on W.  Returns (f, steps, centered).
+    f gets one cell pass and W.ratios, and so does each line-search trial
+    strictly inside W's bounds; each step builds the free gradient and the
+    Hessian operator from its point's (:func:`_barrier_system`) and solves
+    the Newton system with it, dense or by CG as its size decides.  The
+    Armijo test is written as the difference F_t(f + s d) - F_t(f), term by
+    term, and a trial must stay strictly feasible on W.  Returns (f, A(f),
+    steps, centered).
     """
     D = gauge.D
     x = gauge.fixed[0]
+    at = (*gauge.cells(f), W.ratios(f))
     lam2_prev = math.inf
     for step in range(_MAX_CENTER_STEPS):
-        grad, op, A, z = _barrier_system(gauge, f, t, W, slot)
+        A, z = at[-2:]
+        grad, op = _barrier_system(gauge, at, t, W, slot)
         d = op.solve(-grad, _CG_BARRIER_RTOL)
         lam2 = -float(grad @ d)
         if lam2 <= _CENTER_TOL or _CENTER_FLOOR >= lam2 > 0.5 * lam2_prev:
-            return f, step, True
+            return f, A, step, True
         lam2_prev = lam2
         d = d[slot]
         dz = W.ratios(d)
         s = 1.0
         for _ in range(_ARMIJO_HALVINGS):
             trial = f + s * d
-            # accepted only at A1 < 1, and the next step's _barrier_system
-            # reads bitwise this A1 (one formula): its slack 1 - A is > 0
-            A1 = gauge.energy(trial) if np.abs(W.ratios(trial)).max() < D else math.inf
-            if A1 < 1.0:
-                dF = (-t * s * d[x] - math.log1p((A - A1) / (1.0 - A))
+            z1 = W.ratios(trial)
+            # a trial strictly inside W's bounds gets its cell pass (A1 last),
+            # and is accepted only at A1 < 1: the next system's slack is > 0
+            cells = gauge.cells(trial) if np.abs(z1).max() < D else (math.inf,)
+            if cells[-1] < 1.0:
+                dF = (-t * s * d[x] - math.log1p((A - cells[-1]) / (1.0 - A))
                       - float(np.log1p(-s * dz / (D - z)).sum())
                       - float(np.log1p(s * dz / (D + z)).sum()))
                 if dF <= -_ARMIJO_SLOPE * s * lam2:
                     break
             s *= 0.5
         else:
-            return f, step, lam2 <= _CENTER_FLOOR
-        f = trial
+            return f, A, step, lam2 <= _CENTER_FLOOR
+        f, at = trial, (*cells, z1)
         if s < 1.0 and lam2 <= _CENTER_FLOOR:
-            return f, step + 1, True
-    return f, _MAX_CENTER_STEPS, False
+            return f, at[-2], step + 1, True
+    return f, at[-2], _MAX_CENTER_STEPS, False
 
 
 def _largest(a, m):
@@ -744,34 +749,38 @@ def _largest(a, m):
     return np.concatenate([above, np.flatnonzero(a == kth)[:m - above.size]])
 
 
-def _barrier_rounds(gauge, f, phi):
+def _barrier_rounds(gauge, f, phi, r):
     """Barrier rounds from the screen's extremal f (f(x) = 1, f(y) = 0), of gauge phi.
 
-    Each round starts in one place, from f and its gauge phi.  Returns (f,
-    Newton steps, centerings, converged), f strictly feasible on the last W.
+    The screen's pair ratios r seed W; each round starts in one place, from
+    f and phi.  After a centering, its last A and one pass r over all pairs
+    give the violated pairs and the terms of a new round or of the result.
+    Returns (f, its terms, Newton steps, centerings, converged), f strictly
+    feasible on the last W.
     """
     x, y = gauge.fixed
     slot = _free_slots(f.size, [y])           # x is free here
-    idx = np.union1d(_largest(np.abs(gauge.ratios(f)), _SEED_PAIRS), [gauge.xy])
+    idx = np.union1d(_largest(np.abs(r), _SEED_PAIRS), [gauge.xy])
     steps = 0
     for centerings in range(1, _MAX_CENTERINGS + 1):
         if phi is not None:                   # a round starts: f moves inside, W and t are set
             f, phi = (_INTERIOR / phi) * f, None
             W = _WorkingSet(gauge, idx, slot)
             t = W.m / (_BARRIER_GAP0 * f[x])
-        f, used, centered = _center(gauge, f, t, W, slot)
+        f, A, used, centered = _center(gauge, f, t, W, slot)
         steps += used
+        r = gauge.ratios(f)
         if not centered:
-            return f, steps, centerings, False
-        violated = np.flatnonzero(np.abs(gauge.ratios(f)) > gauge.D)
+            return f, gauge.terms(A, r), steps, centerings, False
+        violated = np.flatnonzero(np.abs(r) > gauge.D)
         if violated.size:                     # the next round: W grows
             idx = np.union1d(idx, violated)
-            phi = gauge.gauge(f)[0]
+            phi = gauge.terms(A, r)[0]
         elif W.m / t <= _GAP_RTOL * f[x]:
-            return f, steps, centerings, True
+            return f, gauge.terms(A, r), steps, centerings, True
         else:
             t = min(_BARRIER_GROWTH * t, W.m / (_GAP_RTOL * f[x]))
-    return f, steps, _MAX_CENTERINGS, False
+    return f, gauge.terms(A, r), steps, _MAX_CENTERINGS, False
 
 
 def _solve_oriented(x, y, g, params):
@@ -787,19 +796,20 @@ def _solve_oriented(x, y, g, params):
 
     gauge = _Gauge(g, params, x, y)
     f, steps, newton_ok = _newton_energy(gauge, gauge.start())
-    terms = gauge.gauge(f)
+    r = gauge.ratios(f)
+    terms = gauge.terms(gauge.energy(f), r)
     if math.isinf(params.D) or (newton_ok and _active(*terms[1:], params.D) == "energy-bound"):
         return _result(gauge, g, params, x, y, f, terms, steps, newton_ok, 0)
 
     # cap-bound screen: f(x) - f(y) = D is the cap of the pair (x, y) itself,
     # so a candidate of exact gauge 1 attains the supremum
-    cap, cap_terms = min(((c, gauge.gauge(c)) for c in gauge.cap_candidates(f)),
-                         key=lambda c: c[1][0])
+    cap, cap_terms = min(((c, gauge.terms(gauge.energy(c), gauge.ratios(c)))
+                          for c in gauge.cap_candidates(f)), key=lambda c: c[1][0])
     if cap_terms[0] <= 1.0 + _GAP_RTOL:
         return _result(gauge, g, params, x, y, cap, cap_terms, steps, True, 0)
 
-    f, used, stages, converged = _barrier_rounds(gauge, f, terms[0])
-    return _result(gauge, g, params, x, y, f, gauge.gauge(f), steps + used, converged, stages)
+    f, terms, used, stages, converged = _barrier_rounds(gauge, f, terms[0], r)
+    return _result(gauge, g, params, x, y, f, terms, steps + used, converged, stages)
 
 
 def _active(A, H, D):
@@ -811,7 +821,7 @@ def _active(A, H, D):
 
 
 def _result(gauge, g, params, x, y, f, terms, iterations, converged, stages):
-    """The answer from candidate f with terms = gauge.gauge(f), rescaled to unit gauge."""
+    """The answer from candidate f with its gauge terms (Phi, A, H), rescaled to unit gauge."""
     phi, A, H = terms
     sig_t = gauge.sigma ** params.t
     value = sig_t * ((f[x] - f[y]) / phi)

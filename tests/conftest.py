@@ -20,8 +20,10 @@ def barrier_result(g, params, x, y):
     """
     gauge = solver._Gauge(g, params, x, y)
     f, _, _ = solver._newton_energy(gauge, gauge.start())
-    f, _, stages, converged = solver._barrier_rounds(gauge, f, gauge.gauge(f)[0])
-    return gauge.sigma ** params.t * ((f[x] - f[y]) / gauge.gauge(f)[0]), stages, converged
+    r = gauge.ratios(f)
+    f, terms, _, stages, converged = solver._barrier_rounds(
+        gauge, f, gauge.terms(gauge.energy(f), r)[0], r)
+    return gauge.sigma ** params.t * ((f[x] - f[y]) / terms[0]), stages, converged
 
 
 def random_spd_tensors(rng, num_cells, n, cond_max=100.0, scale_lo=0.5, scale_hi=2.0):

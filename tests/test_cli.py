@@ -564,6 +564,10 @@ SEQUENCE_1D = "family = spike\nn = 1\nresolution = 4\ntorus = true\npairs = corn
                  "config needs either mesh = <file> or family = <name>", id="no-geometry"),
     pytest.param("compute", CONFORMAL_1D.replace("0-4", "random-abc"), "pairs",
                  "expected random-<count>, got 'random-abc'", id="random-abc"),
+    pytest.param("compute", CONFORMAL_1D.replace("0-4", "3-x"), "pairs",
+                 "expected <node>-<node> entries, got '3-x'", id="pairs-not-a-node"),
+    pytest.param("sequence", SEQUENCE_1D.replace("corner-pairs", "") + "p = 4\n", "pairs",
+                 "sequence studies need a non-empty pair set", id="pairs-empty-sequence"),
     pytest.param("compute", SPIKE_2D.replace("0-4", "random-1000"), "pairs",
                  "random pair count 1000 out of range for 16 nodes", id="random-1000"),
     pytest.param("compute", CONFORMAL_1D.replace("0-4", "3-3"), "pairs",

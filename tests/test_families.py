@@ -312,6 +312,17 @@ def test_oscillation_cell_values():
     assert list(vals) == [0.25, 4.0] and counts[0] == counts[1] == 64
 
 
+def test_oscillation_squares_follow_the_chart():
+    # on a [0, 2]^2 torus every j gives the unit torus's pattern (each index
+    # used to be floor(2 x R), the pattern of another j)
+    torus, g0 = make_flat(2, 8, torus=True)
+    doubled = build_mesh(2.0 * torus.verts, torus.cells, torus.ident)
+    for j in range(1, 5):
+        unit = make_oscillation_sequence((torus, g0), j).tensors
+        wide = make_oscillation_sequence((doubled, MetricField.identity(doubled)), j).tensors
+        assert np.array_equal(wide, unit)
+
+
 def test_oscillation_validation():
     with pytest.raises(MeshError):
         make_oscillation_sequence(make_flat(1, 8, torus=True), 1)

@@ -207,6 +207,13 @@ def test_build_rejects_bad_indices_and_dims():
         build_mesh(np.array([[0.0], [1.0]]), np.array([[0, 2]]))
     with pytest.raises(MeshError):
         build_mesh(np.zeros((3, 4)), np.array([[0, 1, 2]]))  # n = 4
+    chain = np.array([[0.0], [1.0], [2.0]])
+    with pytest.raises(MeshError, match="vertex coordinates must be finite"):
+        build_mesh(np.array([[0.0], [np.nan]]), np.array([[0, 1]]))
+    with pytest.raises(MeshError, match=r"cells must be \(C, 2\) for dimension 1, got \(1, 3\)"):
+        build_mesh(chain, np.array([[0, 1, 2]]))
+    with pytest.raises(MeshError, match="ident vertex index out of range"):
+        build_mesh(chain, np.array([[0, 1], [1, 2]]), [[0, 5]])
 
 
 def test_ident_glues_nodes():
@@ -377,6 +384,11 @@ def test_read_mesh_empty_and_semantic_errors(tmp_path):
     err = _parse_error(tmp_path, "dpmesh v1 1\nv 0.0\nv 0.0\nc 0 1\n")
     assert isinstance(err, ParseError)
     assert "no cells" in str(_parse_error(tmp_path, "dpmesh v1 1\nv 0.0\nv 1.0\n"))
+    err = _parse_error(tmp_path, "dpmesh v1 x\n")
+    assert err.line == 1 and "bad header numbers ['x']" in str(err)
+    assert "has no vertices" in str(_parse_error(tmp_path, "dpmesh v1 1\nc 0 1\n"))
+    err = _parse_error(tmp_path, "dpmesh v1 1\nv 0.0\nv 1.0\nv 2.0\nc 0 1\n")
+    assert "nodes not contained in any cell" in str(err)
 
 
 def test_mesh_comments_and_blank_lines(tmp_path):

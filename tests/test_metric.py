@@ -297,3 +297,7 @@ def test_read_metric_errors(tmp_path):
     assert err.line == 2                      # wrong entry arity
     err = _metric_parse_error(tmp_path, mesh, "dpmetric v1 1 2\nxx\n1.0\n")
     assert err.line == 2
+    err = _metric_parse_error(tmp_path, mesh, "dpmetric v1 1 2\n1.0\n")
+    assert "expected 2 cell rows, got 1" in str(err)
+    err = _metric_parse_error(tmp_path, mesh, "dpmetric v1 1 2\n1.0\n-1.0\n")
+    assert "cell 1 tensor is not SPD" in str(err)

@@ -300,6 +300,11 @@ def _reference_barrier(mesh, g, dm0, x, y, p, D, t, u, v, f):
     return -t * f[x] - np.log(1.0 - A) - np.log(D - z).sum() - np.log(D + z).sum()
 
 
+def _barrier_at(gauge, W, f):
+    """f's one evaluation in a centering, as _barrier_system takes it."""
+    return (*gauge.cells(f), W.ratios(f))
+
+
 @pytest.fixture(scope="module", params=[2, 3], ids=["torus2d", "torus3d"])
 def spike_instance(request):
     n = request.param
@@ -334,7 +339,7 @@ def test_barrier_gradient_matches_central_differences(spike_instance, cap, t, s)
     free = np.flatnonzero(slot < slot.max())         # the free nodes, in slot order
     W = solver._WorkingSet(gauge, idx, slot)
     assert W.m == 1 + 2 * idx.size
-    grad = solver._barrier_system(gauge, f, t, W, slot)[0][:-1]
+    grad = solver._barrier_system(gauge, _barrier_at(gauge, W, f), t, W, slot)[0][:-1]
 
     def F(h):
         return _reference_barrier(mesh, g, dm0.dist, x, y, p, gauge.D, t, W.u, W.v, h)
@@ -392,9 +397,9 @@ def test_barrier_derivatives_match_central_differences(case):
         return _reference_barrier(mesh, g, dm0.dist, x, y, p, gauge.D, t, W.u, W.v, h)
 
     def grad_at(h):
-        return solver._barrier_system(gauge, h, t, W, slot)[0][:-1]
+        return solver._barrier_system(gauge, _barrier_at(gauge, W, h), t, W, slot)[0][:-1]
 
-    grad, op, _, _ = solver._barrier_system(gauge, f, t, W, slot)
+    grad, op = solver._barrier_system(gauge, _barrier_at(gauge, W, f), t, W, slot)
     grad, gE = grad[:-1], op.gE[:-1]
     hess = op.matrix() + op.c2 * np.outer(gE, gE)
     h = 1e-6
@@ -411,42 +416,72 @@ def test_barrier_derivatives_match_central_differences(case):
 
 
 @BARRIER_CASES
-def test_barrier_slack_is_the_gauge_slack(case):
-    # the barrier's A is bitwise the gauge's, which the line search accepts
-    # only below 1, so every step's slack 1 - A is positive; a second
-    # formula for A differs from the gauge's in the last bits
+def test_barrier_slack_is_the_gauge_slack(monkeypatch, case):
+    # every system of a centering is built from its point's one evaluation:
+    # its A is bitwise the gauge's, which the line search accepts only below
+    # 1, so every step's slack 1 - A is positive, and its z is W.ratios of
+    # that point; the A a centering returns is the gauge's at its f
     mesh, g, dm0, gauge = _barrier_case(case)
-    _, slot, W = _interior_barrier(gauge, mesh.num_nodes)
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        f = rng.uniform(0.0, 1.0, mesh.num_nodes)
-        f[gauge.fixed[1]] = 0.0
-        f *= rng.uniform(0.5, 1.0) / max(gauge.energy(f), np.abs(W.ratios(f)).max() / gauge.D)
-        _, _, A, z = solver._barrier_system(gauge, f, 10.0, W, slot)
-        assert A == gauge.energy(f) < 1.0
-        assert np.array_equal(z, W.ratios(f))
+    f, slot, W = _interior_barrier(gauge, mesh.num_nodes)
+    passes, systems = [], []
+    real_cells, real_system = solver._Gauge.cells, solver._barrier_system
+
+    def cells(self, h):
+        passes.append((h, real_cells(self, h)))
+        return passes[-1][1]
+
+    def system(instance, at, *args):
+        systems.append(at)
+        return real_system(instance, at, *args)
+    monkeypatch.setattr(solver._Gauge, "cells", cells)
+    monkeypatch.setattr(solver, "_barrier_system", system)
+    f, A, steps, centered = solver._center(gauge, f, 10.0, W, slot)
+    monkeypatch.undo()
+    assert centered and len(systems) >= 2
+    for at in systems:
+        (h,) = [h for h, out in passes if out[0] is at[0]]
+        assert at[4] == gauge.energy(h) < 1.0
+        assert np.array_equal(at[5], W.ratios(h))
+    assert A == gauge.energy(f)
 
 
 def test_barrier_step_takes_one_cell_pass(monkeypatch, spike8):
-    # a centering evaluates each point once: a step's system takes A, z and
-    # its cell terms from one _cell_energy pass, and every other pass is a
-    # line-search trial's gauge.energy
+    # a centering evaluates each point once: its start and each line-search
+    # trial strictly inside W's bounds get one _cell_energy pass, and no
+    # system makes one.  A step's W.ratios calls are, in order, the
+    # direction's and then one per trial
     mesh, g, g0, dm0 = spike8
     gauge = solver._Gauge(g, GaugeParams.build(mesh, dm0, p=7.0, D=1.0), 0, 36)
     f, slot, W = _interior_barrier(gauge, mesh.num_nodes)
-    calls = {"cells": 0, "systems": 0, "trials": 0}
+    calls = {"cells": 0, "systems": 0, "inside": 0}
+    phase = [None]
+    real_cells, real_system = solver._cell_energy, solver._barrier_system
+    real_ratios = solver._WorkingSet.ratios
 
-    def counted(name, real):
-        def call(*args):
-            calls[name] += 1
-            return real(*args)
-        return call
-    monkeypatch.setattr(solver, "_cell_energy", counted("cells", solver._cell_energy))
-    monkeypatch.setattr(solver, "_barrier_system", counted("systems", solver._barrier_system))
-    monkeypatch.setattr(solver._Gauge, "energy", counted("trials", solver._Gauge.energy))
-    _, steps, centered = solver._center(gauge, f, 10.0, W, slot)
+    def cell_energy(*args):
+        calls["cells"] += 1
+        return real_cells(*args)
+
+    def system(*args):
+        calls["systems"] += 1
+        phase[0] = None
+        out = real_system(*args)
+        phase[0] = "direction"
+        return out
+
+    def ratios(self, h):
+        z = real_ratios(self, h)
+        if phase[0] == "direction":
+            phase[0] = "trials"
+        elif phase[0] == "trials":
+            calls["inside"] += bool(np.abs(z).max() < gauge.D)
+        return z
+    monkeypatch.setattr(solver, "_cell_energy", cell_energy)
+    monkeypatch.setattr(solver, "_barrier_system", system)
+    monkeypatch.setattr(solver._WorkingSet, "ratios", ratios)
+    _, _, steps, centered = solver._center(gauge, f, 10.0, W, slot)
     assert centered and steps >= 2 and calls["systems"] in (steps, steps + 1)
-    assert calls["cells"] == calls["systems"] + calls["trials"]
+    assert calls["cells"] == 1 + calls["inside"]
 
 
 def _step_system(gauge, num_nodes, stage):
@@ -458,9 +493,9 @@ def _step_system(gauge, num_nodes, stage):
         f = np.random.default_rng(11).uniform(0.0, 1.0, num_nodes)
         f[x], f[y] = 1.0, 0.0
         slot = solver._free_slots(f.size, gauge.fixed)
-        return solver._energy_system(f, (gauge.nodes, gauge.forms, gauge.w, gauge.p), slot)[1:]
+        return _energy_step(f, (gauge.nodes, gauge.forms, gauge.w, gauge.p), slot)[1:]
     f, slot, W = _interior_barrier(gauge, num_nodes)
-    return solver._barrier_system(gauge, f, 10.0, W, slot)[:2]
+    return solver._barrier_system(gauge, _barrier_at(gauge, W, f), 10.0, W, slot)
 
 
 @pytest.mark.parametrize("stage", ["energy", "barrier"])
@@ -562,22 +597,28 @@ def test_step_solver_size_rule(monkeypatch, shape, spike8, spike_t3):
 
 # -- Newton energy solve --------------------------------------------------------
 
+def _energy_step(f, args, slot):
+    """E^(f) and the energy Newton system at f, built from f's one cell pass."""
+    cells = solver._energy_hat(f, *args)
+    return (cells[0], *solver._energy_system(cells, args, slot))
+
+
 def _check_energy_derivs(gauge, p, f):
     slot = solver._free_slots(f.size, gauge.fixed)
     free = np.flatnonzero(slot < slot.max())
     args = (gauge.nodes, gauge.forms, gauge.w, p)
-    E, grad, op = solver._energy_system(f, args, slot)
+    E, grad, op = _energy_step(f, args, slot)
     grad, hess = grad[:-1], op.matrix()              # drop the dump entry
-    assert E == solver._energy_hat(f, *args)[0]
-    assert E == pytest.approx(solver._energy_norm(f, *args) ** p, rel=1e-12)
+    A = solver._norm_terms(solver._cell_energy(f, *args[:2])[1], *args[2:])[2]
+    assert E == pytest.approx(A ** p, rel=1e-12)
     h = 1e-6
     fd_grad = np.empty(free.size)
     fd_hess = np.empty((free.size, free.size))
     for k, node in enumerate(free):
         e = np.zeros_like(f)
         e[node] = h
-        Ep, gp, _ = solver._energy_system(f + e, args, slot)
-        Em, gm, _ = solver._energy_system(f - e, args, slot)
+        Ep, gp, _ = _energy_step(f + e, args, slot)
+        Em, gm, _ = _energy_step(f - e, args, slot)
         fd_grad[k] = (Ep - Em) / (2.0 * h)
         fd_hess[:, k] = (gp[:-1] - gm[:-1]) / (2.0 * h)
     assert np.linalg.norm(grad - fd_grad) <= 1e-6 * np.linalg.norm(fd_grad)
@@ -689,6 +730,53 @@ def test_energy_bound_solve_takes_one_pair_pass(monkeypatch, spike8):
     res = solve_dp(0, 36, g, g0, GaugeParams.build(mesh, dm0, p=7.0, D=2.0))
     assert res.active_constraint == "energy-bound" and res.stages == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p, D, restarts", [(7.0, 1.35, 0), (32.0, 1.35, 2)])
+def test_barrier_solve_takes_one_pair_pass_per_centering(monkeypatch, spike8, p, D, restarts):
+    # four passes over all pairs before the barrier (the screen's gauge of
+    # f*, whose ratios also seed W, and the three cap candidates), then one
+    # after each centering, from which a new round and the result take Phi
+    mesh, g, g0, dm0 = spike8
+    calls, rounds = [], []
+    real_ratios, real_set = solver._Gauge.ratios, solver._WorkingSet.__init__
+
+    def ratios(self, f):
+        calls.append(f.size)
+        return real_ratios(self, f)
+
+    def working_set(self, *args):
+        rounds.append(args[1].size)
+        real_set(self, *args)
+    monkeypatch.setattr(solver._Gauge, "ratios", ratios)
+    monkeypatch.setattr(solver._WorkingSet, "__init__", working_set)
+    res = solve_dp(0, 36, g, g0, GaugeParams.build(mesh, dm0, p=p, D=D))
+    assert res.converged and res.stages >= 2 and len(rounds) == 1 + restarts
+    assert len(calls) == 4 + res.stages
+
+
+def test_newton_energy_takes_one_cell_pass_per_point(monkeypatch, spike8):
+    # the energy solve evaluates each point once: one unscaled pass at the
+    # start sets the forms' scale, then the start and each line-search trial
+    # get one pass of E^, and no system makes one
+    mesh, g, g0, dm0 = spike8
+    gauge = solver._Gauge(g, GaugeParams.build(mesh, dm0, p=7.0, D=math.inf), 0, 36)
+    points, calls = [], []
+    real_cells, real_hat = solver._cell_energy, solver._energy_hat
+
+    def cell_energy(*args):
+        calls.append(args[0].size)
+        return real_cells(*args)
+
+    def energy_hat(f, *args):
+        points.append(f)
+        return real_hat(f, *args)
+    monkeypatch.setattr(solver, "_cell_energy", cell_energy)
+    monkeypatch.setattr(solver, "_energy_hat", energy_hat)
+    _, steps, converged = solver._newton_energy(gauge, gauge.start())
+    trials = len({id(f) for f in points}) - 1       # every point but the start
+    assert converged and steps >= 2 and trials >= steps
+    assert len(calls) == 2 + trials
 
 
 def test_newton_step_cap(monkeypatch, chain16):
@@ -897,6 +985,25 @@ def test_singular_system_is_recorded_per_pair(monkeypatch, spike8, stage, steps)
         solve_dp(0, _BARRIER_Y, g, g0, params)
     (oc,) = distance_matrix([(0, _BARRIER_Y)], g, g0, params)
     assert oc.result is None and oc.error == f"SolverError: {stage} Newton step: {message}"
+
+
+@pytest.mark.parametrize("budget, D, stages, iterations, value", [
+    ("_ARMIJO_HALVINGS", math.inf, 0, 0, "0x1.b0fc5f9db7d05p-1"),
+    ("_MAX_CENTER_STEPS", 1.35, 1, 9, "0x1.0476a7eb68638p+0")])
+def test_give_up_paths_return_the_last_point(monkeypatch, spike8, budget, D, stages,
+                                              iterations, value):
+    # with no halvings the energy solve's first line search runs out, and
+    # with one step per centering the first centering ends uncentered: each
+    # raises with its last point, rescaled to unit gauge
+    mesh, g, g0, dm0 = spike8
+    monkeypatch.setattr(solver, budget, 1 if stages else 0)
+    with pytest.raises(NonConvergedError) as err:
+        solve_dp(0, _BARRIER_Y, g, g0, GaugeParams.build(mesh, dm0, p=_BARRIER_P, D=D))
+    partial = err.value.result
+    assert not partial.converged
+    assert (partial.stages, partial.iterations) == (stages, iterations)
+    assert partial.value.hex() == value
+    assert partial.energy_residual <= 1e-12 and partial.holder_residual <= 1e-12
 
 
 def test_nonconverged_carries_partial_result(monkeypatch, spike8):
