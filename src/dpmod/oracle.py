@@ -8,25 +8,28 @@ the 1-D oracle is pure calculus.
 Separable grid search
 ---------------------
 Each cell's energy term depends only on the values at that cell's 2-3 nodes,
-and each Holder test only on its pair's 2 values.  So every term is evaluated
-once on the small sub-grid of the axes it touches, and the product grid only
-broadcasts: it ANDs the pair masks and adds the cell terms.  The results are
-the same, bit for bit, as a search that evaluates every term at every grid
-point: each point still gets the same per-point formula for each term, and
-the cell terms are still added in cell order starting from 0.
+and each Holder test only on its pair's 2 values.  A free node's values are
+its axis reshaped to broadcast along its own grid dimension (y's are 0), so
+every term is evaluated once, on the small sub-grid of the axes it touches,
+and a pair mask that its whole sub-grid passes is dropped (ANDing it changes
+nothing).  The results are the same, bit for bit, as a search that evaluates
+every term at every grid point: each point still gets the same per-point
+formula for each term, and the cell terms are still added in cell order
+(the sum starts at the first term, bitwise 0 + t_0 as every term is >= 0).
 
 The grid's axis 0 is x's and the other free nodes follow in node order, so
 each index of axis 0 is one slice of fixed f(x).  Axis 0 ascends, and the
-slices are walked from the top.  Per slice the pair masks are ANDed, the
-cell terms added, and every point that fails a mask or has E > 1 gets
-E = +inf; the first slice with a finite least E gives the round's point:
-the point of that least E, the first one in node order on a tie (the
-slice's axes follow node order, so this is ``argmin``'s first minimum).
-Only the slices above the top feasible one, and that one, are evaluated.
-A slice holds at most 21^4 = 194 481 points in a refinement round (at most
-5 free axes), and at most the point budget over the length of x's axis in
-the initial pass.  The value is symmetric, so the search runs as
-(min(x, y), max(x, y)).
+slices are walked from the top.  Per slice the kept masks are ANDed and the
+cell terms added in the broadcast shape of what has been combined so far,
+in place once that is the slice's shape; E starts as the first term with
++inf where a mask fails.  The first slice whose least E is <= 1 gives the
+round's point: the point of that least E, the first one in node order on a
+tie (the slice's axes follow node order, so this is ``argmin``'s first
+minimum, which no point of E > 1 can share).  Only the slices above the top
+feasible one, and that one, are evaluated.  A slice holds at most 21^4 =
+194 481 points in a refinement round (at most 5 free axes), and at most the
+point budget over the length of x's axis in the initial pass.  The value is
+symmetric, so the search runs as (min(x, y), max(x, y)).
 
 1-D closed form (derivation)
 ----------------------------
@@ -109,56 +112,50 @@ def brute_force_dp(x, y, g, g0, params):
     inv_dt = params.d0[iu, iv] ** (-t)
     p = params.p
 
-    axis_of = {v: j for j, v in enumerate(free)}
-
     def evaluate(axes):
         """The point of least energy in the top feasible slice of f(x), and
-        its f(x); (-inf, None) when no grid point is feasible."""
-        sizes = tuple(len(ax) for ax in axes)
+        its f(x); (-inf, None) when no grid point is feasible.
 
-        def subgrid(nodes):
-            """Values of ``nodes`` (rows in C order) over the sub-grid of the
-            free axes they touch, and that sub-grid's broadcast shape."""
-            own = sorted({axis_of[v] for v in nodes if v != y})
-            grids = np.meshgrid(*(axes[j] for j in own), indexing="ij")
-            cols = np.zeros((grids[0].size, len(nodes)))
-            for i, v in enumerate(nodes):
-                if v != y:
-                    cols[:, i] = grids[own.index(axis_of[v])].ravel()
-            shape = tuple(sizes[j] if j in own else 1 for j in range(len(sizes)))
-            return cols, shape
+        Masks and terms are built from broadcast views of the axes and live
+        on their own sub-grids; masks that pass everywhere there are dropped.
+        Per slice E starts as the first cell term, +inf where a kept mask
+        fails, and the other terms add in cell order.
+        """
+        value = {v: ax.reshape([-1 if k == j else 1 for k in range(len(axes))])
+                 for j, (v, ax) in enumerate(zip(free, axes))}
+        value[y] = 0.0
 
         # Holder masks per pair, energy terms per cell, each on its own sub-grid
-        masks = []
-        for k in range(iu.size):
-            F, shape = subgrid([iu[k], iv[k]])
-            masks.append((np.abs(F[:, 0] - F[:, 1]) * inv_dt[k] <= D).reshape(shape))
+        masks = [np.abs(value[u] - value[v]) * c <= D for u, v, c in zip(iu, iv, inv_dt)]
+        masks = [m for m in masks if not m.all()]
         terms = []
         for c in range(mesh.num_cells):
-            F, shape = subgrid(cn[c])
-            df = F @ Binv[c].T
+            F = np.stack(np.broadcast_arrays(*(value[v] for v in cn[c])), axis=-1)
+            df = F.reshape(-1, F.shape[-1]) @ Binv[c].T
             q = np.einsum("ki,ij,kj->k", df, Ginv[c], df)
-            terms.append((w[c] * np.maximum(q, 0.0) ** (p / 2.0)).reshape(shape))
+            terms.append((w[c] * np.maximum(q, 0.0) ** (p / 2.0)).reshape(F.shape[:-1]))
 
         # slices of fixed f(x) from the top: axes[0] ascends
-        slice_shape = sizes[1:]
-        for i in reversed(range(sizes[0])):
-            ok = np.ones(slice_shape, dtype=bool)
+        slice_shape = tuple(len(ax) for ax in axes[1:])
+        for i in reversed(range(len(axes[0]))):
+            ok = np.True_
             for m in masks:
-                ok &= m[i if m.shape[0] > 1 else 0]
+                ok = np.logical_and(ok, m[i if m.shape[0] > 1 else 0],
+                                    out=ok if ok.shape == slice_shape else None)
             if not ok.any():
                 continue
-            E = np.zeros(slice_shape)
-            for term in terms:          # cell order: E's bits depend on it
-                E += term[i if term.shape[0] > 1 else 0]
-            E[~(ok & (E <= 1.0))] = np.inf
-            # the slice's other axes follow node order, so argmin's first
-            # minimum is the first in node order
+            at = [term[i if term.shape[0] > 1 else 0] for term in terms]
+            E = np.where(ok, at[0], np.inf)
+            for term in at[1:]:         # cell order: E's bits depend on it
+                E = np.add(E, term, out=E if E.shape == slice_shape else None)
+            # the least E is feasible if it is <= 1; the slice's other axes
+            # follow node order, so argmin's first minimum is the first in
+            # node order
             k = int(np.argmin(E))
-            if E.flat[k] == np.inf:
+            if E.flat[k] > 1.0:
                 continue
             best_point = np.zeros(N)
-            for v, ax, j in zip(free, axes, (i,) + np.unravel_index(k, slice_shape)):
+            for v, ax, j in zip(free, axes, (i,) + np.unravel_index(k, E.shape)):
                 best_point[v] = ax[j]
             return float(best_point[x]), best_point
         return -np.inf, None

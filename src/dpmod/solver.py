@@ -63,14 +63,17 @@ barrier sits on A = E^{1/p}, not on E, which keeps it well conditioned up
 to p = 128.  Every round starts in one place: f is scaled to 0.99 / Phi(f),
 strictly feasible for every pair, and t = m / (1e-3 f(x)), m = 1 + 2|W|; t
 grows 20x per centering until the gap m/t is at most _GAP_RTOL = 1e-10
-times f(x).  After each centering one pass over all pairs looks for
-violated pairs; any join W and start the next round, and a centering at
-the gap target with none ends the solve.  That pass and the centering's
-last A give Phi(f), for a new round or the result.  _MAX_CENTERINGS = 26
-caps the centerings of one solve and _MAX_CENTER_STEPS = 4000 the Newton
-steps of one centering; running out of either raises NonConverged with
-the partial result attached.  ``iterations`` counts the screen's Newton
-steps plus the barrier's.
+times f(x).  A round's first centering starts from the cell pass and W
+ratios the round makes at its start; a continuation centering starts from
+the point and the pass that the centering before it ended with.  After
+each centering one pass over all pairs looks for violated pairs; any join
+W and start the next round, and a centering at the gap target with none
+ends the solve.  That pass and the centering's last A give Phi(f), for a
+new round or the result.  _MAX_CENTERINGS = 26 caps the centerings of one
+solve and _MAX_CENTER_STEPS = 4000 the Newton steps of one centering;
+running out of either raises NonConverged with the partial result
+attached.  ``iterations`` counts the screen's Newton steps plus the
+barrier's.
 
 Kernel: one energy kernel (_cell_energy) serves energy_p, the exact gauge
 and both Newton methods.  Each cell's energy density is q_c = F_c^T M_c F_c,
@@ -79,10 +82,12 @@ form built once per solve (B_c maps node values to the chart gradient).
 A has one formula, m E^(f/m)^{1/p} with m^2 = max_c q_c (_norm_terms), for
 the gauge, a centering's line search and its barrier system.  A Newton
 method makes one cell pass per point, at its start and at each line-search
-trial (a centering's only inside W's bounds), and a step takes its gradient
-and Hessian from its point's pass: per-cell gradients and (n+1) x (n+1)
-blocks (_cell_derivatives), the barrier's at f/m by homogeneity and scaled
-by one constant, plus the A-barrier's rank-one c gE gE^T and pair terms.
+trial (a centering's only inside W's bounds; a continuation centering's
+start is its predecessor's last point, whose pass it is handed), and a
+step takes its gradient and Hessian from its point's pass: per-cell
+gradients and (n+1) x (n+1) blocks (_cell_derivatives), the barrier's at
+f/m by homogeneity and scaled by one constant, plus the A-barrier's
+rank-one c gE gE^T and pair terms.
 
 Step solver: a step's system lives in the slot space of _free_slots, one
 entry per free node plus a dump entry that takes the pinned nodes' terms
@@ -689,20 +694,19 @@ def _barrier_system(gauge, at, t, W, slot):
     return grad, _BarrierOperator(cell_h, pos, k, c2, gE, W, hz)
 
 
-def _center(gauge, f, t, W, slot):
+def _center(gauge, f, at, t, W, slot):
     """Damped Newton minimization of F_t from a strictly feasible f.
 
-    f gets one cell pass and W.ratios, and so does each line-search trial
-    strictly inside W's bounds; each step builds the free gradient and the
-    Hessian operator from its point's (:func:`_barrier_system`) and solves
-    the Newton system with it, dense or by CG as its size decides.  The
-    Armijo test is written as the difference F_t(f + s d) - F_t(f), term by
-    term, and a trial must stay strictly feasible on W.  Returns (f, A(f),
-    steps, centered).
+    ``at`` = (*gauge.cells(f), W.ratios(f)) is f's pass, made by the caller;
+    each line-search trial strictly inside W's bounds gets one cell pass and
+    W.ratios.  Each step builds the free gradient and the Hessian operator
+    from its point's (:func:`_barrier_system`) and solves the Newton system
+    with it, dense or by CG as its size decides.  The Armijo test is written
+    as the difference F_t(f + s d) - F_t(f), term by term, and a trial must
+    stay strictly feasible on W.  Returns (f, f's pass, steps, centered).
     """
     D = gauge.D
     x = gauge.fixed[0]
-    at = (*gauge.cells(f), W.ratios(f))
     lam2_prev = math.inf
     for step in range(_MAX_CENTER_STEPS):
         A, z = at[-2:]
@@ -710,7 +714,7 @@ def _center(gauge, f, t, W, slot):
         d = op.solve(-grad, _CG_BARRIER_RTOL)
         lam2 = -float(grad @ d)
         if lam2 <= _CENTER_TOL or _CENTER_FLOOR >= lam2 > 0.5 * lam2_prev:
-            return f, A, step, True
+            return f, at, step, True
         lam2_prev = lam2
         d = d[slot]
         dz = W.ratios(d)
@@ -729,11 +733,11 @@ def _center(gauge, f, t, W, slot):
                     break
             s *= 0.5
         else:
-            return f, A, step, lam2 <= _CENTER_FLOOR
+            return f, at, step, lam2 <= _CENTER_FLOOR
         f, at = trial, (*cells, z1)
         if s < 1.0 and lam2 <= _CENTER_FLOOR:
-            return f, at[-2], step + 1, True
-    return f, at[-2], _MAX_CENTER_STEPS, False
+            return f, at, step + 1, True
+    return f, at, _MAX_CENTER_STEPS, False
 
 
 def _largest(a, m):
@@ -753,8 +757,10 @@ def _barrier_rounds(gauge, f, phi, r):
     """Barrier rounds from the screen's extremal f (f(x) = 1, f(y) = 0), of gauge phi.
 
     The screen's pair ratios r seed W; each round starts in one place, from
-    f and phi.  After a centering, its last A and one pass r over all pairs
-    give the violated pairs and the terms of a new round or of the result.
+    f and phi, and makes f's pass there, and a continuation centering
+    starts from the pass its predecessor returned.  After a centering, its
+    last A and one pass r over all pairs give the violated pairs and the
+    terms of a new round or of the result.
     Returns (f, its terms, Newton steps, centerings, converged), f strictly
     feasible on the last W.
     """
@@ -767,9 +773,10 @@ def _barrier_rounds(gauge, f, phi, r):
             f, phi = (_INTERIOR / phi) * f, None
             W = _WorkingSet(gauge, idx, slot)
             t = W.m / (_BARRIER_GAP0 * f[x])
-        f, A, used, centered = _center(gauge, f, t, W, slot)
+            at = (*gauge.cells(f), W.ratios(f))
+        f, at, used, centered = _center(gauge, f, at, t, W, slot)
         steps += used
-        r = gauge.ratios(f)
+        A, r = at[-2], gauge.ratios(f)
         if not centered:
             return f, gauge.terms(A, r), steps, centerings, False
         violated = np.flatnonzero(np.abs(r) > gauge.D)

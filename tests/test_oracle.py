@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from dpmod.oracle import MAX_ORACLE_NODES, analytic_1d_dp, brute_force_dp
 from dpmod.solver import GaugeParams
 
 from conftest import chain_mesh, random_metric, strip_mesh
+from test_acceptance import _tiny_draws
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -253,3 +255,54 @@ def test_brute_matches_benchmark_pool_bitwise():
         D = cap_factor / dm0[x, y] ** ((p - mesh.dim) / p)
         params = GaugeParams.build(mesh, dm0, p=p, D=D)
         assert brute_force_dp(x, y, g, g0, params).hex() == ref["oracle"].hex(), key
+
+
+# brute_force_dp of each acceptance draw (test_acceptance._tiny_draws), in order
+DRAW_BITS = [
+    "0x1.3511cd33954e3p-2", "0x1.7e5faf9c520aep-1", "0x1.3e7722ccd16b0p+0",
+    "0x1.d737e998c6562p-4", "0x1.cc896fd5d0c97p-3", "0x1.a1b472ea24186p-2",
+    "0x1.20033a32b2c80p+0", "0x1.1b10f5d79d19ep-3", "0x1.a5d274520b21ep+0",
+    "0x1.6979e8797e672p-2", "0x1.71f5d1cf5b031p-4", "0x1.49fe00ae85577p+0",
+    "0x1.d570a9e1db6c1p-1", "0x1.73e494c37f819p-1", "0x1.6643dd341c263p+0",
+    "0x1.0a75d4bf2509dp+0", "0x1.4d14570273fe1p+0", "0x1.247247eb91c8ep+1",
+    "0x1.1faa380b60710p-1", "0x1.a43b159b19ea0p-2", "0x1.411582598ecd6p-2",
+    "0x1.2e991639fcfcap+1", "0x1.be953e5549817p-2", "0x1.d3c25c75eb30ep+0",
+    "0x1.254bebfc9aa00p-1", "0x1.89899e4ca2b1ap+0", "0x1.5c60ff4cf3bbep+1",
+    "0x1.f58d48078265fp-4", "0x1.04d5022d25248p+0", "0x1.864f60e00b9f4p-3",
+    "0x1.0a2848ddd3c20p+1", "0x1.1e6a710c49739p-2", "0x1.0d26d2ba58f37p-1",
+    "0x1.8eaa305a82a61p-3", "0x1.0ab1421786229p+1", "0x1.29aabc75d5243p-1",
+    "0x1.3fe7df3e497c3p-2", "0x1.f506215405007p-2", "0x1.0ac653d5c3749p-1",
+    "0x1.5d369a8a42948p-4", "0x1.2cc1fa52961fcp+1", "0x1.dfcec38de20e3p-4",
+    "0x1.c77a157496e2fp-1", "0x1.da56538272926p-2", "0x1.efd29a1c3eddfp-4",
+    "0x1.0dd359d643edfp-1", "0x1.065ec21915f82p-1", "0x1.231c63869e9e8p+1",
+    "0x1.6af62f58a01abp-1", "0x1.80ba5108e7fd6p-2",
+]
+
+
+def test_brute_pinned_bits_on_acceptance_draws():
+    # both orientations of all 50 draws the solver is checked against
+    draws = list(_tiny_draws())
+    assert len(draws) == len(DRAW_BITS)
+    for k, ((g, g0, params, x, y), bits) in enumerate(zip(draws, DRAW_BITS)):
+        assert brute_force_dp(x, y, g, g0, params).hex() == bits, k
+        assert brute_force_dp(y, x, g, g0, params).hex() == bits, k
+
+
+def test_brute_memory_stays_within_two_slices():
+    # a refinement round's slice holds 21^4 points on the pool's strip6/0
+    # (5 free axes); the search's traced peak stays within two float arrays
+    # of that size
+    spec = importlib.util.spec_from_file_location("perfbench_work", PERFBENCH / "work.py")
+    work = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(work)
+    mesh, g, g0, p, cap_factor = work.oracle_instance("strip6", 0)
+    dm0 = all_pairs_distances(mesh, g0)
+    x, y = 0, mesh.num_nodes - 1
+    params = GaugeParams.build(mesh, dm0, p=p, D=cap_factor / dm0[x, y] ** ((p - mesh.dim) / p))
+    tracemalloc.start()
+    try:
+        brute_force_dp(x, y, g, g0, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 21 ** 4 * 8

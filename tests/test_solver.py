@@ -420,7 +420,7 @@ def test_barrier_slack_is_the_gauge_slack(monkeypatch, case):
     # every system of a centering is built from its point's one evaluation:
     # its A is bitwise the gauge's, which the line search accepts only below
     # 1, so every step's slack 1 - A is positive, and its z is W.ratios of
-    # that point; the A a centering returns is the gauge's at its f
+    # that point; the pass a centering returns is its f's
     mesh, g, dm0, gauge = _barrier_case(case)
     f, slot, W = _interior_barrier(gauge, mesh.num_nodes)
     passes, systems = [], []
@@ -435,21 +435,21 @@ def test_barrier_slack_is_the_gauge_slack(monkeypatch, case):
         return real_system(instance, at, *args)
     monkeypatch.setattr(solver._Gauge, "cells", cells)
     monkeypatch.setattr(solver, "_barrier_system", system)
-    f, A, steps, centered = solver._center(gauge, f, 10.0, W, slot)
+    f, last, steps, centered = solver._center(gauge, f, _barrier_at(gauge, W, f), 10.0, W, slot)
     monkeypatch.undo()
     assert centered and len(systems) >= 2
     for at in systems:
         (h,) = [h for h, out in passes if out[0] is at[0]]
         assert at[4] == gauge.energy(h) < 1.0
         assert np.array_equal(at[5], W.ratios(h))
-    assert A == gauge.energy(f)
+    assert last[4] == gauge.energy(f) and np.array_equal(last[5], W.ratios(f))
 
 
 def test_barrier_step_takes_one_cell_pass(monkeypatch, spike8):
-    # a centering evaluates each point once: its start and each line-search
-    # trial strictly inside W's bounds get one _cell_energy pass, and no
-    # system makes one.  A step's W.ratios calls are, in order, the
-    # direction's and then one per trial
+    # a centering evaluates each point once: its start (handed in) and each
+    # line-search trial strictly inside W's bounds get one _cell_energy
+    # pass, and no system makes one.  A step's W.ratios calls are, in order,
+    # the direction's and then one per trial
     mesh, g, g0, dm0 = spike8
     gauge = solver._Gauge(g, GaugeParams.build(mesh, dm0, p=7.0, D=1.0), 0, 36)
     f, slot, W = _interior_barrier(gauge, mesh.num_nodes)
@@ -479,7 +479,7 @@ def test_barrier_step_takes_one_cell_pass(monkeypatch, spike8):
     monkeypatch.setattr(solver, "_cell_energy", cell_energy)
     monkeypatch.setattr(solver, "_barrier_system", system)
     monkeypatch.setattr(solver._WorkingSet, "ratios", ratios)
-    _, _, steps, centered = solver._center(gauge, f, 10.0, W, slot)
+    _, _, steps, centered = solver._center(gauge, f, _barrier_at(gauge, W, f), 10.0, W, slot)
     assert centered and steps >= 2 and calls["systems"] in (steps, steps + 1)
     assert calls["cells"] == 1 + calls["inside"]
 
@@ -753,6 +753,57 @@ def test_barrier_solve_takes_one_pair_pass_per_centering(monkeypatch, spike8, p,
     res = solve_dp(0, 36, g, g0, GaugeParams.build(mesh, dm0, p=p, D=D))
     assert res.converged and res.stages >= 2 and len(rounds) == 1 + restarts
     assert len(calls) == 4 + res.stages
+
+
+@pytest.mark.parametrize("p, D, restarts", [(7.0, 1.35, 0), (32.0, 1.35, 2)])
+def test_barrier_rounds_take_one_cell_pass_per_point(monkeypatch, spike8, p, D, restarts):
+    # the barrier makes one _cell_energy pass at each round's start and one
+    # per line-search trial strictly inside W's bounds: a continuation
+    # centering starts from the pass its predecessor ended with.  A step's
+    # W.ratios calls are, in order, the direction's and then one per trial
+    mesh, g, g0, dm0 = spike8
+    calls = {"cells": 0, "rounds": 0, "inside": 0}
+    barrier, phase = [], [None]
+    real_cells, real_rounds = solver._cell_energy, solver._barrier_rounds
+    real_set, real_system = solver._WorkingSet.__init__, solver._barrier_system
+    real_ratios = solver._WorkingSet.ratios
+
+    def cell_energy(*args):
+        calls["cells"] += 1
+        return real_cells(*args)
+
+    def barrier_rounds(*args):
+        barrier.append(calls["cells"])
+        out = real_rounds(*args)
+        barrier.append(calls["cells"])
+        return out
+
+    def working_set(self, *args):
+        calls["rounds"] += 1
+        phase[0] = None
+        real_set(self, *args)
+
+    def system(*args):
+        phase[0] = None
+        out = real_system(*args)
+        phase[0] = "direction"
+        return out
+
+    def ratios(self, h):
+        z = real_ratios(self, h)
+        if phase[0] == "direction":
+            phase[0] = "trials"
+        elif phase[0] == "trials":
+            calls["inside"] += bool(np.abs(z).max() < D)
+        return z
+    monkeypatch.setattr(solver, "_cell_energy", cell_energy)
+    monkeypatch.setattr(solver, "_barrier_rounds", barrier_rounds)
+    monkeypatch.setattr(solver._WorkingSet, "__init__", working_set)
+    monkeypatch.setattr(solver, "_barrier_system", system)
+    monkeypatch.setattr(solver._WorkingSet, "ratios", ratios)
+    res = solve_dp(0, 36, g, g0, GaugeParams.build(mesh, dm0, p=p, D=D))
+    assert res.converged and res.stages > calls["rounds"] == 1 + restarts
+    assert barrier[1] - barrier[0] == calls["rounds"] + calls["inside"]
 
 
 def test_newton_energy_takes_one_cell_pass_per_point(monkeypatch, spike8):
